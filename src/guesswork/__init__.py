@@ -73,6 +73,8 @@ from .sources import (
     markov_renyi_rate,
     materialize,
     model_from_dict,
+    pressure,
+    pressure_slope,
     renyi_entropy,
     renyi_entropy_rate,
     sort_desc,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-from .optimize import minimize_scan_golden
+from .exponents import model_exponent_dual
 from .sources import Pmf, sort_desc
 
 LN2 = math.log(2.0)
@@ -29,8 +29,11 @@ _FLOOR_GUARD = 1e-12
 INTEGER_ORACLE_MAX_STRINGS = 10
 
 
-def _top_count(n: int, key_rate: float) -> int:
-    return int(math.floor(math.exp(n * key_rate) * (1.0 + _FLOOR_GUARD)))
+def _top_count(n: int, key_rate: float, size: int) -> int:
+    """min(floor(exp(nR)), size), deciding in the log domain so large nR cannot overflow."""
+    if n * key_rate >= math.log(size):
+        return size
+    return min(int(math.floor(math.exp(n * key_rate) * (1.0 + _FLOOR_GUARD))), size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +60,7 @@ def top_set(p: Pmf, n: int, key_rate: float, rho: float) -> TopSetSummary:
     if key_rate <= 0.0 or rho <= 0.0 or n < 1:
         raise ValidationError("need key_rate > 0, rho > 0, n >= 1")
     order = sort_desc(p)
-    m = min(_top_count(n, key_rate), p.size)
+    m = _top_count(n, key_rate, p.size)
     top = order[:m]
     rest = order[m:]
     mass = math.fsum(p.probs[top].tolist())
@@ -266,29 +269,13 @@ def saturation_split_value(p: Pmf, n: int, rho: float, key_rate: float) -> float
     return log_campbell
 
 
-def upper_bound_finite(p: Pmf, n: int, rho: float, key_rate: float,
-                       theta_grid=None) -> float:
-    """Scan-plus-golden minimum of (rho-t) R + (t/n) H_{1/(1+t)} plus ln2/n.
+def upper_bound_finite(p: Pmf, n: int, rho: float, key_rate: float) -> float:
+    """min over t in [0, rho] of (rho-t) R + (t/n) H_{1/(1+t)}(P_n), plus ln2/n.
 
+    This is the dual of the finite law at total rate nR, divided by n.
     The ln2/n term is the one-bit gap between the entropy bound and an
     achievable prefix code, made explicit rather than absorbed into O(1).
     """
     if key_rate <= 0.0 or rho <= 0.0 or n < 1:
         raise ValidationError("need key_rate > 0, rho > 0, n >= 1")
-    probs = p.probs[p.probs > 0.0]
-    log_probs = np.log(probs)
-    cap = n * key_rate
-
-    def objective(theta: float) -> float:
-        # (1+t) ln sum p^(1/(1+t)) equals t * H_{1/(1+t)} and is exact at t=0
-        z = float(np.exp(log_probs / (1.0 + theta)).sum())
-        return (rho - theta) * cap + (1.0 + theta) * math.log(z)
-
-    if theta_grid is not None:
-        grid = np.asarray(theta_grid, dtype=float)
-        if grid.min() < 0.0 or grid.max() > rho:
-            raise ValidationError("theta grid must lie inside [0, rho]")
-        _, best = minimize_scan_golden(objective, 0.0, rho, xs=grid)
-    else:
-        _, best = minimize_scan_golden(objective, 0.0, rho, scan_points=1024)
-    return (best + LN2) / n
+    return (model_exponent_dual(p, rho, n * key_rate) + LN2) / n

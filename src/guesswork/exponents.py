@@ -22,52 +22,62 @@ from .optimize import minimize_scan_golden
 from .sources import (
     ExplicitSource,
     IidSource,
-    MarkovSource,
     Pmf,
     SourceModel,
-    UnifilarSource,
+    _solve_stationary,
+    chain_source,
     divergence,
     entropy,
-    is_irreducible,
-    perron_root,
+    power_form,
+    pressure,
+    pressure_slope,
     renyi_entropy,
-    renyi_entropy_rate,
-    stationary,
     tilt,
-    unifilar_state_power_matrix,
 )
 
+_SCAN_POINTS = 1024
 _GRID_MAX_ALPHABET = 4
 _MARKOV_GRID_MAX_STATES = 4
 # default row-grid steps for the transition-matrix verifier, by state count
 _MARKOV_GRID_STEPS = {2: 0.01, 3: 0.1, 4: 0.25}
 
 
-def _log_power_sum(log_probs: np.ndarray, beta: float) -> float:
-    return float(np.log(np.exp(beta * log_probs).sum()))
+def model_exponent_dual(model, rho: float, key_rate):
+    """min over theta in [0, rho] of (rho - theta) R + P(theta), P the pressure.
 
-
-def iid_exponent_dual(p1: Pmf, rho: float, key_rate: float) -> float:
-    """min over theta in [0, rho] of (rho - theta) R + theta H_{1/(1+theta)}(P).
-
-    The objective is convex in theta (the entropy term is a supremum of
-    linear functions), so a 1024-point scan plus golden refinement is
-    exact to working precision; the scan minimum backstops the refinement
-    regardless.
+    ``model`` is an iid, Markov or unifilar source, with R in nats per
+    letter, or a finite law (a :class:`Pmf`), with R the total rate.
+    ``key_rate`` may be an array: the pressure is evaluated once on a
+    1024-point theta grid and serves every rate.  The objective is convex
+    in theta (the pressure is), so per rate the scan minimum, ties to the
+    smallest theta, is golden-refined on its bracket; the scan minimum
+    backstops the refinement regardless.
     """
-    if rho <= 0.0 or key_rate <= 0.0:
+    rates = np.asarray(key_rate, dtype=float)
+    if rho <= 0.0 or np.any(rates <= 0.0):
         raise ValidationError("need rho > 0 and key_rate > 0")
-    log_probs = np.log(p1.probs[p1.probs > 0.0])
+    form = power_form(model)
+    thetas = np.linspace(0.0, rho, _SCAN_POINTS)
+    scan = pressure(form, thetas)
+    out = np.empty(rates.size)
+    for i, r in enumerate(rates.ravel().tolist()):
+        def objective(theta: float, r=r) -> float:
+            return (rho - theta) * r + float(pressure(form, theta))
 
-    def objective(theta: float) -> float:
-        # theta * H_{1/(1+theta)} written as (1+theta) ln sum p^{1/(1+theta)},
-        # which is exact (zero) at theta = 0
-        return (rho - theta) * key_rate + (1.0 + theta) * _log_power_sum(
-            log_probs, 1.0 / (1.0 + theta)
-        )
+        _, out[i] = minimize_scan_golden(objective, 0.0, rho, xs=thetas,
+                                         values=(rho - thetas) * r + scan)
+    return float(out[0]) if rates.ndim == 0 else out.reshape(rates.shape)
 
-    _, best = minimize_scan_golden(objective, 0.0, rho, scan_points=1024)
-    return best
+
+def iid_exponent_dual(p1: Pmf, rho: float, key_rate):
+    """min over theta in [0, rho] of (rho - theta) R + theta H_{1/(1+theta)}(P)."""
+    return model_exponent_dual(IidSource(p1), rho, key_rate)
+
+
+def markov_exponent(transition, rho: float, key_rate):
+    """Dual exponent of an irreducible chain: its pressure is the log Perron
+    root of the entrywise-tilted transition matrix."""
+    return model_exponent_dual(chain_source(transition), rho, key_rate)
 
 
 def _simplex_grid(dim: int, steps: int) -> np.ndarray:
@@ -263,58 +273,13 @@ def decomposition_check(p1: Pmf, rho: float, key_rate: float) -> tuple:
     return lhs, rhs, abs(lhs - rhs)
 
 
-class _PressureCache:
-    """Memoized (1+theta) ln(Perron root of pi^(1/(1+theta))) evaluations."""
-
-    def __init__(self, transition: np.ndarray):
-        self.pi = np.asarray(transition, dtype=float)
-        self._store: dict = {}
-
-    def __call__(self, theta: float) -> float:
-        key = round(theta, 15)
-        if key not in self._store:
-            alpha = 1.0 / (1.0 + theta)
-            lam = perron_root(self.pi ** alpha)
-            self._store[key] = (1.0 + theta) * math.log(lam)
-        return self._store[key]
-
-
-def markov_exponent(transition, rho: float, key_rate: float) -> float:
-    """Dual exponent for an irreducible chain via Perron roots of tilted powers.
-
-    min over theta of (rho - theta) R + theta * (order-1/(1+theta) entropy
-    rate); the entropy-rate term equals (1+theta) ln of the Perron root of
-    the entrywise power matrix, which is exactly zero at theta = 0.
-    """
-    if rho <= 0.0 or key_rate <= 0.0:
-        raise ValidationError("need rho > 0 and key_rate > 0")
-    pi = np.asarray(transition, dtype=float)
-    if not is_irreducible(pi):
-        raise ValidationError("transition matrix is reducible")
-    pressure = _PressureCache(pi)
-
-    def objective(theta: float) -> float:
-        return (rho - theta) * key_rate + pressure(theta)
-
-    _, best = minimize_scan_golden(objective, 0.0, rho, scan_points=1024)
-    return best
-
-
 def _batch_stationary(etas: np.ndarray) -> tuple:
     """Stationary rows for a batch of chains; returns (q, residual)."""
-    b, k, _ = etas.shape
-    m = np.transpose(etas, (0, 2, 1)) - np.eye(k)[None, :, :]
-    m[:, -1, :] = 1.0
-    rhs = np.zeros((b, k))
-    rhs[:, -1] = 1.0
-    dets = np.abs(np.linalg.det(m))
-    q = np.full((b, k), 1.0 / k)
-    solvable = dets > 1e-12
-    if np.any(solvable):
-        q[solvable] = np.linalg.solve(m[solvable], rhs[solvable][:, :, None])[:, :, 0]
+    k = etas.shape[1]
+    q, solved = _solve_stationary(etas)
     # damped power iteration cleans up singular (reducible) cases and any
     # negative round-off; it converges to some stationary vector for every chain
-    bad = ~solvable | np.any(q < -1e-12, axis=1)
+    bad = ~solved
     if np.any(bad):
         v = np.full((int(bad.sum()), k), 1.0 / k)
         half = 0.5 * (etas[bad] + np.eye(k)[None, :, :])
@@ -373,30 +338,17 @@ def markov_exponent_grid(transition, rho: float, key_rate: float,
 def thresholds(p1: Pmf, rho: float) -> tuple:
     """(H_P, H') for the single-letter curve: linear up to H_P, flat from H'.
 
-    H' is defined numerically as the smallest rate at which the dual
-    reaches its saturation value rho H_{1/(1+rho)} within 1e-9, found by
-    bisection on the nondecreasing dual.
+    H_P = P'(0) is the entropy and H' = P'(rho) the entropy of the
+    order-1/(1+rho) tilt, the smallest rate at which the dual saturates.
     """
+    return _thresholds(IidSource(p1), rho)
+
+
+def _thresholds(model: SourceModel, rho: float) -> tuple:
     if rho <= 0.0:
         raise ValidationError("rho must be positive")
-    h_p = entropy(p1)
-    e_max = rho * renyi_entropy(p1, 1.0 / (1.0 + rho))
-    target = e_max - 1e-9
-
-    def reaches(r: float) -> bool:
-        return iid_exponent_dual(p1, rho, r) >= target
-
-    hi = math.log(p1.size) + 1e-6
-    lo = 1e-9
-    if reaches(lo):
-        return h_p, 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return h_p, hi
+    h_p, h_sat = pressure_slope(model, [0.0, rho]).tolist()
+    return h_p, h_sat
 
 
 def legendre_fenchel(rhos, values, lambdas=None, convexity_tol: float = 1e-6):
@@ -481,29 +433,11 @@ def perfect_secrecy_exponent(model: SourceModel, rho: float) -> PerfectSecrecyRe
     """
     if rho <= 0.0:
         raise ValidationError("rho must be positive")
-    alpha = 1.0 / (1.0 + rho)
     if isinstance(model, ExplicitSource):
         n = len(model.pmfs)
-        value = rho * renyi_entropy(model.pmfs[-1], alpha) / n
+        value = float(pressure(model.pmfs[-1], rho)) / n
         return PerfectSecrecyResult(value=value, asymptotic=False, n=n)
-    return PerfectSecrecyResult(value=rho * renyi_entropy_rate(model, alpha), asymptotic=True)
-
-
-def model_exponent_dual(model: SourceModel, rho: float, key_rate: float) -> float:
-    """Single-letter dual exponent for iid, Markov, or unifilar models."""
-    if isinstance(model, IidSource):
-        return iid_exponent_dual(model.marginal, rho, key_rate)
-    if isinstance(model, MarkovSource):
-        return markov_exponent(model.transition, rho, key_rate)
-    if isinstance(model, UnifilarSource):
-        def objective(theta: float) -> float:
-            alpha = 1.0 / (1.0 + theta)
-            lam = perron_root(unifilar_state_power_matrix(model, alpha))
-            return (rho - theta) * key_rate + (1.0 + theta) * math.log(lam)
-
-        _, best = minimize_scan_golden(objective, 0.0, rho, scan_points=1024)
-        return best
-    raise ValidationError("single-letter exponents require iid, Markov, or unifilar models")
+    return PerfectSecrecyResult(value=float(pressure(model, rho)), asymptotic=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,60 +471,6 @@ class ExponentCurve:
 def build_curve(model: SourceModel, rho: float, rates) -> ExponentCurve:
     """Evaluate the dual exponent on a rate grid and locate its thresholds."""
     rates = np.asarray(rates, dtype=float)
-    if np.any(rates <= 0.0):
-        raise ValidationError("key rates must be positive")
-    values = np.array([model_exponent_dual(model, rho, r) for r in rates.tolist()])
-    alpha = 1.0 / (1.0 + rho)
-    if isinstance(model, IidSource):
-        h_source, h_sat = thresholds(model.marginal, rho)
-        e_max = rho * renyi_entropy(model.marginal, alpha)
-    else:
-        e_max = rho * renyi_entropy_rate(model, alpha)
-        h_source = _entropy_rate(model)
-        h_sat = _saturation_threshold(model, rho, e_max)
-    return ExponentCurve(rho, rates, values, h_source, h_sat, e_max)
-
-
-def _entropy_rate(model: SourceModel) -> float:
-    if isinstance(model, MarkovSource):
-        q = stationary(model.transition).probs
-        pi = model.transition
-        terms = []
-        for i in range(pi.shape[0]):
-            for j in range(pi.shape[1]):
-                if pi[i, j] > 0.0:
-                    terms.append(-q[i] * pi[i, j] * math.log(pi[i, j]))
-        return math.fsum(terms)
-    if isinstance(model, UnifilarSource):
-        chain = np.zeros((model.num_states, model.num_states))
-        for s in range(model.num_states):
-            for x in range(model.alphabet_size):
-                chain[s, model.next_state[s, x]] += model.emission[s].probs[x]
-        q = stationary(chain).probs
-        terms = []
-        for s in range(model.num_states):
-            for x in range(model.alphabet_size):
-                e = model.emission[s].probs[x]
-                if e > 0.0:
-                    terms.append(-q[s] * e * math.log(e))
-        return math.fsum(terms)
-    raise ValidationError("entropy rate needs a Markov or unifilar model")
-
-
-def _saturation_threshold(model: SourceModel, rho: float, e_max: float) -> float:
-    target = e_max - 1e-9
-    size = model.alphabet_size
-    lo, hi = 1e-9, math.log(size) + 1e-6
-    if model_exponent_dual(model, rho, lo) >= target:
-        return 0.0
-    while model_exponent_dual(model, rho, hi) < target:
-        hi *= 2.0
-        if hi > 100.0:
-            raise NumericError("saturation threshold not bracketed")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if model_exponent_dual(model, rho, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    values = model_exponent_dual(model, rho, rates)
+    h_source, h_sat = _thresholds(model, rho)
+    return ExponentCurve(rho, rates, values, h_source, h_sat, float(pressure(model, rho)))

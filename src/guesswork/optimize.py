@@ -38,12 +38,13 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-12,
 
 
 def minimize_scan_golden(f, lo: float, hi: float, *, scan_points: int = 1024,
-                         xs=None, tol: float = 1e-12) -> tuple:
+                         xs=None, values=None, tol: float = 1e-12) -> tuple:
     """Scan ``f`` on a grid, then golden-refine the winning bracket.
 
-    ``xs`` overrides the uniform grid.  Ties keep the smallest abscissa.
-    Returns (x, value) for the better of the scan minimum and the refined
-    point.
+    ``xs`` overrides the uniform grid and ``values`` supplies ``f`` on it
+    when the caller has evaluated the grid in one batch.  Ties keep the
+    smallest abscissa.  Returns (x, value) for the better of the scan
+    minimum and the refined point.
     """
     if hi < lo:
         raise ValueError("empty interval")
@@ -51,7 +52,8 @@ def minimize_scan_golden(f, lo: float, hi: float, *, scan_points: int = 1024,
         xs = np.linspace(lo, hi, max(int(scan_points), 2))
     else:
         xs = np.asarray(xs, dtype=float)
-    values = np.array([f(float(x)) for x in xs])
+    if values is None:
+        values = np.array([f(float(x)) for x in xs])
     i = int(np.argmin(values))
     best_x, best_val = float(xs[i]), float(values[i])
     left = float(xs[max(i - 1, 0)])

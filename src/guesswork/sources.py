@@ -27,6 +27,8 @@ PMF_TOL = 1e-12
 PRODUCT_TOL = 1e-9
 # Residual tolerance for stationary distributions.
 STATIONARY_TOL = 1e-10
+# Largest temporary, in floats, of one chunk of a batched pressure evaluation.
+PRESSURE_CHUNK = 2 ** 16
 
 DEFAULT_MATERIALIZE_CAP = 2 ** 24
 
@@ -45,6 +47,8 @@ class Pmf:
         arr = np.array(probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValidationError("a PMF must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("PMF entries must be finite")
         if np.any(arr < 0.0):
             raise ValidationError("PMF entries must be nonnegative")
         total = math.fsum(arr.tolist())
@@ -89,6 +93,8 @@ class MarkovSource:
             raise ValidationError("transition matrix must be square")
         if pi.shape[0] != self.init.size:
             raise ValidationError("initial distribution size must match the transition matrix")
+        if not np.all(np.isfinite(pi)):
+            raise ValidationError("transition probabilities must be finite")
         if np.any(pi < 0.0):
             raise ValidationError("transition probabilities must be nonnegative")
         for i in range(pi.shape[0]):
@@ -307,103 +313,181 @@ def is_irreducible(transition: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def stationary(transition, tol: float = STATIONARY_TOL, max_iter: int = 10 ** 5) -> Pmf:
+def _solve_stationary(etas: np.ndarray) -> tuple:
+    """Direct solve of q eta = q, sum(q) = 1 for a stack of chains.
+
+    Returns (q, solved): rows whose system is singular (reducible chains)
+    or whose solution has negative round-off beyond 1e-12 are flagged
+    unsolved and hold the uniform vector.
+    """
+    b, k, _ = etas.shape
+    m = np.transpose(etas, (0, 2, 1)) - np.eye(k)[None, :, :]
+    m[:, -1, :] = 1.0
+    rhs = np.zeros((b, k))
+    rhs[:, -1] = 1.0
+    solved = np.abs(np.linalg.det(m)) > 1e-12
+    q = np.full((b, k), 1.0 / k)
+    if np.any(solved):
+        q[solved] = np.linalg.solve(m[solved], rhs[solved][:, :, None])[:, :, 0]
+    return q, solved & ~np.any(q < -1e-12, axis=1)
+
+
+def stationary(transition, tol: float = STATIONARY_TOL) -> Pmf:
     """Stationary distribution q with q pi = q for an irreducible chain.
 
-    Iterates the half-identity damping (pi + I)/2 from the uniform vector;
-    the damped chain is aperiodic with the same stationary distribution, so
-    the iteration converges even for periodic chains.  The residual is
-    checked against the original matrix.
+    Solves the balance equations directly, with one of them replaced by
+    the normalization; the residual is checked against the matrix.
     """
     pi = np.asarray(transition, dtype=float)
     if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
         raise ValidationError("transition matrix must be square")
     if not is_irreducible(pi):
         raise ValidationError("transition matrix is reducible")
-    k = pi.shape[0]
-    v = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
-        residual = float(np.abs(v @ pi - v).sum())
-        if residual <= tol:
-            return Pmf(v / v.sum(), tol=PRODUCT_TOL)
-        v = 0.5 * (v @ pi + v)
-        v /= v.sum()
-    raise NumericError(
-        f"stationary iteration did not reach residual {tol:g} in {max_iter} steps "
-        f"(last residual {residual:.3e})"
-    )
+    q, solved = _solve_stationary(pi[None])
+    q = np.maximum(q[0], 0.0)
+    residual = float(np.abs(q @ pi - q).sum())
+    if not solved[0] or residual > tol:
+        raise NumericError(f"stationary solve left residual {residual:.3e} > {tol:g}")
+    return Pmf(q / q.sum(), tol=PRODUCT_TOL)
 
 
-def perron_root(matrix, tol: float = 1e-12, max_iter: int = 10 ** 5) -> float:
-    """Dominant eigenvalue of an irreducible nonnegative matrix by power iteration.
+def perron_root(matrices) -> np.ndarray:
+    """Perron roots of a stack of nonnegative square matrices.
 
-    Iterates on matrix + I, which is primitive whenever the matrix is
-    irreducible, and subtracts the unit shift at the end; the shift moves
-    the dominant eigenvalue by exactly 1 and defeats periodicity.
+    The spectral radius of a nonnegative matrix is itself an eigenvalue,
+    so it is the eigenvalue with the largest real part.
     """
-    a = np.asarray(matrix, dtype=float)
-    shifted = a + np.eye(a.shape[0])
-    v = np.full(a.shape[0], 1.0 / a.shape[0])
-    lam = None
-    for it in range(max_iter):
-        w = v @ shifted
-        new_lam = float(w.sum())
-        v = w / new_lam
-        if lam is not None and abs(new_lam - lam) <= tol * abs(new_lam):
-            return new_lam - 1.0
-        lam = new_lam
-    raise NumericError(
-        f"power iteration did not converge in {max_iter} steps "
-        f"(last eigenvalue estimate {lam!r})"
-    )
+    return np.linalg.eigvals(matrices).real.max(axis=-1)
 
 
-def markov_renyi_rate(transition, alpha: float, tol: float = 1e-12,
-                      max_iter: int = 10 ** 5) -> float:
-    """Order-``alpha`` entropy rate of an irreducible chain, nats per symbol.
+@dataclass(frozen=True, eq=False)
+class PowerForm:
+    """Entries of the tilted state-power matrix of a source or a finite law.
 
-    Equals ln(lambda)/(1-alpha) where lambda is the dominant eigenvalue of
-    the entrywise alpha-th power of the transition matrix.  The rate does
-    not depend on the initial distribution.
+    M(beta)[s, t] sums weight(s, x)^beta over the letters x, each counted
+    ``scatter[s, x, t]`` times when x moves state s to t.  An iid source is
+    the one-state case and a Markov chain has state = last symbol; a
+    finite n-letter law is one state whose letters are its distinct
+    probabilities, counted by multiplicity.  Zero weights carry no count.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("order must lie in (0, 1)")
+
+    log_weights: np.ndarray  # (states, letters)
+    scatter: np.ndarray  # (states, letters, states)
+
+    @property
+    def num_states(self) -> int:
+        return int(self.scatter.shape[0])
+
+    def powers(self, betas: np.ndarray):
+        """Yield (beta, weight^beta) over chunks of ``betas`` of at most PRESSURE_CHUNK floats."""
+        s, k = self.log_weights.shape
+        step = max(1, PRESSURE_CHUNK // (s * k * s))
+        for i in range(0, betas.size, step):
+            beta = betas[i:i + step]
+            yield beta, np.exp(beta[:, None, None] * self.log_weights)
+
+    def matrix(self, entries: np.ndarray) -> np.ndarray:
+        """Gather per-letter entries (batch, states, letters) into state-to-state matrices."""
+        return np.einsum("bsx,sxt->bst", entries, self.scatter)
+
+
+def power_form(model) -> PowerForm:
+    """The :class:`PowerForm` of an iid, Markov or unifilar model or a finite law (Pmf)."""
+    if isinstance(model, PowerForm):
+        return model
+    counts = 1
+    if isinstance(model, Pmf):
+        values, counts = np.unique(model.probs[model.probs > 0.0], return_counts=True)
+        weights, nxt = values[None, :], np.zeros((1, values.size), dtype=int)
+    elif isinstance(model, IidSource):
+        weights = model.marginal.probs[None, :]
+        nxt = np.zeros(weights.shape, dtype=int)
+    elif isinstance(model, MarkovSource):
+        if not is_irreducible(model.transition):
+            raise ValidationError("transition matrix is reducible")
+        weights = model.transition
+        nxt = np.broadcast_to(np.arange(model.alphabet_size), weights.shape)
+    elif isinstance(model, UnifilarSource):
+        weights = np.array([e.probs for e in model.emission])
+        nxt = model.next_state
+    else:
+        raise ValidationError("the pressure needs an iid, Markov or unifilar model or a finite law")
+    positive = weights > 0.0
+    counts = np.where(positive, counts, 0)
+    scatter = (nxt[:, :, None] == np.arange(weights.shape[0])) * counts[:, :, None]
+    return PowerForm(np.log(np.where(positive, weights, 1.0)), scatter.astype(float))
+
+
+def pressure(model, thetas) -> np.ndarray:
+    """P(theta) = (1+theta) ln lambda(1/(1+theta)) over an array of theta > -1.
+
+    lambda(beta) is the Perron root of the tilted state-power matrix of
+    ``model`` (see :func:`power_form`); for a one-state form it is the
+    power sum itself.  P(theta) is theta times the order-1/(1+theta)
+    entropy rate, and P(0) = 0.
+    """
+    form = power_form(model)
+    thetas = np.asarray(thetas, dtype=float)
+    betas = 1.0 / (1.0 + thetas.ravel())
+    lam = []
+    for _, w in form.powers(betas):
+        m = form.matrix(w)
+        lam.append(m[:, 0, 0] if form.num_states == 1 else perron_root(m))
+    lam = np.concatenate(lam)
+    return ((1.0 + thetas.ravel()) * np.log(lam)).reshape(thetas.shape)
+
+
+def pressure_slope(model, thetas) -> np.ndarray:
+    """P'(theta) = ln lambda - beta lambda'/lambda at beta = 1/(1+theta).
+
+    lambda' = u M'(beta) v / (u v) with u, v the left and right Perron
+    vectors.  The slope is the entropy rate of the order-beta tilt: the
+    entropy rate itself at theta = 0, the saturation threshold H' at
+    theta = rho.  Multi-state forms must have an irreducible state chain.
+    """
+    form = power_form(model)
+    if form.num_states > 1 and not is_irreducible(form.scatter.sum(axis=1)):
+        raise ValidationError("the state chain is reducible")
+    thetas = np.asarray(thetas, dtype=float)
+    betas = 1.0 / (1.0 + thetas.ravel())
+    out = []
+    for beta, w in form.powers(betas):
+        m, dm = form.matrix(w), form.matrix(w * form.log_weights)
+        rows = np.arange(beta.size)
+        roots, right = np.linalg.eig(m)
+        roots_left, left = np.linalg.eig(np.swapaxes(m, 1, 2))
+        i, j = roots.real.argmax(axis=1), roots_left.real.argmax(axis=1)
+        lam = roots.real[rows, i]
+        v, u = right[rows, :, i].real, left[rows, :, j].real
+        dlam = np.einsum("bs,bst,bt->b", u, dm, v) / np.einsum("bs,bs->b", u, v)
+        out.append(np.log(lam) - beta * dlam / lam)
+    return np.concatenate(out).reshape(thetas.shape)
+
+
+def chain_source(transition) -> MarkovSource:
+    """The chain with these transitions from the uniform initial law.
+
+    Rates, pressures and exponents of a chain do not depend on its
+    initial law, so functions that take a bare transition matrix use this.
+    """
     pi = np.asarray(transition, dtype=float)
-    if not is_irreducible(pi):
-        raise ValidationError("transition matrix is reducible")
-    lam = perron_root(pi ** alpha, tol=tol, max_iter=max_iter)
-    return math.log(lam) / (1.0 - alpha)
+    return MarkovSource(Pmf(np.full(len(pi), 1.0 / len(pi))), pi)
 
 
-def unifilar_state_power_matrix(model: UnifilarSource, alpha: float) -> np.ndarray:
-    """State-to-state matrix whose Perron root gives the power-sum growth rate.
-
-    Entry (s, s') sums emission[s](x)^alpha over symbols x driving s to s';
-    the deterministic transitions make the string-power sum a product along
-    the state path, so its growth rate is the root of this matrix.
-    """
-    s_count = model.num_states
-    out = np.zeros((s_count, s_count))
-    for s in range(s_count):
-        probs = model.emission[s].probs
-        for x in range(model.alphabet_size):
-            if probs[x] > 0.0:
-                out[s, model.next_state[s, x]] += probs[x] ** alpha
-    return out
+def markov_renyi_rate(transition, alpha: float) -> float:
+    """Order-``alpha`` entropy rate of an irreducible chain, nats per symbol."""
+    return renyi_entropy_rate(chain_source(transition), alpha)
 
 
 def renyi_entropy_rate(model: SourceModel, alpha: float) -> float:
-    """Per-letter order-``alpha`` entropy rate for iid, Markov, or unifilar models."""
-    if isinstance(model, IidSource):
-        return renyi_entropy(model.marginal, alpha)
-    if isinstance(model, MarkovSource):
-        return markov_renyi_rate(model.transition, alpha)
-    if isinstance(model, UnifilarSource):
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError("order must lie in (0, 1)")
-        lam = perron_root(unifilar_state_power_matrix(model, alpha))
-        return math.log(lam) / (1.0 - alpha)
-    raise ValidationError("entropy rates require an iid, Markov, or unifilar model")
+    """Per-letter order-``alpha`` entropy rate for alpha in (0, 1).
+
+    Equals P(theta)/theta at theta = 1/alpha - 1, P the pressure.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("order must lie in (0, 1)")
+    theta = 1.0 / alpha - 1.0
+    return float(pressure(model, theta)) / theta
 
 
 def _as_floats(values) -> list:

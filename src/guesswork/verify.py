@@ -101,14 +101,15 @@ def check_three_regime() -> CheckResult:
     h_p, h_sat = ex.thresholds(p, rho)
     e_max = rho * so.renyi_entropy(p, 0.5)
     problems = []
-    for r in np.arange(0.01, h_p + 1e-12, 0.01).tolist():
-        if abs(ex.iid_exponent_dual(p, rho, r) - rho * r) > 1e-9:
+    linear = np.arange(0.01, h_p + 1e-12, 0.01)
+    for r, e in zip(linear.tolist(), ex.iid_exponent_dual(p, rho, linear).tolist()):
+        if abs(e - rho * r) > 1e-9:
             problems.append(f"linear regime broken at R={r:.4f}")
-    for r in np.arange(h_sat, LN2 + 1e-9, 0.005).tolist():
-        if abs(ex.iid_exponent_dual(p, rho, r) - e_max) > 1e-6:
+    saturated = np.arange(h_sat, LN2 + 1e-9, 0.005)
+    for r, e in zip(saturated.tolist(), ex.iid_exponent_dual(p, rho, saturated).tolist()):
+        if abs(e - e_max) > 1e-6:
             problems.append(f"saturated regime broken at R={r:.4f}")
-    rs = np.arange(h_p, h_sat, 0.01)
-    vals = np.array([ex.iid_exponent_dual(p, rho, r) for r in rs.tolist()])
+    vals = ex.iid_exponent_dual(p, rho, np.arange(h_p, h_sat, 0.01))
     if np.any(np.diff(vals) < -1e-10):
         problems.append("interior regime not nondecreasing")
     if np.any(np.diff(vals, 2) > 1e-8):
@@ -280,8 +281,8 @@ def check_finite_n_convergence() -> CheckResult:
     rho = 1.0
     problems = []
     finals = []
-    for key_rate in (0.3, 0.55, 0.69):
-        dual = ex.iid_exponent_dual(p, rho, key_rate)
+    rates = (0.3, 0.55, 0.69)
+    for key_rate, dual in zip(rates, ex.iid_exponent_dual(p, rho, rates).tolist()):
         gaps = []
         for n in (4, 6, 8, 10, 12):
             p_n = so.materialize(model, n)
@@ -303,17 +304,18 @@ def check_markov_dual(step: float = 0.01) -> CheckResult:
     rho = 1.0
     problems = []
     gaps = []
-    for key_rate in (0.3, 0.5, 0.65):
-        dual = ex.markov_exponent(pi, rho, key_rate)
+    rates = (0.3, 0.5, 0.65)
+    for key_rate, dual in zip(rates, ex.markov_exponent(pi, rho, rates).tolist()):
         grid = ex.markov_exponent_grid(pi, rho, key_rate, step=step)
         gaps.append(abs(dual - grid))
         if abs(dual - grid) > 2e-2:
             problems.append(f"R={key_rate}: |dual-grid|={abs(dual - grid):.4f}")
     p = so.Pmf([0.8, 0.2])
     disguised = np.array([[0.8, 0.2], [0.8, 0.2]])
-    for key_rate in (0.3, 0.55, 0.69):
-        gap = abs(ex.markov_exponent(disguised, rho, key_rate)
-                  - ex.iid_exponent_dual(p, rho, key_rate))
+    rates = (0.3, 0.55, 0.69)
+    disguise_gaps = np.abs(ex.markov_exponent(disguised, rho, rates)
+                           - ex.iid_exponent_dual(p, rho, rates))
+    for key_rate, gap in zip(rates, disguise_gaps.tolist()):
         if gap > 1e-9:
             problems.append(f"iid-in-disguise gap {gap:.3e} at R={key_rate}")
     detail = "; ".join(problems) if problems else (

@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import guesswork
 from guesswork.cli import main
 
 LN2 = math.log(2.0)
@@ -214,13 +217,46 @@ class TestExitCodes:
     def test_console_entry_point(self, tmp_path, iid_model):
         cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [0.3]})
         out = tmp_path / "curve.csv"
+        # the child imports the same package as this process, installed or not
+        package_root = str(Path(guesswork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "guesswork.cli", "exponent",
              "--config", str(cfg), "--out", str(out)],
             capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert out.exists()
+
+
+class TestRegressions:
+    def test_slowly_mixing_chain_without_init(self, tmp_path):
+        from guesswork import model_from_dict
+
+        doc = {"kind": "markov", "transition": [[0.9999, 1e-4], [3.333e-5, 0.99996667]]}
+        write_model(tmp_path, doc)
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [0.3]})
+        out = tmp_path / "curve.csv"
+        assert main(["exponent", "--config", str(cfg), "--out", str(out)]) == 0
+        assert model_from_dict(doc).init.probs == pytest.approx([0.24998125, 0.75001875],
+                                                                abs=1e-9)
+
+    def test_nan_probability_is_a_config_error(self, tmp_path, capsys):
+        write_model(tmp_path, {"kind": "iid", "probs": [math.nan, 1.0]})
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [0.3]})
+        assert main(["exponent", "--config", str(cfg)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_bounds_with_huge_rate(self, tmp_path, iid_model):
+        # exp(nR) = e^800 overflows a float; the top-set size is decided by logs
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [80.0],
+                                      "n": [10]})
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].rsplit(",", 1)[1] == "True"
 
 
 class TestDeterminism:

@@ -26,6 +26,7 @@ from guesswork import (
     materialize,
     model_exponent_dual,
     perfect_secrecy_exponent,
+    pressure,
     renyi_entropy,
     thresholds,
     tilt,
@@ -274,15 +275,35 @@ class TestThresholds:
         assert H_P82 < h_sat < LN2
 
     def test_matches_tilted_entropy_formula(self):
-        # the saturation threshold is the entropy of the order-1/(1+rho)
-        # tilt; the numerical definition (first R within 1e-9 of the
-        # plateau) sits a touch below it because the curve flattens
-        # tangentially, so the comparison tolerance reflects sqrt(1e-9)
+        # the saturation threshold is the entropy of the order-1/(1+rho) tilt
         h_p, h_sat = thresholds(P82, 1.0)
         analytic = entropy(tilt(P82, 0.5))
         assert analytic == pytest.approx(0.63651416829481282, abs=1e-12)
-        assert h_sat <= analytic + 1e-9
-        assert h_sat == pytest.approx(analytic, abs=1e-3)
+        assert h_sat == pytest.approx(analytic, abs=1e-12)
+
+    def test_dual_saturates_exactly_from_threshold(self):
+        h_p, h_sat = thresholds(P82, 1.0)
+        below, at = iid_exponent_dual(P82, 1.0, [h_sat - 1e-3, h_sat])
+        assert at == pytest.approx(EMAX_P82, abs=1e-12)
+        assert below < EMAX_P82 - 1e-8
+
+    @pytest.mark.parametrize("model", [
+        MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.3, 0.7]])),
+        MarkovSource(Pmf([0.25, 0.25, 0.5]),
+                     np.array([[0.2, 0.5, 0.3], [0.4, 0.1, 0.5], [0.25, 0.25, 0.5]])),
+        UnifilarSource(Pmf([1.0, 0.0]), np.array([[0, 1], [1, 0]]),
+                       (Pmf([0.6, 0.4]), Pmf([0.25, 0.75]))),
+    ])
+    def test_chain_threshold_is_pressure_slope(self, model):
+        # closed-form H' = P'(rho) from the Perron vectors against a
+        # five-point central difference of the pressure; at h = 1e-3 the
+        # difference itself carries ~1e-12 of truncation and round-off
+        h = 1e-3
+        for rho in (0.5, 1.0, 2.0):
+            curve = build_curve(model, rho, [0.3])
+            p = pressure(model, rho + h * np.array([-2.0, -1.0, 1.0, 2.0]))
+            slope = (p[0] - 8.0 * p[1] + 8.0 * p[2] - p[3]) / (12.0 * h)
+            assert curve.h_saturation == pytest.approx(slope, abs=1e-11)
 
 
 class TestLegendreFenchel:
@@ -428,6 +449,22 @@ class TestExponentCurve:
             assert model_exponent_dual(model, 1.0, r) == pytest.approx(
                 markov_exponent(pi, 1.0, r), abs=1e-9
             )
+
+    def test_markov_entropy_rate_threshold(self):
+        pi = np.array([[0.9, 0.1], [0.3, 0.7]])
+        model = MarkovSource(Pmf([0.75, 0.25]), pi, stationary=True)
+        curve = build_curve(model, 1.0, [0.3])
+        q = np.array([0.75, 0.25])
+        assert curve.h_source == pytest.approx(-(q[:, None] * pi * np.log(pi)).sum(), abs=1e-12)
+        assert curve.h_source < curve.h_saturation
+
+    def test_rate_grid_matches_pointwise(self):
+        pi = np.array([[0.9, 0.1], [0.3, 0.7]])
+        rates = np.array([0.05, 0.3, 0.45, 0.6, 0.65])
+        for model in (IidSource(P82), MarkovSource(Pmf([0.75, 0.25]), pi, stationary=True)):
+            batched = model_exponent_dual(model, 1.0, rates)
+            pointwise = [model_exponent_dual(model, 1.0, r) for r in rates.tolist()]
+            assert batched.tolist() == pointwise
 
     def test_explicit_refused(self):
         with pytest.raises(ValidationError):

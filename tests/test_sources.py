@@ -17,6 +17,7 @@ from guesswork import (
     materialize,
     markov_renyi_rate,
     model_from_dict,
+    pressure,
     renyi_entropy,
     renyi_entropy_rate,
     sort_desc,
@@ -42,6 +43,17 @@ class TestPmf:
 
     def test_accepts_within_tolerance(self):
         Pmf([0.5, 0.5 + 5e-13])
+
+    def test_rejects_non_finite(self):
+        # comparisons with NaN are false, so only an explicit check catches these
+        for probs in ([math.nan, 1.0], [0.5, math.nan], [math.inf, 0.0], [1.0, -math.inf]):
+            with pytest.raises(ValidationError):
+                Pmf(probs)
+
+    def test_markov_rejects_non_finite_transitions(self):
+        for row in ([math.nan, 1.0], [0.5, math.nan], [math.inf, 0.0]):
+            with pytest.raises(ValidationError):
+                MarkovSource(pmf(0.5, 0.5), np.array([[0.9, 0.1], row]))
 
     def test_immutable(self):
         p = pmf(0.5, 0.5)
@@ -217,6 +229,14 @@ class TestStationary:
         q = stationary(pi)
         assert np.abs(q.probs @ pi - q.probs).sum() <= 1e-10
 
+    def test_slowly_mixing_chain(self):
+        # spectral gap 1.3e-4: a damped power iteration stalls above the
+        # residual tolerance, the direct solve does not
+        a, b = 1e-4, 3.333e-5
+        q = stationary(np.array([[1.0 - a, a], [b, 0.99996667]]))
+        assert q.probs == pytest.approx([b / (a + b), a / (a + b)], abs=1e-12)
+        assert q.probs == pytest.approx([0.24998125, 0.75001875], abs=1e-9)
+
 
 class TestMarkovRenyiRate:
     def test_uniform_rows(self):
@@ -304,3 +324,90 @@ class TestModelJson:
         with pytest.raises(ValidationError):
             model_from_dict({"kind": "markov", "transition": [[0.9, 0.2], [0.3, 0.7]],
                              "init": [0.5, 0.5]})
+
+
+def _power_iteration_root(matrix):
+    """Perron root by power iteration on matrix + I (the shift defeats periodicity)."""
+    shifted = matrix + np.eye(matrix.shape[0])
+    v = np.full(matrix.shape[0], 1.0 / matrix.shape[0])
+    lam = 0.0
+    for _ in range(100000):
+        w = v @ shifted
+        new = float(w.sum())
+        v = w / new
+        if abs(new - lam) <= 1e-15 * new:
+            break
+        lam = new
+    return new - 1.0
+
+
+def _scalar_pressure(matrix_at, theta):
+    """(1+theta) ln of the Perron root of the tilted matrix, one theta at a time."""
+    return (1.0 + theta) * math.log(_power_iteration_root(matrix_at(1.0 / (1.0 + theta))))
+
+
+class TestPressure:
+    """The batched pressure against per-theta oracles."""
+
+    def _thetas(self, seed):
+        return np.random.default_rng(seed).uniform(0.0, 4.0, size=16)
+
+    def test_iid_matches_power_sum(self):
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            p = Pmf(rng.dirichlet(np.ones(int(rng.integers(2, 9)))), tol=1e-9)
+            thetas = self._thetas(int(rng.integers(2 ** 31)))
+            oracle = [(1.0 + t) * math.log(math.fsum((p.probs ** (1.0 / (1.0 + t))).tolist()))
+                      for t in thetas.tolist()]
+            assert np.abs(pressure(IidSource(p), thetas) - oracle).max() <= 1e-12
+
+    def test_markov_matches_power_iteration(self):
+        rng = np.random.default_rng(43)
+        for k in (2, 3, 4):
+            pi = rng.dirichlet(np.ones(k), size=k)
+            model = MarkovSource(Pmf(np.full(k, 1.0 / k)), pi)
+            thetas = self._thetas(k)
+            oracle = [_scalar_pressure(lambda b: pi ** b, t) for t in thetas.tolist()]
+            assert np.abs(pressure(model, thetas) - oracle).max() <= 1e-12
+
+    def test_unifilar_matches_power_iteration(self):
+        rng = np.random.default_rng(47)
+        nxt = np.array([[0, 1, 2], [1, 2, 0], [2, 2, 1]])
+        emission = tuple(Pmf(rng.dirichlet(np.ones(3)), tol=1e-9) for _ in range(3))
+        model = UnifilarSource(pmf(1.0, 0.0, 0.0), nxt, emission)
+
+        def state_power(beta):
+            out = np.zeros((3, 3))
+            for s in range(3):
+                for x in range(3):
+                    out[s, nxt[s, x]] += emission[s].probs[x] ** beta
+            return out
+
+        thetas = self._thetas(5)
+        oracle = [_scalar_pressure(state_power, t) for t in thetas.tolist()]
+        assert np.abs(pressure(model, thetas) - oracle).max() <= 1e-12
+
+    def test_finite_law_matches_dense_sum(self):
+        rng = np.random.default_rng(53)
+        pi = rng.dirichlet(np.ones(2), size=2)
+        laws = [
+            materialize(IidSource(Pmf(rng.dirichlet(np.ones(2)), tol=1e-9)), 12),
+            materialize(MarkovSource(pmf(0.5, 0.5), pi), 12),
+            # every value distinct: the distinct-value sum degenerates to the dense one
+            materialize(ExplicitSource((Pmf(rng.dirichlet(np.ones(200)), tol=1e-9),)), 1),
+        ]
+        thetas = self._thetas(7)
+        for p in laws:
+            oracle = [(1.0 + t) * math.log(math.fsum((p.probs ** (1.0 / (1.0 + t))).tolist()))
+                      for t in thetas.tolist()]
+            assert np.abs(pressure(p, thetas) - oracle).max() <= 1e-12
+
+    def test_zero_at_zero_and_chunk_independent(self):
+        # a law with 4096 distinct values spans many 2^16-float chunks
+        rng = np.random.default_rng(59)
+        p = Pmf(rng.dirichlet(np.ones(4096)), tol=1e-9)
+        thetas = np.linspace(0.0, 3.0, 1024)
+        batched = pressure(p, thetas)
+        assert abs(batched[0]) <= 1e-12
+        single = np.array([float(pressure(p, t)) for t in thetas[::97].tolist()])
+        assert np.abs(batched[::97] - single).max() <= 1e-13
