@@ -64,7 +64,7 @@ def model_exponent_dual(model, rho: float, key_rate):
         def objective(theta: float, r=r) -> float:
             return (rho - theta) * r + float(pressure(form, theta))
 
-        _, out[i] = minimize_scan_golden(objective, 0.0, rho, xs=thetas,
+        _, out[i] = minimize_scan_golden(objective, 0.0, rho,
                                          values=(rho - thetas) * r + scan)
     return float(out[0]) if rates.ndim == 0 else out.reshape(rates.shape)
 
@@ -277,8 +277,9 @@ def _batch_stationary(etas: np.ndarray) -> tuple:
     """Stationary rows for a batch of chains; returns (q, residual)."""
     k = etas.shape[1]
     q, solved = _solve_stationary(etas)
-    # damped power iteration cleans up singular (reducible) cases and any
-    # negative round-off; it converges to some stationary vector for every chain
+    # damped power iteration cleans up the rows the direct solve rejects
+    # (singular reducible cases, negative round-off, a residual above
+    # tolerance); it converges to some stationary vector for every chain
     bad = ~solved
     if np.any(bad):
         v = np.full((int(bad.sum()), k), 1.0 / k)

@@ -38,22 +38,21 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-12,
 
 
 def minimize_scan_golden(f, lo: float, hi: float, *, scan_points: int = 1024,
-                         xs=None, values=None, tol: float = 1e-12) -> tuple:
-    """Scan ``f`` on a grid, then golden-refine the winning bracket.
+                         values=None, tol: float = 1e-12) -> tuple:
+    """Scan ``f`` on a uniform grid, then golden-refine the winning bracket.
 
-    ``xs`` overrides the uniform grid and ``values`` supplies ``f`` on it
-    when the caller has evaluated the grid in one batch.  Ties keep the
+    ``values`` may supply ``f`` on the grid, evaluated in one batch by the
+    caller; the grid then has ``len(values)`` points.  Ties keep the
     smallest abscissa.  Returns (x, value) for the better of the scan
     minimum and the refined point.
     """
     if hi < lo:
         raise ValueError("empty interval")
-    if xs is None:
-        xs = np.linspace(lo, hi, max(int(scan_points), 2))
-    else:
-        xs = np.asarray(xs, dtype=float)
     if values is None:
+        xs = np.linspace(lo, hi, max(int(scan_points), 2))
         values = np.array([f(float(x)) for x in xs])
+    else:
+        xs = np.linspace(lo, hi, len(values))
     i = int(np.argmin(values))
     best_x, best_val = float(xs[i]), float(values[i])
     left = float(xs[max(i - 1, 0)])

@@ -313,23 +313,27 @@ def is_irreducible(transition: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def _solve_stationary(etas: np.ndarray) -> tuple:
+def _solve_stationary(etas: np.ndarray, tol: float = STATIONARY_TOL) -> tuple:
     """Direct solve of q eta = q, sum(q) = 1 for a stack of chains.
 
-    Returns (q, solved): rows whose system is singular (reducible chains)
-    or whose solution has negative round-off beyond 1e-12 are flagged
-    unsolved and hold the uniform vector.
+    One balance equation is replaced by the normalization.  Returns
+    (q, solved): a row is solved when its system is nonsingular and its
+    solution is nonnegative up to 1e-12 round-off with an L1 residual
+    |q eta - q| of at most ``tol``.  Singular rows (chains with several
+    closed classes) hold the uniform vector.
     """
     b, k, _ = etas.shape
     m = np.transpose(etas, (0, 2, 1)) - np.eye(k)[None, :, :]
     m[:, -1, :] = 1.0
-    rhs = np.zeros((b, k))
+    rhs = np.zeros((b, k, 1))
     rhs[:, -1] = 1.0
-    solved = np.abs(np.linalg.det(m)) > 1e-12
+    # an exactly zero LU pivot is the only way the solve can fail
+    nonsingular = np.linalg.slogdet(m)[0] != 0.0
     q = np.full((b, k), 1.0 / k)
-    if np.any(solved):
-        q[solved] = np.linalg.solve(m[solved], rhs[solved][:, :, None])[:, :, 0]
-    return q, solved & ~np.any(q < -1e-12, axis=1)
+    if np.any(nonsingular):
+        q[nonsingular] = np.linalg.solve(m[nonsingular], rhs[nonsingular])[:, :, 0]
+    residual = np.abs(np.einsum("bi,bij->bj", q, etas) - q).sum(axis=1)
+    return q, nonsingular & np.all(q >= -1e-12, axis=1) & (residual <= tol)
 
 
 def stationary(transition, tol: float = STATIONARY_TOL) -> Pmf:
@@ -343,11 +347,12 @@ def stationary(transition, tol: float = STATIONARY_TOL) -> Pmf:
         raise ValidationError("transition matrix must be square")
     if not is_irreducible(pi):
         raise ValidationError("transition matrix is reducible")
-    q, solved = _solve_stationary(pi[None])
+    q, solved = _solve_stationary(pi[None], tol)
+    if not solved[0]:
+        raise NumericError(
+            f"stationary solve is singular or leaves a residual above {tol:g}"
+        )
     q = np.maximum(q[0], 0.0)
-    residual = float(np.abs(q @ pi - q).sum())
-    if not solved[0] or residual > tol:
-        raise NumericError(f"stationary solve left residual {residual:.3e} > {tol:g}")
     return Pmf(q / q.sum(), tol=PRODUCT_TOL)
 
 
@@ -475,17 +480,19 @@ def chain_source(transition) -> MarkovSource:
 
 
 def markov_renyi_rate(transition, alpha: float) -> float:
-    """Order-``alpha`` entropy rate of an irreducible chain, nats per symbol."""
+    """Order-``alpha`` entropy rate of an irreducible chain, alpha in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("order must lie in (0, 1)")
     return renyi_entropy_rate(chain_source(transition), alpha)
 
 
 def renyi_entropy_rate(model: SourceModel, alpha: float) -> float:
-    """Per-letter order-``alpha`` entropy rate for alpha in (0, 1).
+    """Per-letter order-``alpha`` entropy rate, alpha > 0 and != 1.
 
     Equals P(theta)/theta at theta = 1/alpha - 1, P the pressure.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("order must lie in (0, 1)")
+    if alpha <= 0.0 or alpha == 1.0:
+        raise ValidationError("order must be positive and different from 1")
     theta = 1.0 / alpha - 1.0
     return float(pressure(model, theta)) / theta
 

@@ -242,6 +242,20 @@ class TestRegressions:
         assert model_from_dict(doc).init.probs == pytest.approx([0.24998125, 0.75001875],
                                                                 abs=1e-9)
 
+    def test_sticky_three_state_chain_without_init(self, tmp_path):
+        from guesswork import model_from_dict
+
+        off = 1e-7
+        doc = {"kind": "markov", "transition": [[1.0 - 2 * off, off, off],
+                                                [off, 1.0 - 2 * off, off],
+                                                [off, off, 1.0 - 2 * off]]}
+        write_model(tmp_path, doc)
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [0.3]})
+        out = tmp_path / "curve.csv"
+        assert main(["exponent", "--config", str(cfg), "--out", str(out)]) == 0
+        # the rounded rows move the law by up to (row-sum error) / (spectral gap)
+        assert model_from_dict(doc).init.probs == pytest.approx([1 / 3] * 3, abs=1e-9)
+
     def test_nan_probability_is_a_config_error(self, tmp_path, capsys):
         write_model(tmp_path, {"kind": "iid", "probs": [math.nan, 1.0]})
         cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [0.3]})

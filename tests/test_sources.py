@@ -237,6 +237,26 @@ class TestStationary:
         assert q.probs == pytest.approx([b / (a + b), a / (a + b)], abs=1e-12)
         assert q.probs == pytest.approx([0.24998125, 0.75001875], abs=1e-9)
 
+    @pytest.mark.parametrize("k, stay", [(3, 1.0 - 2e-7), (10, 0.97)])
+    def test_sticky_many_state_chains(self, k, stay):
+        # det of the solved system is ~1e-13 here (product of the k-1 nonzero
+        # eigenvalues of pi - I); solvability must not hinge on its size
+        pi = np.full((k, k), (1.0 - stay) / (k - 1))
+        np.fill_diagonal(pi, stay)
+        model = model_from_dict({"kind": "markov", "transition": pi.tolist()})
+        q = model.init.probs
+        assert np.abs(q @ pi - q).sum() <= 1e-15
+        assert q == pytest.approx(np.full(k, 1.0 / k), abs=1e-9)
+
+    def test_sticky_asymmetric_chain(self):
+        pi = np.array([[1.0 - 3e-7, 1e-7, 2e-7],
+                       [4e-7, 1.0 - 5e-7, 1e-7],
+                       [1e-7, 1e-7, 1.0 - 2e-7]])
+        q = stationary(pi)
+        assert np.abs(q.probs @ pi - q.probs).sum() <= 1e-15
+        # balance of state 0: 3e-7 q0 = 4e-7 q1 + 1e-7 q2
+        assert 3.0 * q.probs[0] == pytest.approx(4.0 * q.probs[1] + q.probs[2], abs=1e-8)
+
 
 class TestMarkovRenyiRate:
     def test_uniform_rows(self):
@@ -274,6 +294,21 @@ class TestRenyiEntropyRate:
     def test_iid(self):
         model = IidSource(pmf(0.8, 0.2))
         assert renyi_entropy_rate(model, 0.5) == pytest.approx(0.587786664902119, abs=1e-12)
+
+    def test_orders_above_one(self):
+        model = IidSource(pmf(0.8, 0.2))
+        for alpha in (1.5, 2.0, 5.0):
+            assert renyi_entropy_rate(model, alpha) == pytest.approx(
+                renyi_entropy(model.marginal, alpha), abs=1e-12
+            )
+        chain = MarkovSource(pmf(0.5, 0.5), np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert renyi_entropy_rate(chain, 2.0) == pytest.approx(LN2, abs=1e-12)
+
+    def test_domain(self):
+        model = IidSource(pmf(0.8, 0.2))
+        for alpha in (0.0, -0.5, 1.0):
+            with pytest.raises(ValidationError):
+                renyi_entropy_rate(model, alpha)
 
     def test_unifilar_matches_markov_when_states_mirror_symbols(self):
         # emitting the label of the next state makes the source literally the chain
