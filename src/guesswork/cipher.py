@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,11 +110,14 @@ def build_group_xor_cipher(p: Pmf, k: int, n: int = 1) -> Cipher:
 
     Messages are padded with zero-probability dummies to a multiple of
     M = 2^k, grouped into consecutive blocks of M, and the low k bits are
-    XORed with the key inside each block.
+    XORed with the key inside each block.  The M x padded-count table is
+    bounded by the materialize cap.
     """
     if k < 0:
         raise ValidationError("key bits must be nonnegative")
     m = 2 ** k
+    if m * (-(-p.size // m) * m) > DEFAULT_MATERIALIZE_CAP:
+        raise CapExceededError(f"a {m}-key table over {p.size} messages exceeds the cap")
     padded = sorted_padded_pmf(p, m)
     n_msgs = padded.size
     idx = np.arange(n_msgs)
@@ -125,13 +127,6 @@ def build_group_xor_cipher(p: Pmf, k: int, n: int = 1) -> Cipher:
     for u in range(m):
         table[u] = groups * m + (within ^ u)
     return Cipher(CipherSpec(n, k, n_msgs), table, padded)
-
-
-def _count_matrix(cipher: Cipher) -> np.ndarray:
-    """counts[m, y] = number of keys mapping message m to cryptogram y."""
-    n_msgs = cipher.spec.num_messages
-    flat = (np.arange(n_msgs)[None, :] * n_msgs + cipher.table).ravel()
-    return np.bincount(flat, minlength=n_msgs * n_msgs).reshape(n_msgs, n_msgs)
 
 
 def optimal_attack(cipher: Cipher, p: Pmf, y: int) -> GuessOrder:
@@ -153,60 +148,64 @@ def optimal_attack(cipher: Cipher, p: Pmf, y: int) -> GuessOrder:
     return GuessOrder(rank)
 
 
+def _attack_weights(cols: np.ndarray, probs: np.ndarray):
+    """Each cryptogram's distinct preimages of positive weight, in attack order.
+
+    Row y of ``cols`` lists the message each key sends to cryptogram y.  The
+    weight of message m is p(m) times the number of keys sending it to y.
+    Returns (cryptogram, message, weight, rank), sorted by cryptogram, then
+    by decreasing weight with ties to the lower message index; rank is the
+    1-based guess position, at most the number of keys.
+    """
+    key, count = np.unique(np.arange(len(cols))[:, None] * probs.size + cols,
+                           return_counts=True)
+    row, msg = np.divmod(key, probs.size)
+    weight = probs[msg] * count
+    keep = np.flatnonzero(weight > 0.0)
+    order = keep[np.lexsort((msg[keep], -weight[keep], row[keep]))]
+    row, msg, weight = row[order], msg[order], weight[order]
+    return row, msg, weight, np.arange(row.size) - np.searchsorted(row, row) + 1
+
+
 def attack_moment(cipher: Cipher, p: Pmf, rho: float) -> float:
     """E[(number of guesses)^rho] for the optimal posterior-order attack.
 
     Exact sum over the joint law of message and cryptogram with the key
-    uniform over 2^k values, accumulated in fixed (cryptogram, message)
-    order.
+    uniform over 2^k values.  Each cryptogram has at most 2^k preimages, so
+    the work and memory are O(N 2^k), not N^2.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
     if p.size != cipher.spec.num_messages:
         raise ValidationError("distribution must cover the cipher's message set")
-    counts = _count_matrix(cipher)
     m_keys = cipher.spec.num_keys
-    terms = []
-    for y in range(cipher.spec.num_messages):
-        weights = p.probs * counts[:, y]
-        order = np.argsort(-weights, kind="stable")
-        rank = np.empty(p.size, dtype=int)
-        rank[order] = np.arange(1, p.size + 1)
-        nz = np.flatnonzero(weights)
-        for m in nz:
-            terms.append(weights[m] / m_keys * rank[m] ** rho)
-    return math.fsum(terms)
+    _, _, weight, rank = _attack_weights(np.argsort(cipher.table, axis=1, kind="stable").T, p.probs)
+    return math.fsum((weight / m_keys * rank ** rho).tolist())
 
 
 def attack_moment_for_orders(cipher: Cipher, p: Pmf, rho: float, orders) -> float:
     """Moment when the attacker uses a caller-supplied order per cryptogram."""
-    counts = _count_matrix(cipher)
-    m_keys = cipher.spec.num_keys
-    terms = []
-    for y in range(cipher.spec.num_messages):
-        rank = orders[y].rank
-        weights = p.probs * counts[:, y]
-        nz = np.flatnonzero(weights)
-        for m in nz:
-            terms.append(weights[m] / m_keys * rank[m] ** rho)
-    return math.fsum(terms)
+    row, msg, weight, _ = _attack_weights(np.argsort(cipher.table, axis=1, kind="stable").T,
+                                          p.probs)
+    rank = np.array([orders[y].rank[m] for y, m in zip(row.tolist(), msg.tolist())], dtype=int)
+    return math.fsum((weight / cipher.spec.num_keys * rank ** rho).tolist())
 
 
 def group_xor_moment_closed(p: Pmf, k: int, rho: float) -> float:
     """Closed form of the group-XOR attack moment.
 
-    With probabilities sorted descending and padded, the attacker needs
-    i+1 guesses whenever the message sits at offset i inside its block,
-    independent of the cryptogram, so the moment is the double sum of
-    p(jM+i) (i+1)^rho.
+    With probabilities sorted descending, the attacker needs i+1 guesses
+    whenever the message sits at offset i inside its block of M = 2^k,
+    independent of the cryptogram, so the moment is the sum of
+    p(jM+i) (i+1)^rho.  The padding dummies carry no mass, so the sum runs
+    over the unpadded sorted vector.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
-    m = 2 ** k
-    padded = sorted_padded_pmf(p, m)
-    within = np.arange(padded.size) % m
+    ordered = p.probs[sort_desc(p)]
+    within = np.arange(p.size) % min(2 ** k, p.size)
     return math.fsum(
-        (px * float(i + 1) ** rho for px, i in zip(padded.probs.tolist(), within.tolist()))
+        (px * float(i + 1) ** rho for px, i in zip(ordered.tolist(), within.tolist()))
     )
 
 
@@ -217,26 +216,65 @@ class BruteForceResult:
     tables_searched: int
 
 
-def _moment_batch(count_mats: np.ndarray, probs: np.ndarray, rho: float, m_keys: int) -> np.ndarray:
-    """Attack moments for a batch of key-count matrices, shape (B, N, N)."""
-    weights = count_mats * probs[None, :, None]
-    order = np.argsort(-weights, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(1, probs.size + 1)[None, :, None], axis=1)
-    return (weights * ranks.astype(float) ** rho).sum(axis=(1, 2)) / m_keys
+# tables scored per numpy pass, and the relative gap below the best lookup
+# moment inside which tables count as tied (lookup and exact moments differ
+# by ~1e-15, so mathematically tied tables can land an ulp apart)
+_BLOCK = 1 << 16
+_TIE = 1e-12
+
+
+def _multisets(n: int, r: int) -> np.ndarray:
+    """All non-decreasing r-tuples over range(n), in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=int)
+    for _ in range(r):
+        # a leads the rows whose first entry is at least a: a suffix of rows
+        starts = np.searchsorted(rows[:, 0], np.arange(n)) if rows.size else np.zeros(n, int)
+        sizes = len(rows) - starts
+        rest = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes - starts, sizes)
+        rows = np.column_stack([np.repeat(np.arange(n), sizes), rows[rest]])
+    return rows
+
+
+def _lookup_moments(perms: np.ndarray, probs: np.ndarray, m_keys: int, rho: float):
+    """(keys 1..M-1 as indices into ``perms``, attack moment) of every canonical table.
+
+    A table's moment is the sum over cryptograms y of g(column y), where
+    column y is the multiset of the keys' preimages of y; g is tabulated
+    once over all multisets of M messages with ``attack_moment``'s terms.
+    Column y is encoded as sum_u (M+1)^(preimage of y under key u), so a
+    table's codes are the identity's code vector plus one fixed vector per
+    free key.
+    """
+    columns = _multisets(probs.size, m_keys)
+    row, _, weight, rank = _attack_weights(columns, probs)
+    terms = (weight / m_keys * rank ** rho).tolist()
+    bounds = np.searchsorted(row, np.arange(len(columns) + 1)).tolist()
+    g = np.zeros((m_keys + 1) ** probs.size)
+    g[((m_keys + 1) ** columns).sum(axis=1)] = [math.fsum(terms[a:b])
+                                                 for a, b in zip(bounds, bounds[1:])]
+    code = (m_keys + 1) ** np.argsort(perms, axis=1, kind="stable")
+    keys = _multisets(len(perms), m_keys - 1)
+    moments = np.concatenate([
+        g[sum((code[col] for col in keys[lo:lo + _BLOCK].T), code[:1])].sum(axis=1)
+        for lo in range(0, len(keys), _BLOCK)
+    ])
+    return keys, moments
 
 
 def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5,
-                            max_keys: int = 2, chunk: int = 65536,
-                            threads: int = 1) -> BruteForceResult:
+                            max_keys: int = 2) -> BruteForceResult:
     """Exhaustive maximum of the attack moment over permutation-table ciphers.
 
     The cryptogram alphabet is fixed to the message set, so the search runs
     over per-key permutations.  Two lossless reductions keep it tractable:
     key 0 is pinned to the identity (relabeling cryptograms never changes
     the attack moment) and the remaining keys are enumerated as unordered
-    multisets (the key is uniform, so key order is irrelevant).  Ties keep
-    the first witness in this canonical enumeration order.
+    multisets (the key is uniform, so key order is irrelevant), in
+    lexicographic order of their indices among the lexicographic
+    permutations.  Tie rule: the witness is the first table in this order
+    whose column-lookup moment is within a relative 1e-12 of the largest,
+    so mathematical ties go to the earliest table whatever their rounding;
+    ``max_moment`` is the witness's exact ``attack_moment``.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
@@ -246,58 +284,14 @@ def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5
             f"brute force limited to {max_messages} messages and {max_keys} key bits"
         )
     m_keys = 2 ** k
+    tables = math.comb(math.factorial(n_msgs) + m_keys - 2, m_keys - 1)
+    if tables * m_keys > DEFAULT_MATERIALIZE_CAP:
+        raise CapExceededError(f"brute force over {tables} tables exceeds the table-list cap")
     perms = np.array(list(itertools.permutations(range(n_msgs))), dtype=int)
-    base = np.arange(n_msgs)
-
-    if k == 0:
-        table = base[None, :]
-        cipher = Cipher(CipherSpec(1, 0, n_msgs), table, p)
-        return BruteForceResult(attack_moment(cipher, p, rho), cipher, 1)
-
-    combos_iter = itertools.combinations_with_replacement(range(len(perms)), m_keys - 1)
-    identity_onehot = np.eye(n_msgs)[None, :, :]
-    probs = p.probs
-
-    def eval_chunk(combo_block: np.ndarray):
-        b = combo_block.shape[0]
-        counts = np.repeat(identity_onehot, b, axis=0)
-        flat_base = np.arange(b)[:, None] * (n_msgs * n_msgs) + base[None, :] * n_msgs
-        for col in range(m_keys - 1):
-            targets = perms[combo_block[:, col]]
-            np.add.at(counts.reshape(-1), (flat_base + targets).ravel(), 1.0)
-        moments = _moment_batch(counts, probs, rho, m_keys)
-        best = int(np.argmax(moments))
-        return float(moments[best]), combo_block[best]
-
-    best_val = -math.inf
-    best_combo = None
-    searched = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        pending = []
-        while True:
-            block = np.array(list(itertools.islice(combos_iter, chunk)), dtype=int)
-            if block.size == 0:
-                break
-            searched += block.shape[0]
-            if pool is None:
-                pending.append(eval_chunk(block))
-            else:
-                pending.append(pool.submit(eval_chunk, block))
-        if pool is not None:
-            pending = [f.result() for f in pending]
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    # deterministic reduction: chunks in enumeration order, first max wins
-    for val, combo in pending:
-        if val > best_val:
-            best_val, best_combo = val, combo
-
-    table = np.vstack([base[None, :], perms[best_combo]])
-    witness = Cipher(CipherSpec(1, k, n_msgs), table, p)
-    exact = attack_moment(witness, p, rho)
-    return BruteForceResult(exact, witness, searched)
+    keys, moments = _lookup_moments(perms, p.probs, m_keys, rho)
+    best = int(np.argmax(moments >= moments.max() * (1.0 - _TIE)))
+    witness = Cipher(CipherSpec(1, k, n_msgs), np.vstack([perms[0], perms[keys[best]]]), p)
+    return BruteForceResult(attack_moment(witness, p, rho), witness, len(keys))
 
 
 @dataclass(frozen=True, eq=False)

@@ -261,7 +261,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
                 p_n, achieved.k, rho,
                 max_messages=cfg.brute_force_messages,
                 max_keys=cfg.brute_force_keys,
-                threads=1,
             )
             bf_exp = math.log(result.max_moment) / n
             lo, hi = sorted((achieved.exponent, bf_exp))

@@ -543,4 +543,6 @@ def load_model(path) -> SourceModel:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file {path} is not valid JSON: {exc}")
+    except OSError as exc:
+        raise ValidationError(f"model file cannot be read: {exc}")
     return model_from_dict(doc)

@@ -1,9 +1,15 @@
+import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import guesswork
 from guesswork import (
     CapExceededError,
     Cipher,
@@ -19,7 +25,12 @@ from guesswork import (
     keys_for_rate,
     optimal_attack,
 )
-from guesswork.cipher import attack_moment_for_orders, sorted_padded_pmf
+from guesswork.cipher import (
+    _lookup_moments,
+    _multisets,
+    attack_moment_for_orders,
+    sorted_padded_pmf,
+)
 from guesswork.guessing import GuessOrder
 
 LN2 = math.log(2.0)
@@ -56,6 +67,12 @@ class TestGroupXorConstruction:
     def test_reindexes_descending(self):
         cipher = build_group_xor_cipher(pmf(0.1, 0.6, 0.3), 0)
         assert cipher.pmf.probs.tolist() == [0.6, 0.3, 0.1]
+
+    def test_table_size_cap(self):
+        # the M x padded-count table is refused before anything is allocated
+        for k in (13, 47):
+            with pytest.raises(CapExceededError):
+                build_group_xor_cipher(pmf(0.5, 0.3, 0.2), k)
 
     def test_json_roundtrip(self):
         cipher = build_group_xor_cipher(pmf(0.4, 0.3, 0.2, 0.1), 1)
@@ -128,6 +145,30 @@ class TestAttackMoment:
                 other = attack_moment_for_orders(cipher, cipher.pmf, rho, orders)
                 assert best <= other + 1e-12
 
+    def test_group_xor_at_65536_messages_in_bounded_memory(self):
+        # a dense N x N count matrix would need 32 GB here; the child's
+        # address space is capped at 1 GB
+        code = "\n".join([
+            "import resource",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))",
+            "import numpy as np",
+            "from guesswork import (Pmf, attack_moment, build_group_xor_cipher,",
+            "                       group_xor_moment_closed)",
+            "p = Pmf(np.random.default_rng(5).dirichlet(np.ones(1 << 16)), tol=1e-9)",
+            "cipher = build_group_xor_cipher(p, 2)",
+            "for rho in (0.5, 1.0, 2.0):",
+            "    exact = attack_moment(cipher, cipher.pmf, rho)",
+            "    closed = group_xor_moment_closed(p, 2, rho)",
+            "    assert abs(exact - closed) <= 1e-12, (rho, exact, closed)",
+        ])
+        package_root = str(Path(guesswork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_posterior_tie_invariance(self):
         # equal posteriors commute: swapping tied messages leaves the moment alone
         p = pmf(0.3, 0.3, 0.2, 0.2)
@@ -164,6 +205,14 @@ class TestClosedForm:
         assert group_xor_moment_closed(pmf(0.25, 0.25, 0.25, 0.25), 1, 1.0) == pytest.approx(
             1.5, abs=1e-15
         )
+
+    def test_huge_key_count_needs_no_padding(self):
+        # one block of 2^k covers everything: plain probability-order guessing
+        # (2^70 also overflows a 64-bit integer)
+        p = pmf(0.1, 0.4, 0.2, 0.3)
+        plain = math.fsum(q * i ** 1.5 for i, q in enumerate((0.4, 0.3, 0.2, 0.1), start=1))
+        for k in (47, 70):
+            assert group_xor_moment_closed(p, k, 1.5) == pytest.approx(plain, abs=1e-15)
 
     def test_matches_exact_attack(self):
         rng = np.random.default_rng(23)
@@ -233,13 +282,87 @@ class TestBruteForce:
             brute_force_best_cipher(pmf(*([1.0 / 6] * 6)), 1, 1.0)
         with pytest.raises(CapExceededError):
             brute_force_best_cipher(pmf(0.5, 0.5), 3, 1.0)
+        # 6 messages and 2 key bits: C(722, 3) tables exceed the materialize cap
+        with pytest.raises(CapExceededError):
+            brute_force_best_cipher(pmf(*([1.0 / 6] * 6)), 2, 1.0, max_messages=6)
 
-    def test_thread_determinism(self):
+    def test_repeat_calls_identical(self):
         p = pmf(0.4, 0.3, 0.2, 0.1)
-        a = brute_force_best_cipher(p, 2, 0.7, threads=1, chunk=100)
-        b = brute_force_best_cipher(p, 2, 0.7, threads=4, chunk=100)
+        a = brute_force_best_cipher(p, 2, 0.7)
+        b = brute_force_best_cipher(p, 2, 0.7)
         assert a.max_moment == b.max_moment
         assert np.array_equal(a.witness.table, b.witness.table)
+        assert a.tables_searched == b.tables_searched == math.comb(26, 3)
+
+
+def canonical_tables(size, k):
+    """(keys, table) of every canonical table: key 0 the identity, the other
+    keys a non-decreasing tuple of lexicographic permutation indices."""
+    perms = list(itertools.permutations(range(size)))
+    for keys in itertools.combinations_with_replacement(range(len(perms)), 2 ** k - 1):
+        yield list(keys), np.array([perms[0]] + [perms[i] for i in keys])
+
+
+# tied laws (uniform, repeated values, zero mass) and untied ones; k = 2 up to
+# four messages, k = 1 at five
+LOOKUP_LAWS = [
+    [0.5, 0.5], [0.7, 0.3],
+    [1 / 3] * 3, [0.25, 0.25, 0.5], [0.5, 0.5, 0.0], [0.6, 0.3, 0.1],
+    [0.25] * 4, [0.3, 0.3, 0.2, 0.2], [0.4, 0.2, 0.2, 0.2], [0.5, 0.25, 0.25, 0.0],
+    [0.1, 0.45, 0.3, 0.15],
+    [0.2] * 5, [0.3, 0.3, 0.2, 0.1, 0.1], [0.05, 0.35, 0.25, 0.2, 0.15],
+]
+
+
+@functools.cache
+def oracle_cases(probs):
+    """(p, k, rho, canonical tables, attack_moment of each) per case of a law."""
+    p = Pmf(probs, tol=1e-9)
+    cases = []
+    for k in ((1, 2) if p.size <= 4 else (1,)):
+        for rho in (0.5, 1.0, 1.7):
+            tables = list(canonical_tables(p.size, k))
+            oracle = np.array([
+                attack_moment(Cipher(CipherSpec(1, k, p.size), table, p), p, rho)
+                for _, table in tables
+            ])
+            cases.append((p, k, rho, tables, oracle))
+    return cases
+
+
+class TestColumnLookup:
+    def test_multisets_in_lexicographic_order(self):
+        for n, r in ((1, 0), (3, 0), (4, 1), (5, 3), (6, 2), (3, 4)):
+            expected = list(itertools.combinations_with_replacement(range(n), r))
+            assert _multisets(n, r).tolist() == [list(t) for t in expected]
+
+    @pytest.mark.parametrize("probs", LOOKUP_LAWS)
+    def test_every_table_matches_attack_moment(self, probs):
+        for p, k, rho, tables, oracle in oracle_cases(tuple(probs)):
+            perms = np.array(list(itertools.permutations(range(p.size))))
+            keys, moments = _lookup_moments(perms, p.probs, 2 ** k, rho)
+            assert keys.tolist() == [want for want, _ in tables]
+            assert np.max(np.abs(moments - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("probs", LOOKUP_LAWS)
+    def test_witness_is_first_maximal_table(self, probs):
+        for p, k, rho, tables, oracle in oracle_cases(tuple(probs)):
+            first = int(np.flatnonzero(oracle >= oracle.max() * (1.0 - 1e-12))[0])
+            result = brute_force_best_cipher(p, k, rho)
+            assert np.array_equal(result.witness.table, tables[first][1])
+            assert result.max_moment == oracle[first]
+            assert result.tables_searched == len(tables)
+
+    def test_block_size_does_not_move_the_moments(self, monkeypatch):
+        import guesswork.cipher as ci
+
+        perms = np.array(list(itertools.permutations(range(4))))
+        probs = np.array([0.1, 0.45, 0.3, 0.15])
+        keys, moments = _lookup_moments(perms, probs, 4, 1.3)
+        monkeypatch.setattr(ci, "_BLOCK", 97)
+        again_keys, again = _lookup_moments(perms, probs, 4, 1.3)
+        assert np.array_equal(again_keys, keys)
+        assert np.array_equal(again, moments)
 
 
 class TestAchievedExponent:

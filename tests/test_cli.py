@@ -272,6 +272,27 @@ class TestRegressions:
         assert len(lines) == 2
         assert lines[1].rsplit(",", 1)[1] == "True"
 
+    def test_simulate_with_huge_key_count(self, tmp_path, iid_model):
+        # k = ceil(8 * 4 / ln 2) = 47 key bits: one block of 2^47 covers the
+        # 256 strings, so the attack is plain probability-order guessing
+        from guesswork import IidSource, Pmf, materialize
+
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [4.0],
+                                      "n": [8], "format": "json"})
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["k"] == 47
+        assert row["num_messages"] == 2 ** 47
+        p_8 = materialize(IidSource(Pmf([0.8, 0.2])), 8).probs
+        plain = math.fsum(q * i for i, q in enumerate(sorted(p_8, reverse=True), start=1))
+        assert row["moment"] == pytest.approx(plain, rel=1e-12)
+
+    def test_missing_model_file_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": "nope.json", "rho": [1.0], "R": [0.3]})
+        assert main(["exponent", "--config", str(cfg)]) == 2
+        assert "nope.json" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_bounds_byte_identical_across_threads(self, tmp_path, iid_model):
