@@ -286,13 +286,20 @@ class TestBruteForce:
         with pytest.raises(CapExceededError):
             brute_force_best_cipher(pmf(*([1.0 / 6] * 6)), 2, 1.0, max_messages=6)
 
-    def test_repeat_calls_identical(self):
+    def test_thread_determinism(self):
+        # the search is single-threaded: repeated calls, and calls made from
+        # concurrent threads, return the same moment, witness and table count
+        from concurrent.futures import ThreadPoolExecutor
+
         p = pmf(0.4, 0.3, 0.2, 0.1)
         a = brute_force_best_cipher(p, 2, 0.7)
         b = brute_force_best_cipher(p, 2, 0.7)
-        assert a.max_moment == b.max_moment
-        assert np.array_equal(a.witness.table, b.witness.table)
-        assert a.tables_searched == b.tables_searched == math.comb(26, 3)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = list(pool.map(lambda _: brute_force_best_cipher(p, 2, 0.7), range(2)))
+        for other in [b, *concurrent]:
+            assert a.max_moment == other.max_moment
+            assert np.array_equal(a.witness.table, other.witness.table)
+            assert a.tables_searched == other.tables_searched == math.comb(26, 3)
 
 
 def canonical_tables(size, k):
