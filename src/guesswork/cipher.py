@@ -16,15 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, NumericError, ValidationError
 from .guessing import GuessOrder, harmonic_number
-from .sources import (
-    DEFAULT_MATERIALIZE_CAP,
-    Pmf,
-    SourceModel,
-    materialize,
-    sort_desc,
-)
+from .sources import DEFAULT_MATERIALIZE_CAP, Pmf, sort_desc
 
 LN2 = math.log(2.0)
 
@@ -204,9 +198,12 @@ def group_xor_moment_closed(p: Pmf, k: int, rho: float) -> float:
         raise ValidationError("moment exponent must be positive")
     ordered = p.probs[sort_desc(p)]
     within = np.arange(p.size) % min(2 ** k, p.size)
-    return math.fsum(
-        (px * float(i + 1) ** rho for px, i in zip(ordered.tolist(), within.tolist()))
-    )
+    try:
+        return math.fsum(
+            (px * float(i + 1) ** rho for px, i in zip(ordered.tolist(), within.tolist()))
+        )
+    except OverflowError:
+        raise NumericError(f"the group-XOR attack moment overflows at rho={rho:g}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,24 +315,28 @@ def keys_for_rate(n: int, key_rate: float) -> int:
     return int(math.ceil(n * key_rate / LN2 - 1e-12))
 
 
-def guessing_exponent_achieved(model: SourceModel, n: int, rho: float, key_rate: float,
-                               cap: int = DEFAULT_MATERIALIZE_CAP) -> AchievedExponent:
-    """Exponent achieved by the group-XOR cipher at key rate ``key_rate``.
+def guessing_exponent_achieved(p_n: Pmf, n: int, rho: float,
+                               key_rate: float) -> AchievedExponent:
+    """Exponent achieved by the group-XOR cipher on the n-letter law ``p_n``.
 
-    A certified lower bound on the best attainable finite-n exponent; the
-    reported floor constant 1/((2 H_N)^rho (2 + rho)) ties it to the
-    saturated-cost compression optimum, with H_N the harmonic number of
-    the padded message count.
+    The key has ``keys_for_rate(n, key_rate)`` bits.  A certified lower
+    bound on the best attainable finite-n exponent; the reported floor
+    constant 1/((2 H_N)^rho (2 + rho)) ties it to the saturated-cost
+    compression optimum, with H_N the harmonic number of the padded
+    message count.  A moment or constant beyond the float range raises
+    :class:`NumericError`.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
-    p_n = materialize(model, n, cap=cap)
     k = keys_for_rate(n, key_rate)
     m = 2 ** k
     n_padded = -(-p_n.size // m) * m
     value = group_xor_moment_closed(p_n, k, rho)
     c = harmonic_number(n_padded)
-    floor = 1.0 / ((2.0 * c) ** rho * (2.0 + rho))
+    try:
+        floor = 1.0 / ((2.0 * c) ** rho * (2.0 + rho))
+    except OverflowError:
+        raise NumericError(f"the floor constant (2 H_N)^rho overflows at rho={rho:g}") from None
     return AchievedExponent(
         exponent=math.log(value) / n,
         moment=value,

@@ -54,21 +54,64 @@ class RunConfig:
     seed: int = 0
 
 
+def _positive(values, what: str) -> list:
+    """``values`` as floats, each positive and finite."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{what} must be a list")
+    out = [float(v) for v in values]
+    if not all(0.0 < v < math.inf for v in out):
+        raise ConfigError(f"{what} must be positive and finite")
+    return out
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int):
+        raise ConfigError(f"{what} must be integers")
+    return value
+
+
 def _rate_grid(spec) -> list:
     if isinstance(spec, list):
-        rates = [float(r) for r in spec]
-    elif isinstance(spec, dict):
-        lo, hi = float(spec["min"]), float(spec["max"])
-        step = float(spec["step"])
-        if step <= 0.0:
-            raise ConfigError("R grid step must be positive")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        rates = [lo + i * step for i in range(count)]
-    else:
+        return _positive(spec, "key rates")
+    if not isinstance(spec, dict):
         raise ConfigError("R must be a list or a {min, max, step} object")
-    if any(r <= 0.0 for r in rates):
-        raise ConfigError("key rates must be positive")
-    return rates
+    lo, hi, step = (float(spec[key]) for key in ("min", "max", "step"))
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise ConfigError("R grid bounds must be finite")
+    if step <= 0.0:
+        raise ConfigError("R grid step must be positive")
+    # checked before the list exists: a tiny step asks for any number of points
+    span = (hi - lo) / step + 1e-9
+    if span >= so.DEFAULT_MATERIALIZE_CAP:
+        raise CapExceededError(
+            f"an R grid of {span + 1:.4g} points exceeds the cap of {so.DEFAULT_MATERIALIZE_CAP}")
+    return _positive([lo + i * step for i in range(int(math.floor(span)) + 1)], "key rates")
+
+
+def _from_doc(doc: dict, base: Path) -> RunConfig:
+    cfg = RunConfig()
+    if "model" in doc:
+        cfg.model_path = str((base / doc["model"]).resolve())
+    cfg.rhos = _positive(doc.get("rho", []), "rho values")
+    if "R" in doc:
+        cfg.rates = _rate_grid(doc["R"])
+    cfg.ns = [_integer(n, "n values") for n in doc.get("n", [])]
+    if any(n < 1 for n in cfg.ns):
+        raise ConfigError("n values must be positive integers")
+    cfg.out_format = doc.get("format", "csv")
+    cfg.out_path = doc.get("out", "")
+    caps = doc.get("caps", {})
+    cfg.materialize_cap = _integer(caps.get("materialize", cfg.materialize_cap), "caps")
+    cfg.brute_force_messages = _integer(
+        caps.get("brute_force_messages", cfg.brute_force_messages), "caps")
+    cfg.brute_force_keys = _integer(caps.get("brute_force_keys", cfg.brute_force_keys), "caps")
+    if cfg.materialize_cap < 1 or cfg.brute_force_messages < 1 or cfg.brute_force_keys < 0:
+        raise ConfigError("caps must be positive")
+    cfg.threads = _integer(doc.get("threads", 1), "threads")
+    cfg.seed = _integer(doc.get("seed", 0), "seed")
+    return cfg
 
 
 def load_config(path: str, overrides) -> RunConfig:
@@ -78,28 +121,21 @@ def load_config(path: str, overrides) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
-    cfg = RunConfig()
-    base = Path(path).parent
-    if "model" in doc:
-        cfg.model_path = str((base / doc["model"]).resolve())
-    cfg.rhos = [float(r) for r in doc.get("rho", [])]
-    if any(r <= 0.0 for r in cfg.rhos):
-        raise ConfigError("rho values must be positive")
-    if "R" in doc:
-        cfg.rates = _rate_grid(doc["R"])
-    cfg.ns = [int(n) for n in doc.get("n", [])]
-    if any(n < 1 for n in cfg.ns):
-        raise ConfigError("n values must be positive integers")
-    cfg.out_format = doc.get("format", "csv")
-    cfg.out_path = doc.get("out", "")
-    caps = doc.get("caps", {})
-    cfg.materialize_cap = int(caps.get("materialize", cfg.materialize_cap))
-    cfg.brute_force_messages = int(caps.get("brute_force_messages", cfg.brute_force_messages))
-    cfg.brute_force_keys = int(caps.get("brute_force_keys", cfg.brute_force_keys))
-    if cfg.materialize_cap < 1 or cfg.brute_force_messages < 1 or cfg.brute_force_keys < 0:
-        raise ConfigError("caps must be positive")
-    cfg.threads = int(doc.get("threads", 1))
-    cfg.seed = int(doc.get("seed", 0))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file cannot be read: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    try:
+        cfg = _from_doc(doc, Path(path).parent)
+    except ConfigError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ConfigError(f"malformed config field: {type(exc).__name__}: {exc}")
+    return _apply_overrides(cfg, overrides)
+
+
+def _apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
+    """Apply --format, --out, --threads and --seed to ``cfg``, then validate it."""
     if overrides.format:
         cfg.out_format = overrides.format
     if overrides.out:
@@ -110,8 +146,12 @@ def load_config(path: str, overrides) -> RunConfig:
         cfg.seed = overrides.seed
     if cfg.out_format not in ("csv", "json"):
         raise ConfigError("format must be csv or json")
+    if not isinstance(cfg.out_path, str):
+        raise ConfigError("out must be a path")
     if cfg.threads < 1:
         raise ConfigError("thread count must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     return cfg
 
 
@@ -204,14 +244,41 @@ def cmd_exponent(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bounds(cfg: RunConfig) -> int:
+def _law_rows(cfg: RunConfig, model, n: int, row) -> list:
+    # P_n lives only in this frame, so one law is held at a time
+    p_n = so.materialize(model, n, cap=cfg.materialize_cap)
+    cells = [(rho, r) for rho in cfg.rhos for r in cfg.rates]
+    return _map_cells(cells, lambda cell: row(model, p_n, n, *cell), cfg.threads)
+
+
+def _run_finite(cfg: RunConfig, header: list, row, to_json=None) -> int:
+    """Rows ``row(model, p_n, n, rho, R)`` of every (n, rho, R) cell, in config order.
+
+    Each n materializes its law once and maps its (rho, R) cells.  JSON is
+    ``{"rows": [...]}`` unless ``to_json`` builds the document from the rows.
+    """
     _require(cfg, model=True, rhos=True, rates=True, ns=True)
     model = so.load_model(cfg.model_path)
-    cells = [(n, rho, r) for n in cfg.ns for rho in cfg.rhos for r in cfg.rates]
+    rows = [out for n in cfg.ns for out in _law_rows(cfg, model, n, row)]
+    if cfg.out_format == "csv":
+        text = _csv(header, rows)
+    else:
+        doc = to_json(rows) if to_json else {"rows": [dict(zip(header, r)) for r in rows]}
+        text = json.dumps(doc, indent=2) + "\n"
+    _emit(text, cfg.out_path)
+    return EXIT_OK
 
-    def one_cell(cell):
-        n, rho, r = cell
-        p_n = so.materialize(model, n, cap=cfg.materialize_cap)
+
+def _bounds_records(rows: list) -> dict:
+    records = [{"n": n, "rho": rho, "R": r, "value": value, "bound_kind": kind, "slack": slack}
+               for n, rho, r, lo, lo_slack, mid, mid_slack, up, _ in rows
+               for kind, value, slack in (("lower", lo, lo_slack), ("relaxed", mid, mid_slack),
+                                          ("upper", up, 0.0))]
+    return {"records": records, "violations": sum(not row[-1] for row in rows)}
+
+
+def cmd_bounds(cfg: RunConfig) -> int:
+    def row(model, p_n, n, rho, r):
         lower = co.lower_bound_finite(p_n, n, rho, r)
         relaxed = co.relaxed_optimum(p_n, n, rho, r)
         upper = co.upper_bound_finite(p_n, n, rho, r)
@@ -219,42 +286,22 @@ def cmd_bounds(cfg: RunConfig) -> int:
               and relaxed.value <= upper + 1e-12)
         return (n, rho, r, lower.value, lower.slack, relaxed.value, relaxed.slack, upper, ok)
 
-    rows = _map_cells(cells, one_cell, cfg.threads)
-    if cfg.out_format == "csv":
-        text = _csv(
-            ["n", "rho", "R", "lower", "lower_slack", "relaxed", "relaxed_slack", "upper", "ok"],
-            rows,
-        )
-    else:
-        records = []
-        violations = 0
-        for n, rho, r, lo, lo_slack, mid, mid_slack, up, ok in rows:
-            records.append({"n": n, "rho": rho, "R": r, "value": lo,
-                            "bound_kind": "lower", "slack": lo_slack})
-            records.append({"n": n, "rho": rho, "R": r, "value": mid,
-                            "bound_kind": "relaxed", "slack": mid_slack})
-            records.append({"n": n, "rho": rho, "R": r, "value": up,
-                            "bound_kind": "upper", "slack": 0.0})
-            violations += 0 if ok else 1
-        text = json.dumps({"records": records, "violations": violations}, indent=2) + "\n"
-    _emit(text, cfg.out_path)
-    return EXIT_OK
+    return _run_finite(cfg, ["n", "rho", "R", "lower", "lower_slack", "relaxed",
+                             "relaxed_slack", "upper", "ok"], row, _bounds_records)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    _require(cfg, model=True, rhos=True, rates=True, ns=True)
-    model = so.load_model(cfg.model_path)
-    cells = [(n, rho, r) for n in cfg.ns for rho in cfg.rhos for r in cfg.rates]
-
-    def one_cell(cell):
-        n, rho, r = cell
-        p_n = so.materialize(model, n, cap=cfg.materialize_cap)
-        achieved = ci.guessing_exponent_achieved(model, n, rho, r, cap=cfg.materialize_cap)
+    def row(model, p_n, n, rho, r):
+        achieved = ci.guessing_exponent_achieved(p_n, n, rho, r)
         relaxed = co.relaxed_optimum(p_n, n, rho, r)
-        bound = math.log((4.0 * achieved.harmonic) ** rho * (2.0 + rho)) / n
+        try:
+            bound = math.log((4.0 * achieved.harmonic) ** rho * (2.0 + rho)) / n
+        except OverflowError:
+            raise NumericError(
+                f"the gap bound (4 H_N)^rho (2 + rho) overflows at rho={rho:g}") from None
         gap = abs(achieved.exponent - relaxed.value)
         ok = gap <= bound + relaxed.slack + 1e-12
-        row = [n, rho, r, achieved.k, achieved.num_keys, achieved.num_messages,
+        out = [n, rho, r, achieved.k, achieved.num_keys, achieved.num_messages,
                achieved.moment, achieved.exponent, relaxed.value, bound, gap, ok]
         if p_n.size <= cfg.brute_force_messages and achieved.k <= cfg.brute_force_keys:
             result = ci.brute_force_best_cipher(
@@ -264,33 +311,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
             )
             bf_exp = math.log(result.max_moment) / n
             lo, hi = sorted((achieved.exponent, bf_exp))
-            row += [result.max_moment, bf_exp, lo, hi, hi - lo]
+            out += [result.max_moment, bf_exp, lo, hi, hi - lo]
         else:
-            row += ["", "", "", "", ""]
-        return row
+            out += ["", "", "", "", ""]
+        return out
 
-    rows = _map_cells(cells, one_cell, cfg.threads)
-    header = ["n", "rho", "R", "k", "num_keys", "num_messages", "moment", "exponent",
-              "compression", "gap_bound", "gap", "ok",
-              "bf_max_moment", "bf_exponent", "bracket_lo", "bracket_hi", "bracket_width"]
-    if cfg.out_format == "csv":
-        text = _csv(header, rows)
-    else:
-        text = json.dumps(
-            {"rows": [dict(zip(header, row)) for row in rows]}, indent=2
-        ) + "\n"
-    _emit(text, cfg.out_path)
-    return EXIT_OK
+    return _run_finite(cfg, ["n", "rho", "R", "k", "num_keys", "num_messages", "moment",
+                             "exponent", "compression", "gap_bound", "gap", "ok",
+                             "bf_max_moment", "bf_exponent", "bracket_lo", "bracket_hi",
+                             "bracket_width"], row)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    _require(cfg, model=True, rhos=True, rates=True, ns=True)
-    model = so.load_model(cfg.model_path)
-    cells = [(n, rho, r) for n in cfg.ns for rho in cfg.rhos for r in cfg.rates]
-
-    def one_cell(cell):
-        n, rho, r = cell
-        p_n = so.materialize(model, n, cap=cfg.materialize_cap)
+    def row(model, p_n, n, rho, r):
         dual = ex.model_exponent_dual(model, rho, r)
         relaxed = co.relaxed_optimum(p_n, n, rho, r)
         lower = co.lower_bound_finite(p_n, n, rho, r)
@@ -298,16 +331,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
         return (n, rho, r, dual, relaxed.value, abs(relaxed.value - dual),
                 lower.value, lower.slack, upper)
 
-    rows = _map_cells(cells, one_cell, cfg.threads)
-    header = ["n", "rho", "R", "dual", "relaxed", "gap", "lower", "lower_slack", "upper"]
-    if cfg.out_format == "csv":
-        text = _csv(header, rows)
-    else:
-        text = json.dumps(
-            {"rows": [dict(zip(header, row)) for row in rows]}, indent=2
-        ) + "\n"
-    _emit(text, cfg.out_path)
-    return EXIT_OK
+    return _run_finite(cfg, ["n", "rho", "R", "dual", "relaxed", "gap", "lower",
+                             "lower_slack", "upper"], row)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -356,15 +381,10 @@ def main(argv=None) -> int:
     try:
         if args.config:
             cfg = load_config(args.config, args)
+        elif args.command == "verify":
+            cfg = _apply_overrides(RunConfig(), args)
         else:
-            if args.command != "verify":
-                raise ConfigError("--config is required for this command")
-            cfg = RunConfig(
-                out_format=args.format or "csv",
-                out_path=args.out,
-                threads=args.threads or 1,
-                seed=args.seed or 0,
-            )
+            raise ConfigError("--config is required for this command")
         return COMMANDS[args.command](cfg)
     except (ConfigError, ValidationError) as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -503,29 +503,38 @@ def _as_floats(values) -> list:
 
 
 def model_from_dict(doc: dict) -> SourceModel:
-    """Build a source model from its JSON document form."""
+    """Build a source model from its JSON document form.
+
+    A missing field, or a field of the wrong type or shape, raises
+    :class:`ValidationError`.
+    """
     try:
         kind = doc["kind"]
     except (KeyError, TypeError):
         raise ValidationError("model document needs a 'kind' field")
-    if kind == "iid":
-        return IidSource(Pmf(_as_floats(doc["probs"])))
-    if kind == "markov":
-        pi = np.array([_as_floats(row) for row in doc["transition"]])
-        if "init" in doc:
-            init = Pmf(_as_floats(doc["init"]))
-            return MarkovSource(init, pi, stationary=bool(doc.get("stationary", False)))
-        return MarkovSource(stationary(pi), pi, stationary=True)
-    if kind == "unifilar":
-        nxt = np.array(doc["next_state"], dtype=int)
-        emission = tuple(Pmf(_as_floats(row)) for row in doc["emission"])
-        if "init_states" in doc:
-            init = Pmf(_as_floats(doc["init_states"]))
-        else:
-            init = _point_mass(nxt.shape[0], int(doc.get("init_state", 0)))
-        return UnifilarSource(init, nxt, emission)
-    if kind == "explicit":
-        return ExplicitSource(tuple(Pmf(_as_floats(row)) for row in doc["pmfs"]))
+    try:
+        if kind == "iid":
+            return IidSource(Pmf(_as_floats(doc["probs"])))
+        if kind == "markov":
+            pi = np.array([_as_floats(row) for row in doc["transition"]])
+            if "init" in doc:
+                init = Pmf(_as_floats(doc["init"]))
+                return MarkovSource(init, pi, stationary=bool(doc.get("stationary", False)))
+            return MarkovSource(stationary(pi), pi, stationary=True)
+        if kind == "unifilar":
+            nxt = np.array(doc["next_state"], dtype=int)
+            emission = tuple(Pmf(_as_floats(row)) for row in doc["emission"])
+            if "init_states" in doc:
+                init = Pmf(_as_floats(doc["init_states"]))
+            else:
+                init = _point_mass(nxt.shape[0], int(doc.get("init_state", 0)))
+            return UnifilarSource(init, nxt, emission)
+        if kind == "explicit":
+            return ExplicitSource(tuple(Pmf(_as_floats(row)) for row in doc["pmfs"]))
+    except ValidationError:
+        raise
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {kind!r} model: {type(exc).__name__}: {exc}") from None
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
@@ -543,6 +552,6 @@ def load_model(path) -> SourceModel:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file {path} is not valid JSON: {exc}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"model file cannot be read: {exc}")
     return model_from_dict(doc)

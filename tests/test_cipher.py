@@ -23,6 +23,7 @@ from guesswork import (
     guessing_exponent_achieved,
     harmonic_number,
     keys_for_rate,
+    materialize,
     optimal_attack,
 )
 from guesswork.cipher import (
@@ -382,9 +383,9 @@ class TestAchievedExponent:
         model = IidSource(pmf(0.8, 0.2))
         n = 6
         rate = math.log(2.0) * (1.0 + 1.0 / n)
-        achieved = guessing_exponent_achieved(model, n, 1.0, rate)
+        achieved = guessing_exponent_achieved(materialize(model, n), n, 1.0, rate)
         # key space covers the messages: attack degenerates to sorted guessing
-        from guesswork import materialize, moment, sort_desc
+        from guesswork import moment, sort_desc
 
         p_n = materialize(model, n)
         desc = np.empty(p_n.size, dtype=int)
@@ -394,7 +395,7 @@ class TestAchievedExponent:
 
     def test_floor_constant_fields(self):
         model = IidSource(pmf(0.8, 0.2))
-        achieved = guessing_exponent_achieved(model, 8, 1.0, 0.3)
+        achieved = guessing_exponent_achieved(materialize(model, 8), 8, 1.0, 0.3)
         assert achieved.k == 4
         assert achieved.num_keys == 16
         assert achieved.num_messages == 256
@@ -407,11 +408,11 @@ class TestAchievedExponent:
     def test_within_gap_bound_of_compression_value(self):
         # cross-module: the achieved exponent sits within
         # ln((4 H_N)^rho (2+rho))/n of the saturated-cost optimum
-        from guesswork import materialize, relaxed_optimum
+        from guesswork import relaxed_optimum
 
         model = IidSource(pmf(0.8, 0.2))
         n, rho, rate = 8, 1.0, 0.3
-        achieved = guessing_exponent_achieved(model, n, rho, rate)
+        achieved = guessing_exponent_achieved(materialize(model, n), n, rho, rate)
         relaxed = relaxed_optimum(materialize(model, n), n, rho, rate)
         bound = math.log((4.0 * achieved.harmonic) ** rho * (2.0 + rho)) / n
         assert abs(achieved.exponent - relaxed.value) <= bound + relaxed.slack

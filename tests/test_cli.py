@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -294,16 +295,129 @@ class TestRegressions:
         assert "nope.json" in capsys.readouterr().err
 
 
+class TestFiniteRunner:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep"])
+    def test_one_law_per_n(self, tmp_path, iid_model, monkeypatch, command, threads):
+        from guesswork import sources
+
+        real = sources.materialize
+        calls, laws = [], []
+
+        def counting(model, n, *args, **kwargs):
+            # the previous n's law is released before the next one is built
+            assert all(law() is None for law in laws)
+            calls.append(n)
+            out = real(model, n, *args, **kwargs)
+            laws.append(weakref.ref(out.probs))
+            return out
+
+        monkeypatch.setattr(sources, "materialize", counting)
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [0.5, 1.0],
+                                      "R": [0.3, 0.6], "n": [2, 4, 3]})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+                     "--threads", str(threads)]) == 0
+        assert calls == [2, 4, 3]
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
+
+
+# Inputs that once ended in a traceback, a silent wrong run or an unbounded
+# allocation, each with the exit code and stderr prefix it must give instead.
+DIRECTORY = object()
+IID = {"kind": "iid", "probs": [0.8, 0.2]}
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+def _cfg(**fields):
+    doc = {"model": "model.json", "rho": [1.0], "R": [0.3], "n": [2], **fields}
+    return json.dumps(doc).encode()
+
+
+def _case(command, config, code, prefix, *, model=IID, extra=(), id):
+    return pytest.param(command, config, model, extra, code, prefix, id=id)
+
+
+FAILURES = [
+    _case("exponent", DIRECTORY, 2, "config error", id="config-is-a-directory"),
+    _case("exponent", NOT_UTF8, 2, "config error", id="config-not-utf8"),
+    _case("exponent", b"[]", 2, "config error", id="config-top-level-list"),
+    _case("exponent", _cfg(rho=1), 2, "config error", id="rho-scalar"),
+    _case("exponent", _cfg(rho=["x"]), 2, "config error", id="rho-string"),
+    _case("exponent", _cfg(threads="x"), 2, "config error", id="threads-string"),
+    _case("exponent", _cfg(R={"min": 0.1}), 2, "config error", id="grid-missing-keys"),
+    _case("exponent", _cfg(caps=[]), 2, "config error", id="caps-list"),
+    _case("exponent", _cfg(model=5), 2, "config error", id="model-number"),
+    _case("bounds", _cfg(out=5), 2, "config error", id="out-number"),
+    _case("bounds", _cfg(n=[1.5]), 2, "config error", id="n-fractional"),
+    _case("bounds", _cfg(n=[math.inf]), 2, "config error", id="n-infinite"),
+    _case("exponent", _cfg(rho=[math.nan]), 2, "config error", id="exponent-rho-nan"),
+    _case("bounds", _cfg(rho=[math.nan]), 2, "config error", id="bounds-rho-nan"),
+    _case("bounds", _cfg(R=[math.nan]), 2, "config error", id="bounds-R-nan"),
+    _case("simulate", _cfg(R=[math.nan]), 2, "config error", id="simulate-R-nan"),
+    _case("sweep", _cfg(R=[math.nan]), 2, "config error", id="sweep-R-nan"),
+    _case("bounds", _cfg(R=[math.inf]), 2, "config error", id="bounds-R-inf"),
+    _case("simulate", _cfg(R=[math.inf]), 2, "config error", id="simulate-R-inf"),
+    _case("sweep", _cfg(R=[math.inf]), 2, "config error", id="sweep-R-inf"),
+    _case("exponent", _cfg(R={"min": 0.1, "max": math.inf, "step": 0.1}), 2, "config error",
+          id="grid-max-inf"),
+    # 2^40 + 1 points: refused before any list is built
+    _case("exponent", _cfg(R={"min": 1.0, "max": 1.0 + 2.0 ** 40, "step": 1.0}), 4,
+          "cap exceeded", id="grid-2^40-points"),
+    _case("exponent", _cfg(), 2, "config error", model=NOT_UTF8, id="model-not-utf8"),
+    _case("exponent", _cfg(), 2, "config error", model={"kind": "iid"},
+          id="model-iid-without-probs"),
+    _case("exponent", _cfg(), 2, "config error", model={"kind": "iid", "probs": "ab"},
+          id="model-probs-string"),
+    _case("exponent", _cfg(), 2, "config error", model={"kind": "iid", "probs": [[0.5], [0.5]]},
+          id="model-probs-nested"),
+    _case("exponent", _cfg(), 2, "config error", model={"kind": "markov", "transition": 5},
+          id="model-transition-number"),
+    _case("exponent", _cfg(), 2, "config error",
+          model={"kind": "unifilar", "next_state": [[0, 1], [1, 0]],
+                 "emission": [[0.5, 0.5], [0.9, 0.1]], "init_state": "a"},
+          id="model-init-state-string"),
+    _case("verify", None, 2, "config error", extra=("--threads", "0"), id="verify-threads-0"),
+    _case("verify", None, 2, "config error", extra=("--seed", "-1"), id="verify-seed-negative"),
+    _case("simulate", _cfg(rho=[1e300]), 3, "numeric error", id="simulate-rho-1e300"),
+    # the moment and the floor constant fit a float; (4 H_N)^rho does not
+    _case("simulate", _cfg(rho=[500.0], n=[1]), 3, "numeric error", id="simulate-gap-bound"),
+]
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize("command, config, model, extra, code, prefix", FAILURES)
+    def test_mapped_exit(self, tmp_path, capsys, command, config, model, extra, code, prefix):
+        model_file = tmp_path / "model.json"
+        model_file.write_bytes(model if isinstance(model, bytes) else json.dumps(model).encode())
+        argv = [command, *extra]
+        if config is DIRECTORY:
+            argv += ["--config", str(tmp_path)]
+        elif config is not None:
+            (tmp_path / "config.json").write_bytes(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        # an exception escaping main fails the test here
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("command", ["exponent", "bounds", "sweep"])
+    def test_extreme_rho_still_computes(self, tmp_path, iid_model, command):
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1e300], "R": [0.3],
+                                      "n": [2]})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestDeterminism:
-    def test_bounds_byte_identical_across_threads(self, tmp_path, iid_model):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep"])
+    def test_bounds_byte_identical_across_threads(self, tmp_path, iid_model, command, fmt):
         cfg = write_config(tmp_path, {
             "model": "model.json", "rho": [0.5, 1.0], "R": [0.3, 0.5, 0.69], "n": [4, 6],
         })
         outputs = []
         for threads in (1, 8, 1):
-            out = tmp_path / f"bounds_{threads}_{len(outputs)}.csv"
-            assert main(["bounds", "--config", str(cfg), "--out", str(out),
-                         "--threads", str(threads)]) == 0
+            out = tmp_path / f"{command}_{threads}_{len(outputs)}.{fmt}"
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         "--format", fmt, "--threads", str(threads)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
