@@ -66,6 +66,7 @@ from .sources import (
     MarkovSource,
     Pmf,
     SourceModel,
+    Spectrum,
     UnifilarSource,
     divergence,
     entropy,
@@ -78,6 +79,7 @@ from .sources import (
     renyi_entropy,
     renyi_entropy_rate,
     sort_desc,
+    spectrum,
     stationary,
     tilt,
 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapExceededError, NumericError, ValidationError
 from .guessing import GuessOrder, harmonic_number
-from .sources import DEFAULT_MATERIALIZE_CAP, Pmf, sort_desc
+from .sources import DEFAULT_MATERIALIZE_CAP, Pmf, Spectrum, sort_desc
 
 LN2 = math.log(2.0)
 
@@ -185,25 +185,56 @@ def attack_moment_for_orders(cipher: Cipher, p: Pmf, rho: float, orders) -> floa
     return math.fsum((weight / cipher.spec.num_keys * rank ** rho).tolist())
 
 
-def group_xor_moment_closed(p: Pmf, k: int, rho: float) -> float:
-    """Closed form of the group-XOR attack moment.
+def group_xor_moment_closed(law, k: int, rho: float) -> float:
+    """Closed form of the group-XOR attack moment of a law (Spectrum or Pmf).
 
     With probabilities sorted descending, the attacker needs i+1 guesses
     whenever the message sits at offset i inside its block of M = 2^k,
     independent of the cryptogram, so the moment is the sum of
     p(jM+i) (i+1)^rho.  The padding dummies carry no mass, so the sum runs
-    over the unpadded sorted vector.
+    over the unpadded sorted positions, and M is at most their count.  It
+    is summed by parts over the runs of the spectrum: with
+    G(e) = sum over positions s < e of (s mod M + 1)^rho and run j, of
+    value v_j, ending at position e_j, the moment is
+    sum_j (v_j - v_{j+1}) G(e_j), a sum of nonnegative terms.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
-    ordered = p.probs[sort_desc(p)]
-    within = np.arange(p.size) % min(2 ** k, p.size)
-    try:
-        return math.fsum(
-            (px * float(i + 1) ** rho for px, i in zip(ordered.tolist(), within.tolist()))
-        )
-    except OverflowError:
-        raise NumericError(f"the group-XOR attack moment overflows at rho={rho:g}") from None
+    spec = Spectrum.of(law)
+    m = min(2 ** k, spec.size)
+    blocks, offsets = np.divmod(spec.ends, m)
+    sums = _power_sums(rho, np.append(offsets, m))
+    with np.errstate(invalid="ignore"):
+        g = np.where(blocks > 0, blocks * sums[-1], 0.0) + sums[:-1]
+        values = spec.values.astype(np.longdouble)
+        value = float(np.sum((values - np.append(values[1:], 0.0)) * g))
+    if not math.isfinite(value):
+        raise NumericError(f"the group-XOR attack moment overflows at rho={rho:g}")
+    return value
+
+
+# terms of one pass of the power-sum table
+_POWER_CHUNK = 1 << 16
+
+
+def _power_sums(rho: float, upto: np.ndarray) -> np.ndarray:
+    """sum_{q=1}^{a} q^rho for each a in ``upto``, accumulated in extended precision.
+
+    The table of partial sums is built in chunks, so memory stays bounded
+    by the chunk and the number of queries whatever the largest a.
+    """
+    wanted, where = np.unique(upto, return_inverse=True)
+    out = np.zeros(wanted.size, dtype=np.longdouble)
+    total = np.longdouble(0.0)
+    with np.errstate(over="ignore"):
+        for lo in range(0, int(wanted[-1]), _POWER_CHUNK):
+            hi = min(lo + _POWER_CHUNK, int(wanted[-1]))
+            sums = total + np.cumsum(np.arange(lo + 1, hi + 1, dtype=float) ** rho,
+                                     dtype=np.longdouble)
+            a, b = np.searchsorted(wanted, [lo + 1, hi + 1])
+            out[a:b] = sums[wanted[a:b] - lo - 1]
+            total = sums[-1]
+    return out[where]
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,9 +346,11 @@ def keys_for_rate(n: int, key_rate: float) -> int:
     return int(math.ceil(n * key_rate / LN2 - 1e-12))
 
 
-def guessing_exponent_achieved(p_n: Pmf, n: int, rho: float,
+def guessing_exponent_achieved(p_n, n: int, rho: float,
                                key_rate: float) -> AchievedExponent:
     """Exponent achieved by the group-XOR cipher on the n-letter law ``p_n``.
+
+    ``p_n`` is a :class:`Spectrum` or a dense :class:`Pmf`.
 
     The key has ``keys_for_rate(n, key_rate)`` bits.  A certified lower
     bound on the best attainable finite-n exponent; the reported floor

@@ -172,10 +172,13 @@ def _csv(header: list, rows: list, preamble: list = ()) -> str:
 
 
 def _emit(text: str, out_path: str):
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out_path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output file: {exc}") from None
 
 
 def _map_cells(cells, worker, threads: int) -> list:
@@ -196,11 +199,30 @@ def _require(cfg: RunConfig, *, model=False, rhos=False, rates=False, ns=False):
         raise ConfigError("this command needs a nonempty 'n' list")
 
 
-def _curve_out_path(base: str, rho: float, multiple: bool) -> str:
-    if not base or not multiple:
-        return base
-    p = Path(base)
-    return str(p.with_name(f"{p.stem}_rho{_fmt(rho)}{p.suffix}"))
+def _out_paths(cfg: RunConfig, command: str) -> list:
+    """The path of each document ``command`` writes, "" for stdout.
+
+    ``exponent`` writes one document per rho, and with several rho values
+    each file name gets a ``_rho<value>`` suffix (12 significant digits).
+    A path that names a directory or lies in a missing one, or is shared
+    by two rho values, raises :class:`ConfigError`, so ``main`` checks
+    them all before any computation.
+    """
+    count = len(cfg.rhos) if command == "exponent" else 1
+    if not cfg.out_path:
+        return [""] * count
+    base = Path(cfg.out_path)
+    paths = [base] * count
+    if len(paths) > 1 and not base.is_dir():
+        paths = [base.with_name(f"{base.stem}_rho{_fmt(rho)}{base.suffix}") for rho in cfg.rhos]
+        if len(set(paths)) < len(paths):
+            raise ConfigError("two rho values would write the same output file")
+    for path in [base, *paths]:
+        if path.is_dir():
+            raise ConfigError(f"output path {path} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"output directory {path.parent} does not exist")
+    return [str(path) for path in paths]
 
 
 def cmd_exponent(cfg: RunConfig) -> int:
@@ -221,8 +243,7 @@ def cmd_exponent(cfg: RunConfig) -> int:
         return curve, rows
 
     results = _map_cells(cfg.rhos, one_curve, cfg.threads)
-    multiple = len(cfg.rhos) > 1
-    for rho, (curve, rows) in zip(cfg.rhos, results):
+    for rho, (curve, rows), out in zip(cfg.rhos, results, _out_paths(cfg, "exponent")):
         header = ["R", "E", "branch"] + (["grid_check"] if grid_states else [])
         preamble = [
             f"rho={_fmt(rho)}",
@@ -240,22 +261,24 @@ def cmd_exponent(cfg: RunConfig) -> int:
                 "E_max": curve.e_max,
                 "samples": [dict(zip(header, row)) for row in rows],
             }, indent=2) + "\n"
-        _emit(text, _curve_out_path(cfg.out_path, rho, multiple))
+        _emit(text, out)
     return EXIT_OK
 
 
 def _law_rows(cfg: RunConfig, model, n: int, row) -> list:
-    # P_n lives only in this frame, so one law is held at a time
+    # P_n and its spectrum live only in this frame, so one law is held at a time
     p_n = so.materialize(model, n, cap=cfg.materialize_cap)
+    law = so.spectrum(p_n)
     cells = [(rho, r) for rho in cfg.rhos for r in cfg.rates]
-    return _map_cells(cells, lambda cell: row(model, p_n, n, *cell), cfg.threads)
+    return _map_cells(cells, lambda cell: row(model, p_n, law, n, *cell), cfg.threads)
 
 
 def _run_finite(cfg: RunConfig, header: list, row, to_json=None) -> int:
-    """Rows ``row(model, p_n, n, rho, R)`` of every (n, rho, R) cell, in config order.
+    """Rows ``row(model, p_n, law, n, rho, R)`` of every (n, rho, R) cell, in config order.
 
-    Each n materializes its law once and maps its (rho, R) cells.  JSON is
-    ``{"rows": [...]}`` unless ``to_json`` builds the document from the rows.
+    Each n materializes its law ``p_n`` and its spectrum ``law`` once and
+    maps its (rho, R) cells.  JSON is ``{"rows": [...]}`` unless
+    ``to_json`` builds the document from the rows.
     """
     _require(cfg, model=True, rhos=True, rates=True, ns=True)
     model = so.load_model(cfg.model_path)
@@ -278,10 +301,10 @@ def _bounds_records(rows: list) -> dict:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    def row(model, p_n, n, rho, r):
-        lower = co.lower_bound_finite(p_n, n, rho, r)
-        relaxed = co.relaxed_optimum(p_n, n, rho, r)
-        upper = co.upper_bound_finite(p_n, n, rho, r)
+    def row(model, p_n, law, n, rho, r):
+        lower = co.lower_bound_finite(law, n, rho, r)
+        relaxed = co.relaxed_optimum(law, n, rho, r)
+        upper = co.upper_bound_finite(law, n, rho, r)
         ok = (lower.value - lower.slack <= relaxed.value + 1e-12
               and relaxed.value <= upper + 1e-12)
         return (n, rho, r, lower.value, lower.slack, relaxed.value, relaxed.slack, upper, ok)
@@ -291,9 +314,9 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    def row(model, p_n, n, rho, r):
-        achieved = ci.guessing_exponent_achieved(p_n, n, rho, r)
-        relaxed = co.relaxed_optimum(p_n, n, rho, r)
+    def row(model, p_n, law, n, rho, r):
+        achieved = ci.guessing_exponent_achieved(law, n, rho, r)
+        relaxed = co.relaxed_optimum(law, n, rho, r)
         try:
             bound = math.log((4.0 * achieved.harmonic) ** rho * (2.0 + rho)) / n
         except OverflowError:
@@ -323,11 +346,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    def row(model, p_n, n, rho, r):
+    def row(model, p_n, law, n, rho, r):
         dual = ex.model_exponent_dual(model, rho, r)
-        relaxed = co.relaxed_optimum(p_n, n, rho, r)
-        lower = co.lower_bound_finite(p_n, n, rho, r)
-        upper = co.upper_bound_finite(p_n, n, rho, r)
+        relaxed = co.relaxed_optimum(law, n, rho, r)
+        lower = co.lower_bound_finite(law, n, rho, r)
+        upper = co.upper_bound_finite(law, n, rho, r)
         return (n, rho, r, dual, relaxed.value, abs(relaxed.value - dual),
                 lower.value, lower.slack, upper)
 
@@ -385,6 +408,7 @@ def main(argv=None) -> int:
             cfg = _apply_overrides(RunConfig(), args)
         else:
             raise ConfigError("--config is required for this command")
+        _out_paths(cfg, args.command)  # refuses a bad output path before any computation
         return COMMANDS[args.command](cfg)
     except (ConfigError, ValidationError) as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
 from .exponents import model_exponent_dual
-from .sources import Pmf, sort_desc
+from .sources import Pmf, Spectrum, sort_desc
 
 LN2 = math.log(2.0)
 
@@ -27,6 +28,9 @@ LN2 = math.log(2.0)
 _FLOOR_GUARD = 1e-12
 
 INTEGER_ORACLE_MAX_STRINGS = 10
+
+# A finite n-letter law: its sorted spectrum, or the dense law it comes from.
+Law = Union[Spectrum, Pmf]
 
 
 def _top_count(n: int, key_rate: float, size: int) -> int:
@@ -42,30 +46,39 @@ class TopSetSummary:
 
     M = floor(exp(nR)); F is the mass of the top set, F_c the mass of its
     complement (the chance a rate-R fixed-length code errs), and tilted_sum
-    the sum of P^(1/(1+rho)) over the top set.
+    the sum of P^(1/(1+rho)) over the top set.  ``top_indices`` lists the
+    top strings in probability order for a dense law and is None for a
+    :class:`Spectrum`.
     """
 
     n: int
     key_rate: float
     rho: float
     num_top: int
-    top_indices: np.ndarray
+    top_indices: Optional[np.ndarray]
     mass: float
     mass_complement: float
     tilted_sum: float
 
 
-def top_set(p: Pmf, n: int, key_rate: float, rho: float) -> TopSetSummary:
-    """Split ``p`` at the first floor(exp(n*key_rate)) strings in probability order."""
+def top_set(law: Law, n: int, key_rate: float, rho: float) -> TopSetSummary:
+    """Split ``law`` at its first floor(exp(n*key_rate)) strings in probability order.
+
+    The top set holds the spectrum's runs ahead of the cut and part of the
+    run the cut falls in.
+    """
     if key_rate <= 0.0 or rho <= 0.0 or n < 1:
         raise ValidationError("need key_rate > 0, rho > 0, n >= 1")
-    order = sort_desc(p)
-    m = _top_count(n, key_rate, p.size)
-    top = order[:m]
-    rest = order[m:]
-    mass = math.fsum(p.probs[top].tolist())
-    mass_c = math.fsum(p.probs[rest].tolist())
-    tilted = math.fsum((p.probs[top] ** (1.0 / (1.0 + rho))).tolist())
+    spec = Spectrum.of(law)
+    m = _top_count(n, key_rate, spec.size)
+    j = int(np.searchsorted(spec.ends, m))
+    inside = m - int(spec.ends[j] - spec.counts[j])
+    v = float(spec.values[j])
+    mass = float(spec.before[j]) + inside * v
+    mass_c = float(spec.after[j]) + int(spec.counts[j] - inside) * v
+    beta = 1.0 / (1.0 + rho)
+    tilted = float(np.sum(spec.counts[:j] * spec.values[:j] ** beta)) + inside * v ** beta
+    top = sort_desc(law)[:m] if isinstance(law, Pmf) else None
     return TopSetSummary(n, key_rate, rho, m, top, mass, mass_c, tilted)
 
 
@@ -74,64 +87,85 @@ class SaturatedOptimum:
     """Relaxed saturated-cost optimum: value, real lengths (nats), active set.
 
     ``lengths`` holds the tilted length of each active string and +inf for
-    saturated strings; the exp-Kraft sum over the active set is exactly 1.
+    saturated strings (so the exp-Kraft sum over the active set is exactly
+    1); it is filled for a dense law and None for a :class:`Spectrum`.
     ``slack`` is the certified one-bit rounding gap to the integer optimum.
     """
 
     value: float
-    lengths: np.ndarray
+    lengths: Optional[np.ndarray]
     active_set_size: int
     slack: float
 
 
-def relaxed_optimum(p: Pmf, n: int, rho: float, key_rate: float) -> SaturatedOptimum:
+def relaxed_optimum(law: Law, n: int, rho: float, key_rate: float) -> SaturatedOptimum:
     """Minimize the saturated cost over real-valued Kraft-feasible lengths.
 
     For a fixed active prefix of the descending-probability order the best
     lengths are the tilted ones, l(x) = ln(Z/p(x)^(1/(1+rho))) with Z the
     tilted sum of the prefix, costing Z^(1+rho); saturated strings pay
-    exp(rho n R) and consume no code space.  The prefix size is scanned
-    over every candidate whose tilted lengths all fit under nR (scanning
-    all valid prefixes dominates the fixed-point clamp sweep, which always
-    lands on one of them), plus the empty prefix.  Ties prefer the
-    smallest prefix.
+    exp(rho n R) and consume no code space.  The optimum is taken over
+    every prefix whose tilted lengths all fit under nR (the fixed-point
+    clamp sweep always lands on one of them), plus the empty prefix.
+    Inside run j of the spectrum, a prefix ending i strings into the run
+    costs Z(i)^(1+rho) + F_c(i) e^(rho n R), Z(i) = Z_j + i t_j, which is
+    convex in i with its stationary point at
+    Z(i) = t_j e^(nR) (1+rho)^(-1/rho); so the floor and ceiling of that
+    point, clamped to the run's valid counts, are the run's only
+    candidates.  Ties prefer the smallest prefix.
     """
     if key_rate <= 0.0 or rho <= 0.0 or n < 1:
         raise ValidationError("need key_rate > 0, rho > 0, n >= 1")
-    order = sort_desc(p)
-    ps = p.probs[order]
+    spec = Spectrum.of(law)
+    v, c = spec.values, spec.counts
     beta = 1.0 / (1.0 + rho)
-    tilted = ps ** beta
-    z_prefix = np.cumsum(tilted)
-    mass_saturated = np.concatenate([np.cumsum(ps[::-1])[::-1][1:], [0.0]])
+    tilted = v ** beta
+    z_ahead = np.append(0.0, np.cumsum(c * tilted)[:-1])
     cap = n * key_rate
 
-    with np.errstate(divide="ignore"):
-        log_campbell = (1.0 + rho) * np.log(z_prefix)
-        log_sat_part = np.where(
-            mass_saturated > 0.0,
-            np.log(np.maximum(mass_saturated, 1e-300)) + rho * cap,
-            -np.inf,
-        )
-        # longest tilted length in the size-k prefix is attained at its last element
-        longest = np.where(tilted > 0.0, np.log(z_prefix) - np.log(np.maximum(tilted, 1e-300)), np.inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_t = np.log(tilted)
+        ahead = z_ahead / tilted
 
-    valid = longest <= cap + 1e-12
-    log_kernel = np.logaddexp(log_campbell, log_sat_part)
-    # empty active set (everything saturated) leads the candidate list, so
+        def fits(i):
+            # the longest tilted length of the prefix is that of its last string
+            return (i >= 1) & (np.log(z_ahead + i * tilted) - log_t <= cap + 1e-12)
+
+        def log_kernel(i):
+            saturated = spec.after + (c - i) * v
+            log_sat = np.where(saturated > 0.0, np.log(saturated) + rho * cap, -np.inf)
+            return np.where(fits(i), np.logaddexp((1.0 + rho) * np.log(z_ahead + i * tilted),
+                                                  log_sat), np.inf)
+
+        # the last valid count, from the closed form, settled by the test itself
+        last = np.clip(np.floor(np.exp(cap + 1e-12) - ahead), 0.0, c)
+        last = np.where(fits(last) | (last == 0.0), last, last - 1.0)
+        last = np.where((last < c) & fits(last + 1.0), last + 1.0, last)
+        low = np.clip(np.floor(np.exp(cap - math.log1p(rho) / rho) - ahead), 1.0, last)
+        high = np.minimum(low + 1.0, last)
+        k_low, k_high = log_kernel(low), log_kernel(high)
+    take_high = k_high < k_low
+    inside = np.where(take_high, high, low)
+    # the empty active set (everything saturated) leads the candidate list, so
     # argmin's first-minimum rule prefers it and then the smallest prefix
-    candidates = np.concatenate([[rho * cap], np.where(valid, log_kernel, np.inf)])
-    best_k = int(np.argmin(candidates))
-    best_log = float(candidates[best_k])
+    candidates = np.concatenate([[rho * cap], np.where(take_high, k_high, k_low)])
+    best = int(np.argmin(candidates))
+    best_log = float(candidates[best])
 
-    lengths = np.full(p.size, math.inf)
-    if best_k > 0:
-        z = z_prefix[best_k - 1]
-        lengths[order[:best_k]] = math.log(z) - beta * np.log(ps[:best_k])
+    active, lengths = 0, None
+    if best > 0:
+        j = best - 1
+        active = int(spec.ends[j] - c[j]) + int(inside[j])
+        z = float(z_ahead[j] + inside[j] * tilted[j])
+    if isinstance(law, Pmf):
+        lengths = np.full(law.size, math.inf)
+        if active:
+            top = sort_desc(law)[:active]
+            lengths[top] = math.log(z) - beta * np.log(law.probs[top])
     return SaturatedOptimum(
         value=best_log / n,
         lengths=lengths,
-        active_set_size=best_k,
+        active_set_size=active,
         slack=rho * LN2 / n,
     )
 
@@ -214,22 +248,28 @@ def integer_bruteforce(p: Pmf, rho: float, key_rate: float, n: int):
     return math.log(cost) / n, lengths
 
 
-def error_term(p: Pmf, n: int, key_rate: float) -> float:
+def error_term(law: Law, n: int, key_rate: float) -> float:
     """(1/n) ln of the top-set complement mass; -inf when the code never errs."""
-    summary = top_set(p, n, key_rate, rho=1.0)
-    if summary.mass_complement == 0.0:
+    return _error_term(top_set(law, n, key_rate, rho=1.0))
+
+
+def _error_term(split: TopSetSummary) -> float:
+    if split.mass_complement == 0.0:
         return -math.inf
-    return math.log(summary.mass_complement) / n
+    return math.log(split.mass_complement) / split.n
 
 
-def correct_decoding_term(p: Pmf, n: int, rho: float, key_rate: float) -> float:
+def correct_decoding_term(law: Law, n: int, rho: float, key_rate: float) -> float:
     """(1+rho)/n times the log tilted mass of the top set.
 
     Generalizes the correct-decoding exponent of a rate-R code; as rho
     tends to 0 it recovers (1/n) ln of the top-set probability.
     """
-    summary = top_set(p, n, key_rate, rho)
-    return (1.0 + rho) * math.log(summary.tilted_sum) / n
+    return _correct_decoding_term(top_set(law, n, key_rate, rho))
+
+
+def _correct_decoding_term(split: TopSetSummary) -> float:
+    return (1.0 + split.rho) * math.log(split.tilted_sum) / split.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,28 +280,30 @@ class BoundValue:
     slack: float
 
 
-def lower_bound_finite(p: Pmf, n: int, rho: float, key_rate: float) -> BoundValue:
+def lower_bound_finite(law: Law, n: int, rho: float, key_rate: float) -> BoundValue:
     """Larger of the error branch rho R + (1/n) ln F_c and the correct branch.
 
-    The derivation passes through a source-coding step that costs
-    ln 2 + ln(1 + ln N) nats, so the certified statement is
-    relaxed optimum >= value - slack with slack = rho (ln2 + ln(1+ln N))/n.
+    Both branches come from one top-set split.  The derivation passes
+    through a source-coding step that costs ln 2 + ln(1 + ln N) nats, so
+    the certified statement is relaxed optimum >= value - slack with
+    slack = rho (ln2 + ln(1+ln N))/n.
     """
-    err = error_term(p, n, key_rate)
-    correct = correct_decoding_term(p, n, rho, key_rate)
+    split = top_set(Spectrum.of(law), n, key_rate, rho)
+    err = _error_term(split)
+    correct = _correct_decoding_term(split)
     first = rho * key_rate + err if err > -math.inf else -math.inf
-    slack = rho * (LN2 + math.log(1.0 + math.log(p.size))) / n
+    slack = rho * (LN2 + math.log(1.0 + math.log(law.size))) / n
     return BoundValue(value=max(first, correct), slack=slack)
 
 
-def saturation_split_value(p: Pmf, n: int, rho: float, key_rate: float) -> float:
+def saturation_split_value(law: Law, n: int, rho: float, key_rate: float) -> float:
     """ln of F_c e^(rho n R) + (top-set tilted sum)^(1+rho), in the log domain.
 
     This is the exact value of the two-block variational problem that
     splits mass between the top set (coded) and its complement
     (saturated); a direct grid over the split probability reproduces it.
     """
-    summary = top_set(p, n, key_rate, rho)
+    summary = top_set(Spectrum.of(law), n, key_rate, rho)
     log_campbell = (1.0 + rho) * math.log(summary.tilted_sum)
     if summary.mass_complement > 0.0:
         log_sat = math.log(summary.mass_complement) + rho * n * key_rate
@@ -269,7 +311,7 @@ def saturation_split_value(p: Pmf, n: int, rho: float, key_rate: float) -> float
     return log_campbell
 
 
-def upper_bound_finite(p: Pmf, n: int, rho: float, key_rate: float) -> float:
+def upper_bound_finite(law: Law, n: int, rho: float, key_rate: float) -> float:
     """min over t in [0, rho] of (rho-t) R + (t/n) H_{1/(1+t)}(P_n), plus ln2/n.
 
     This is the dual of the finite law at total rate nR, divided by n.
@@ -278,4 +320,4 @@ def upper_bound_finite(p: Pmf, n: int, rho: float, key_rate: float) -> float:
     """
     if key_rate <= 0.0 or rho <= 0.0 or n < 1:
         raise ValidationError("need key_rate > 0, rho > 0, n >= 1")
-    return (model_exponent_dual(p, rho, n * key_rate) + LN2) / n
+    return (model_exponent_dual(law, rho, n * key_rate) + LN2) / n

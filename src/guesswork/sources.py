@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -301,6 +301,50 @@ def sort_desc(p: Pmf) -> np.ndarray:
     return np.argsort(-p.probs, kind="stable")
 
 
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """Sorted probability profile of a finite law: all a finite-n solver reads.
+
+    ``values`` holds the distinct probabilities in decreasing order (zero
+    included when the law has zero entries) and ``counts`` how many strings
+    take each; ``size`` is the string count N.  In the descending order of
+    the law, run j fills the sorted positions ``ends[j] - counts[j]`` up to
+    ``ends[j] - 1``; ``before[j]`` and ``after[j]`` are the masses of the
+    runs ahead of and behind it.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    ends: np.ndarray = field(init=False)
+    before: np.ndarray = field(init=False)
+    after: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        masses = self.values * self.counts
+        ahead = np.cumsum(masses)
+        # tails are summed from the smallest run up, so small tails keep their precision
+        behind = np.cumsum(masses[::-1])[::-1]
+        for name, arr in (("ends", np.cumsum(self.counts)), ("before", ahead - masses),
+                          ("after", np.append(behind[1:], 0.0))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def size(self) -> int:
+        return int(self.ends[-1])
+
+    @staticmethod
+    def of(law) -> "Spectrum":
+        """``law`` itself when it is a spectrum, else the spectrum of the dense law."""
+        return law if isinstance(law, Spectrum) else spectrum(law)
+
+
+def spectrum(p: Pmf) -> Spectrum:
+    """The :class:`Spectrum` of a dense law: one ``np.unique`` of its entries."""
+    values, counts = np.unique(p.probs, return_counts=True)
+    return Spectrum(values[::-1].copy(), counts[::-1].copy())
+
+
 def is_irreducible(transition: np.ndarray) -> bool:
     """True when the directed graph of positive transitions is strongly connected."""
     adj = np.asarray(transition) > 0.0
@@ -397,13 +441,19 @@ class PowerForm:
 
 
 def power_form(model) -> PowerForm:
-    """The :class:`PowerForm` of an iid, Markov or unifilar model or a finite law (Pmf)."""
+    """The :class:`PowerForm` of an iid, Markov or unifilar model or a finite law.
+
+    A finite law is a :class:`Spectrum` or a dense :class:`Pmf`.
+    """
     if isinstance(model, PowerForm):
         return model
     counts = 1
-    if isinstance(model, Pmf):
-        values, counts = np.unique(model.probs[model.probs > 0.0], return_counts=True)
-        weights, nxt = values[None, :], np.zeros((1, values.size), dtype=int)
+    if isinstance(model, (Pmf, Spectrum)):
+        law = Spectrum.of(model)
+        # positive values in ascending order, the order the power sums are taken in
+        keep = law.values > 0.0
+        weights, counts = law.values[None, keep][:, ::-1], law.counts[None, keep][:, ::-1]
+        nxt = np.zeros(weights.shape, dtype=int)
     elif isinstance(model, IidSource):
         weights = model.marginal.probs[None, :]
         nxt = np.zeros(weights.shape, dtype=int)

@@ -299,10 +299,10 @@ class TestFiniteRunner:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("command", ["bounds", "simulate", "sweep"])
     def test_one_law_per_n(self, tmp_path, iid_model, monkeypatch, command, threads):
-        from guesswork import sources
+        from guesswork import cipher, compression, sources
 
         real = sources.materialize
-        calls, laws = [], []
+        calls, laws, spectra, sorts = [], [], [], []
 
         def counting(model, n, *args, **kwargs):
             # the previous n's law is released before the next one is built
@@ -312,12 +312,29 @@ class TestFiniteRunner:
             laws.append(weakref.ref(out.probs))
             return out
 
+        def spectrum(p):
+            spectra.append(p.size)
+            return real_spectrum(p)
+
+        def sort_desc(p):
+            sorts.append(p.size)
+            return real_sort(p)
+
+        real_spectrum, real_sort = sources.spectrum, sources.sort_desc
         monkeypatch.setattr(sources, "materialize", counting)
+        # every module that binds these names, so no call can go around the count
+        for module in (sources, compression, cipher):
+            for name, fn in (("spectrum", spectrum), ("sort_desc", sort_desc)):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fn)
         cfg = write_config(tmp_path, {"model": "model.json", "rho": [0.5, 1.0],
                                       "R": [0.3, 0.6], "n": [2, 4, 3]})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
                      "--threads", str(threads)]) == 0
         assert calls == [2, 4, 3]
+        # one spectrum per law, and the solvers never sort the dense law
+        assert spectra == [4, 16, 8]
+        assert sorts == []
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
 
 
@@ -335,6 +352,11 @@ def _cfg(**fields):
 
 def _case(command, config, code, prefix, *, model=IID, extra=(), id):
     return pytest.param(command, config, model, extra, code, prefix, id=id)
+
+
+# ``{tmp}`` in an extra argument stands for the test's directory, which
+# also holds a directory named ``taken_rho1.csv``
+TWO_RHOS = _cfg(rho=[0.5, 1.0])
 
 
 FAILURES = [
@@ -381,6 +403,21 @@ FAILURES = [
     _case("simulate", _cfg(rho=[1e300]), 3, "numeric error", id="simulate-rho-1e300"),
     # the moment and the floor constant fit a float; (4 H_N)^rho does not
     _case("simulate", _cfg(rho=[500.0], n=[1]), 3, "numeric error", id="simulate-gap-bound"),
+    # output paths are checked before any computation
+    _case("bounds", _cfg(), 2, "config error", extra=("--out", "{tmp}"), id="out-is-a-directory"),
+    _case("sweep", _cfg(out="."), 2, "config error", id="config-out-is-a-directory"),
+    _case("verify", None, 2, "config error", extra=("--out", "{tmp}"), id="verify-out-directory"),
+    _case("simulate", _cfg(), 2, "config error", extra=("--out", "{tmp}/missing/out.csv"),
+          id="out-in-missing-directory"),
+    _case("bounds", _cfg(), 2, "config error", extra=("--out", "{tmp}/model.json/out.csv"),
+          id="out-under-a-file"),
+    _case("exponent", TWO_RHOS, 2, "config error", extra=("--out", "{tmp}/missing/curve.csv"),
+          id="exponent-rho-outs-in-missing-directory"),
+    _case("exponent", TWO_RHOS, 2, "config error", extra=("--out", "{tmp}/taken.csv"),
+          id="exponent-rho-out-is-a-directory"),
+    # 1 and 1 + 1e-14 print alike, so both curves would go to curve_rho1.csv
+    _case("exponent", _cfg(rho=[1.0, 1.0 + 1e-14]), 2, "config error",
+          extra=("--out", "{tmp}/curve.csv"), id="exponent-rho-outs-collide"),
 ]
 
 
@@ -389,7 +426,8 @@ class TestFailureContract:
     def test_mapped_exit(self, tmp_path, capsys, command, config, model, extra, code, prefix):
         model_file = tmp_path / "model.json"
         model_file.write_bytes(model if isinstance(model, bytes) else json.dumps(model).encode())
-        argv = [command, *extra]
+        (tmp_path / "taken_rho1.csv").mkdir()
+        argv = [command, *(arg.format(tmp=tmp_path) for arg in extra)]
         if config is DIRECTORY:
             argv += ["--config", str(tmp_path)]
         elif config is not None:
@@ -398,6 +436,9 @@ class TestFailureContract:
         # an exception escaping main fails the test here
         assert main(argv) == code
         assert capsys.readouterr().err.startswith(prefix)
+        # and leaves no output behind
+        assert {p.name for p in tmp_path.iterdir()} <= {"config.json", "model.json",
+                                                        "taken_rho1.csv"}
 
     @pytest.mark.parametrize("command", ["exponent", "bounds", "sweep"])
     def test_extreme_rho_still_computes(self, tmp_path, iid_model, command):
