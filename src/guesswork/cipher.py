@@ -72,9 +72,6 @@ class Cipher:
         tbl.setflags(write=False)
         object.__setattr__(self, "table", tbl)
 
-    def decrypt(self, y: int, u: int) -> int:
-        return int(np.flatnonzero(self.table[u] == y)[0])
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.spec.n,

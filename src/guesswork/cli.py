@@ -21,6 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import cipher as ci
 from . import compression as co
 from . import exponents as ex
@@ -265,24 +267,31 @@ def cmd_exponent(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _law_rows(cfg: RunConfig, model, n: int, row) -> list:
+def _law_rows(cfg: RunConfig, model, n: int, row, per_rho) -> list:
     # P_n and its spectrum live only in this frame, so one law is held at a time
     p_n = so.materialize(model, n, cap=cfg.materialize_cap)
     law = so.spectrum(p_n)
-    cells = [(rho, r) for rho in cfg.rhos for r in cfg.rates]
+    rates = np.array(cfg.rates)
+    cells = []
+    for rho in cfg.rhos:
+        extra = per_rho(model, law, n, rho, rates) if per_rho else [()] * rates.size
+        cells += [(rho, r, *more) for r, more in zip(cfg.rates, extra)]
     return _map_cells(cells, lambda cell: row(model, p_n, law, n, *cell), cfg.threads)
 
 
-def _run_finite(cfg: RunConfig, header: list, row, to_json=None) -> int:
-    """Rows ``row(model, p_n, law, n, rho, R)`` of every (n, rho, R) cell, in config order.
+def _run_finite(cfg: RunConfig, header: list, row, to_json=None, per_rho=None) -> int:
+    """Rows ``row(model, p_n, law, n, rho, R, *extra)`` of every (n, rho, R) cell, in config order.
 
     Each n materializes its law ``p_n`` and its spectrum ``law`` once and
-    maps its (rho, R) cells.  JSON is ``{"rows": [...]}`` unless
-    ``to_json`` builds the document from the rows.
+    maps its (rho, R) cells.  ``per_rho(model, law, n, rho, rates)``, when
+    given, computes what the cells of one (n, rho) share in one batch,
+    such as the dual over all rates, and returns one ``extra`` tuple per
+    rate.  JSON is ``{"rows": [...]}`` unless ``to_json`` builds the
+    document from the rows.
     """
     _require(cfg, model=True, rhos=True, rates=True, ns=True)
     model = so.load_model(cfg.model_path)
-    rows = [out for n in cfg.ns for out in _law_rows(cfg, model, n, row)]
+    rows = [out for n in cfg.ns for out in _law_rows(cfg, model, n, row, per_rho)]
     if cfg.out_format == "csv":
         text = _csv(header, rows)
     else:
@@ -301,16 +310,17 @@ def _bounds_records(rows: list) -> dict:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    def row(model, p_n, law, n, rho, r):
+    def row(model, p_n, law, n, rho, r, upper):
         lower = co.lower_bound_finite(law, n, rho, r)
         relaxed = co.relaxed_optimum(law, n, rho, r)
-        upper = co.upper_bound_finite(law, n, rho, r)
         ok = (lower.value - lower.slack <= relaxed.value + 1e-12
               and relaxed.value <= upper + 1e-12)
         return (n, rho, r, lower.value, lower.slack, relaxed.value, relaxed.slack, upper, ok)
 
     return _run_finite(cfg, ["n", "rho", "R", "lower", "lower_slack", "relaxed",
-                             "relaxed_slack", "upper", "ok"], row, _bounds_records)
+                             "relaxed_slack", "upper", "ok"], row, _bounds_records,
+                       lambda model, law, n, rho, rates: zip(
+                           co.upper_bound_finite(law, n, rho, rates).tolist()))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -346,16 +356,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    def row(model, p_n, law, n, rho, r):
-        dual = ex.model_exponent_dual(model, rho, r)
+    duals = {}  # the single-letter dual does not depend on n: one call per rho
+
+    def per_rho(model, law, n, rho, rates):
+        if rho not in duals:
+            duals[rho] = ex.model_exponent_dual(model, rho, rates).tolist()
+        return zip(duals[rho], co.upper_bound_finite(law, n, rho, rates).tolist())
+
+    def row(model, p_n, law, n, rho, r, dual, upper):
         relaxed = co.relaxed_optimum(law, n, rho, r)
         lower = co.lower_bound_finite(law, n, rho, r)
-        upper = co.upper_bound_finite(law, n, rho, r)
         return (n, rho, r, dual, relaxed.value, abs(relaxed.value - dual),
                 lower.value, lower.slack, upper)
 
     return _run_finite(cfg, ["n", "rho", "R", "dual", "relaxed", "gap", "lower",
-                             "lower_slack", "upper"], row)
+                             "lower_slack", "upper"], row, per_rho=per_rho)
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -36,6 +36,8 @@ from .sources import (
 )
 
 _SCAN_POINTS = 1024
+# rates per scan block, so a block's (rates x points) scan holds 2^16 floats
+_SCAN_BLOCK = 64
 _GRID_MAX_ALPHABET = 4
 _MARKOV_GRID_MAX_STATES = 4
 # default row-grid steps for the transition-matrix verifier, by state count
@@ -46,12 +48,14 @@ def model_exponent_dual(model, rho: float, key_rate):
     """min over theta in [0, rho] of (rho - theta) R + P(theta), P the pressure.
 
     ``model`` is an iid, Markov or unifilar source, with R in nats per
-    letter, or a finite law (a :class:`Pmf`), with R the total rate.
-    ``key_rate`` may be an array: the pressure is evaluated once on a
-    1024-point theta grid and serves every rate.  The objective is convex
-    in theta (the pressure is), so per rate the scan minimum, ties to the
-    smallest theta, is golden-refined on its bracket; the scan minimum
-    backstops the refinement regardless.
+    letter, or a finite law (a :class:`Pmf` or :class:`Spectrum`), with R
+    the total rate.  ``key_rate`` may be an array: the pressure is
+    evaluated once on a 1024-point theta grid and serves every rate.  The
+    objective is convex in theta (the pressure is), so per rate the scan
+    minimum, ties to the smallest theta, is golden-refined on its bracket,
+    and the scan minimum backstops the refinement regardless.  The rates
+    are refined together, in blocks of 64, with one batched pressure call
+    per golden step.
     """
     rates = np.asarray(key_rate, dtype=float)
     if rho <= 0.0 or np.any(rates <= 0.0):
@@ -59,14 +63,18 @@ def model_exponent_dual(model, rho: float, key_rate):
     form = power_form(model)
     thetas = np.linspace(0.0, rho, _SCAN_POINTS)
     scan = pressure(form, thetas)
-    out = np.empty(rates.size)
-    for i, r in enumerate(rates.ravel().tolist()):
-        def objective(theta: float, r=r) -> float:
-            return (rho - theta) * r + float(pressure(form, theta))
+    flat = rates.ravel()
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, _SCAN_BLOCK):
+        block = flat[i:i + _SCAN_BLOCK]
 
-        _, out[i] = minimize_scan_golden(objective, 0.0, rho,
-                                         values=(rho - thetas) * r + scan)
-    return float(out[0]) if rates.ndim == 0 else out.reshape(rates.shape)
+        def objective(theta: np.ndarray, rows: np.ndarray, block=block) -> np.ndarray:
+            return (rho - theta) * block[rows] + pressure(form, theta)
+
+        values = (rho - thetas) * block[:, None]
+        values += scan
+        _, out[i:i + block.size] = minimize_scan_golden(objective, 0.0, rho, values)
+    return _shaped(rates, out)
 
 
 def iid_exponent_dual(p1: Pmf, rho: float, key_rate):
@@ -145,13 +153,15 @@ def iid_exponent_grid(p1: Pmf, rho: float, key_rate: float, resolution: float = 
     return max(best_val, float(-result.fun))
 
 
-def _tilted_entropy(p1: Pmf, exponent: float) -> float:
-    """Entropy of p^s / Z for any s > 0 (not restricted to the (0,1] tilt op)."""
+def _tilted_entropy(p1: Pmf, exponents) -> np.ndarray:
+    """Entropy of p^s / Z for each s > 0 in ``exponents`` (not restricted to the (0,1] tilt op)."""
     log_p = np.log(p1.probs[p1.probs > 0.0])
-    w = np.exp(exponent * log_p - (exponent * log_p).max())
-    w /= w.sum()
-    w = w[w > 0.0]  # huge exponents underflow the tail; 0 ln 0 = 0
-    return float(-(w * np.log(w)).sum())
+    e = np.asarray(exponents, dtype=float)[:, None] * log_p
+    w = np.exp(e - e.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # huge exponents underflow the tail; 0 ln 0 = 0
+        return -np.where(w > 0.0, w * np.log(w), 0.0).sum(axis=1)
 
 
 def _tilted_pmf(p1: Pmf, exponent: float) -> Pmf:
@@ -163,34 +173,49 @@ def _tilted_pmf(p1: Pmf, exponent: float) -> Pmf:
     return Pmf(out, tol=1e-9)
 
 
-def iid_error_exponent(p1: Pmf, key_rate: float) -> float:
+def _bisect_tilt(p1: Pmf, rates: np.ndarray, lo, hi) -> list:
+    """Per rate, the tilt p^s / Z with H = R, by 200 bisection steps on s in [lo, hi].
+
+    The tilted entropy decreases in s, and all rates are bisected together.
+    """
+    lo = np.broadcast_to(lo, rates.shape).astype(float)
+    hi = np.broadcast_to(hi, rates.shape).astype(float)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = _tilted_entropy(p1, mid) > rates
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return [_tilted_pmf(p1, s) for s in (0.5 * (lo + hi)).tolist()]
+
+
+def _shaped(rates: np.ndarray, out: np.ndarray):
+    """Per-rate results ``out`` in the shape of ``rates``, a float for a scalar rate."""
+    return float(out[0]) if rates.ndim == 0 else out.reshape(rates.shape)
+
+
+def iid_error_exponent(p1: Pmf, key_rate):
     """Smallest divergence from P among distributions with entropy above R.
 
     Zero for R up to H(P) (P itself sits in the closure of the constraint
     set); +inf from ln(support size) on, where the constraint set empties;
     in between, solved on the tilted family p^b / Z by bisecting
     H(tilt) = R over b in (0, 1), along which the entropy is monotone.
+    ``key_rate`` may be an array; its rates are bisected together.
     """
-    if key_rate <= 0.0:
+    rates = np.asarray(key_rate, dtype=float)
+    if np.any(rates <= 0.0):
         raise ValidationError("key rate must be positive")
+    flat = rates.ravel()
+    out = np.zeros(flat.size)
     h_p = entropy(p1)
     support = int((p1.probs > 0.0).sum())
-    if key_rate <= h_p:
-        return 0.0
-    if key_rate >= math.log(support) - 1e-15:
-        return math.inf
-    lo, hi = 1e-9, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _tilted_entropy(p1, mid) > key_rate:
-            lo = mid
-        else:
-            hi = mid
-    q = _tilted_pmf(p1, 0.5 * (lo + hi))
-    return divergence(q, p1)
+    empty = (flat > h_p) & (flat >= math.log(support) - 1e-15)
+    out[empty] = math.inf
+    inner = np.flatnonzero((flat > h_p) & ~empty)
+    out[inner] = [divergence(q, p1) for q in _bisect_tilt(p1, flat[inner], 1e-9, 1.0)]
+    return _shaped(rates, out)
 
 
-def iid_correct_term(p1: Pmf, rho: float, key_rate: float) -> float:
+def iid_correct_term(p1: Pmf, rho: float, key_rate):
     """max of rho H(Q) - D(Q||P) over distributions with entropy at most R.
 
     Unconstrained, the maximum is rho times the order-1/(1+rho) entropy,
@@ -199,26 +224,34 @@ def iid_correct_term(p1: Pmf, rho: float, key_rate: float) -> float:
     the tilted family toward (and past) P until H(tilt) = R.  Tilting
     cannot push the entropy below ln(#maximal probabilities); if R sits
     under that floor the maximizer leaves the family and a simplex grid
-    with local refinement takes over (alphabets up to 4).
+    with local refinement takes over (alphabets up to 4).  ``key_rate``
+    may be an array; its rates are bisected together and only the rates
+    under the floor go to the grid, one at a time.
     """
-    if rho <= 0.0 or key_rate <= 0.0:
+    rates = np.asarray(key_rate, dtype=float)
+    if rho <= 0.0 or np.any(rates <= 0.0):
         raise ValidationError("need rho > 0 and key_rate > 0")
+    flat = rates.ravel()
+    out = np.empty(flat.size)
     s_free = 1.0 / (1.0 + rho)
-    if _tilted_entropy(p1, s_free) <= key_rate:
-        return rho * renyi_entropy(p1, s_free)
-    lo, hi = s_free, 1.0
-    while _tilted_entropy(p1, hi) > key_rate:
-        hi *= 2.0
-        if hi > 1e12:
-            return _correct_term_grid(p1, rho, key_rate)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _tilted_entropy(p1, mid) > key_rate:
-            lo = mid
-        else:
-            hi = mid
-    q = _tilted_pmf(p1, 0.5 * (lo + hi))
-    return rho * entropy(q) - divergence(q, p1)
+    free = _tilted_entropy(p1, [s_free])[0] <= flat
+    out[free] = rho * renyi_entropy(p1, s_free)
+    bound = np.flatnonzero(~free)
+    # double each upper end until its tilt's entropy drops to R; an end that
+    # passes 1e12 first means R lies under the floor
+    hi = np.ones(bound.size)
+    floor = np.zeros(bound.size, dtype=bool)
+    grow = _tilted_entropy(p1, hi) > flat[bound]
+    while np.any(grow):
+        hi = np.where(grow, 2.0 * hi, hi)
+        floor |= grow & (hi > 1e12)
+        grow = ~floor & (_tilted_entropy(p1, hi) > flat[bound])
+    for i in bound[floor].tolist():
+        out[i] = _correct_term_grid(p1, rho, float(flat[i]))
+    inner = bound[~floor]
+    tilts = _bisect_tilt(p1, flat[inner], s_free, hi[~floor])
+    out[inner] = [rho * entropy(q) - divergence(q, p1) for q in tilts]
+    return _shaped(rates, out)
 
 
 def _correct_term_grid(p1: Pmf, rho: float, key_rate: float) -> float:
@@ -260,17 +293,20 @@ def _correct_term_grid(p1: Pmf, rho: float, key_rate: float) -> float:
     return max(best_val, float(-result.fun))
 
 
-def decomposition_check(p1: Pmf, rho: float, key_rate: float) -> tuple:
+def decomposition_check(p1: Pmf, rho: float, key_rate) -> tuple:
     """Compare max(rho R - error exponent, correct term) with the theta dual.
 
-    Returns (lhs, rhs, |gap|); the two sides agree analytically, so the gap
-    measures only the optimizers' numerical error.
+    Returns (lhs, rhs, |gap|), arrays when ``key_rate`` is an array; the
+    two sides agree analytically, so the gap measures only the
+    optimizers' numerical error.
     """
-    err = iid_error_exponent(p1, key_rate)
-    first = rho * key_rate - err if err < math.inf else -math.inf
-    lhs = max(first, iid_correct_term(p1, rho, key_rate))
+    lhs = np.maximum(rho * np.asarray(key_rate, dtype=float) - iid_error_exponent(p1, key_rate),
+                     iid_correct_term(p1, rho, key_rate))
     rhs = iid_exponent_dual(p1, rho, key_rate)
-    return lhs, rhs, abs(lhs - rhs)
+    gap = np.abs(lhs - rhs)
+    if np.ndim(key_rate) == 0:
+        return float(lhs), float(rhs), float(gap)
+    return lhs, rhs, gap
 
 
 def _batch_stationary(etas: np.ndarray) -> tuple:
@@ -404,16 +440,13 @@ def variational_identity_check(p: Pmf, theta: float, support=None,
 
     rng = np.random.default_rng(seed)
     nu = rng.dirichlet(np.ones(idx.size), size=num_random)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_nu = np.where(nu > 0.0, np.log(np.maximum(nu, 1e-300)), 0.0)
-        h = -(nu * log_nu).sum(axis=1)
-        sub_mask = sub > 0.0
-        log_sub = np.where(sub_mask, np.log(np.maximum(sub, 1e-300)), -np.inf)
-        cross = np.where(nu > 0.0, nu * log_sub[None, :], 0.0)
-        leaked = np.any((nu > 0.0) & ~sub_mask[None, :], axis=1)
-        d = -h - cross.sum(axis=1)
-    probes = theta * h - d
-    probes[leaked] = -math.inf
+    # theta H(nu) - D(nu||p) = nu . ln p - (1+theta) sum nu ln nu, by row dot products
+    sub_mask = sub > 0.0
+    neg_h = np.einsum("ij,ij->i", nu, np.log(np.maximum(nu, 1e-300)))
+    probes = nu @ np.log(np.where(sub_mask, sub, 1.0)) - (1.0 + theta) * neg_h
+    if not sub_mask.all():
+        # a probe with mass where p has none has divergence +inf
+        probes[np.any(nu[:, ~sub_mask] > 0.0, axis=1)] = -math.inf
     max_excess = float((probes - lhs).max())
     return gap, max_excess
 

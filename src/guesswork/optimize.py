@@ -1,9 +1,14 @@
-"""Deterministic scalar minimization: dense scan with golden-section refinement.
+"""Deterministic minimization of many scalar problems at once: a dense scan
+with golden-section refinement run in lock-step.
 
 The scan pins down the global structure (the golden step alone is only
-safe for unimodal objectives); the golden refinement sharpens the best
-bracket.  The returned value never exceeds the raw scan minimum, so a
-non-unimodal objective degrades gracefully to the scan answer.
+safe for unimodal objectives); the golden refinement sharpens each
+problem's best bracket.  Every problem shares one interval and one grid,
+and each golden iteration evaluates the objective once, on all the
+brackets still open, so the cost per iteration is one batched call
+whatever the number of problems.  A returned value never exceeds its
+scan minimum, so a non-unimodal objective degrades gracefully to the
+scan answer.
 """
 
 from __future__ import annotations
@@ -13,52 +18,58 @@ import math
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_ITER = 256
 
 
-def golden_section(f, lo: float, hi: float, tol: float = 1e-12,
-                   max_iter: int = 256) -> tuple:
-    """Golden-section minimum of ``f`` on [lo, hi]; returns (x, f(x))."""
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def minimize_scan_golden(f, lo: float, hi: float, values, *, tol: float = 1e-12) -> tuple:
+    """Minimize problems i = 0..m-1 over [lo, hi]; returns (x, value) arrays.
 
-
-def minimize_scan_golden(f, lo: float, hi: float, *, scan_points: int = 1024,
-                         values=None, tol: float = 1e-12) -> tuple:
-    """Scan ``f`` on a uniform grid, then golden-refine the winning bracket.
-
-    ``values`` may supply ``f`` on the grid, evaluated in one batch by the
-    caller; the grid then has ``len(values)`` points.  Ties keep the
-    smallest abscissa.  Returns (x, value) for the better of the scan
-    minimum and the refined point.
+    ``values[i, j]`` is problem i's objective at the j-th point of the
+    uniform grid of ``values.shape[1]`` points on [lo, hi], evaluated by
+    the caller in one batch.  ``f(x, rows)`` evaluates problem ``rows[i]``
+    at ``x[i]`` for every i.  Per problem, the scan minimum (ties keep the
+    smallest abscissa) is golden-refined on the bracket of its two grid
+    neighbours; a bracket closes once b - a <= tol (1 + |a| + |b|) or after
+    256 steps, and the refined point replaces the scan minimum
+    only where its value is smaller.
     """
     if hi < lo:
         raise ValueError("empty interval")
-    if values is None:
-        xs = np.linspace(lo, hi, max(int(scan_points), 2))
-        values = np.array([f(float(x)) for x in xs])
-    else:
-        xs = np.linspace(lo, hi, len(values))
-    i = int(np.argmin(values))
-    best_x, best_val = float(xs[i]), float(values[i])
-    left = float(xs[max(i - 1, 0)])
-    right = float(xs[min(i + 1, xs.size - 1)])
-    if right > left:
-        gx, gval = golden_section(f, left, right, tol=tol)
-        if gval < best_val:
-            best_x, best_val = gx, gval
+    values = np.asarray(values, dtype=float)
+    xs = np.linspace(lo, hi, values.shape[1])
+    i = np.argmin(values, axis=1)
+    best_x, best_val = xs[i], values[np.arange(i.size), i]
+    a, b = xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, xs.size - 1)]
+    rows = np.flatnonzero(b > a)
+    if rows.size == 0:
+        return best_x, best_val
+    a, b = a[rows], b[rows]
+    # each open bracket [a, b] carries its interior points c < d and their values
+    width = b - a
+    c, d = b - _INVPHI * width, a + _INVPHI * width
+    fc, fd = np.split(f(np.concatenate([c, d]), np.concatenate([rows, rows])), 2)
+    end_a, end_b = a.copy(), b.copy()
+    live = np.arange(rows.size)
+    for _ in range(_MAX_ITER):
+        open_ = width > tol * (1.0 + np.abs(a) + np.abs(b))
+        if not open_.all():
+            end_a[live[~open_]], end_b[live[~open_]] = a[~open_], b[~open_]
+            live, a, b, c, d, fc, fd = (v[open_] for v in (live, a, b, c, d, fc, fd))
+            if live.size == 0:
+                break
+        low = fc <= fd
+        # the minimum lies in [a, d] where fc <= fd, else in [c, b]
+        a, b = np.where(low, a, c), np.where(low, d, b)
+        kept, f_kept = np.where(low, c, d), np.where(low, fc, fd)
+        width = b - a
+        step = _INVPHI * width
+        new = np.where(low, b - step, a + step)
+        f_new = f(new, rows[live])
+        c, d = np.where(low, new, kept), np.where(low, kept, new)
+        fc, fd = np.where(low, f_new, f_kept), np.where(low, f_kept, f_new)
+    end_a[live], end_b[live] = a, b
+    gx = 0.5 * (end_a + end_b)
+    gval = f(gx, rows)
+    better = gval < best_val[rows]
+    best_x[rows[better]], best_val[rows[better]] = gx[better], gval[better]
     return best_x, best_val

@@ -88,9 +88,8 @@ def check_decomposition(tol: float = 1e-4) -> CheckResult:
         p = so.Pmf(probs)
         top = math.log(p.size)
         for rho in (0.5, 1.0, 2.0):
-            for r in np.linspace(0.05, top + 0.1, 20).tolist():
-                _, _, gap = ex.decomposition_check(p, rho, r)
-                worst = max(worst, gap)
+            _, _, gaps = ex.decomposition_check(p, rho, np.linspace(0.05, top + 0.1, 20))
+            worst = max(worst, float(gaps.max()))
     return CheckResult("decomposition", worst <= tol, f"max gap {worst:.3e} (tol {tol:g})")
 
 
@@ -171,9 +170,10 @@ def check_attack_ceiling(seed: int = 0) -> CheckResult:
                 for table in _enumerate_tables(n_msgs, 2 ** k):
                     cases += 1
                     cipher = ci.Cipher(ci.CipherSpec(1, k, n_msgs), table, p)
+                    # column y lists, key by key, the message each key decrypts y to
+                    inverse = np.argsort(cipher.table, axis=1, kind="stable")
                     orders = []
-                    for y in range(n_msgs):
-                        key_search = [cipher.decrypt(y, u) for u in range(2 ** k)]
+                    for key_search in inverse.T.tolist():
                         merged = gu.interleave(base_order, key_search)
                         orders.append(merged)
                         for x in key_search:

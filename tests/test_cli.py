@@ -337,6 +337,35 @@ class TestFiniteRunner:
         assert sorts == []
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("command,uppers,single_letter", [
+        ("bounds", True, False), ("sweep", True, True), ("simulate", False, False)])
+    def test_one_dual_per_n_and_rho(self, tmp_path, iid_model, monkeypatch, command,
+                                    uppers, single_letter, threads):
+        from guesswork import compression, exponents
+
+        real = exponents.model_exponent_dual
+        calls = []
+
+        def counting(model, rho, key_rate):
+            calls.append((type(model).__name__, rho, len(key_rate)))
+            return real(model, rho, key_rate)
+
+        # the CLI reaches the dual through exponents, the upper bound through compression
+        monkeypatch.setattr(exponents, "model_exponent_dual", counting)
+        monkeypatch.setattr(compression, "model_exponent_dual", counting)
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [0.5, 1.0],
+                                      "R": [0.3, 0.6, 0.9], "n": [2, 4, 3]})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
+                     "--threads", str(threads)]) == 0
+        # one upper-bound dual per (n, rho) over all three rates, and one
+        # single-letter dual per rho for the whole run
+        laws = [("Spectrum", rho, 3) for _ in (2, 4, 3) for rho in (0.5, 1.0)]
+        assert [c for c in calls if c[0] == "Spectrum"] == (laws if uppers else [])
+        expected = [("IidSource", rho, 3) for rho in (0.5, 1.0)] if single_letter else []
+        assert [c for c in calls if c[0] != "Spectrum"] == expected
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 2 * 3
+
 
 # Inputs that once ended in a traceback, a silent wrong run or an unbounded
 # allocation, each with the exit code and stderr prefix it must give instead.

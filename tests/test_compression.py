@@ -19,7 +19,6 @@ from guesswork import (
     upper_bound_finite,
 )
 from guesswork.compression import saturation_split_value
-from guesswork.optimize import minimize_scan_golden
 
 LN2 = math.log(2.0)
 
@@ -295,15 +294,13 @@ class TestSaturationSplitIdentity:
                 math.fsum((top ** (1.0 / (1.0 + rho))).tolist())
             )
 
-            def objective(f):
-                f = min(max(f, 1e-12), 1.0 - 1e-12)
-                kl = f * math.log(f / summary.mass) + (1.0 - f) * math.log(
-                    (1.0 - f) / summary.mass_complement
-                )
-                return -(f * h_top + (1.0 - f) * rho * n * key_rate - kl)
-
-            _, neg_best = minimize_scan_golden(objective, 1e-9, 1.0 - 1e-9,
-                                               scan_points=10000)
-            assert -neg_best == pytest.approx(
+            # dense scan of the concave objective over the split mass: with
+            # 2e5 points the grid step costs far less than the tolerance
+            f = np.linspace(1e-9, 1.0 - 1e-9, 200_001)
+            kl = f * np.log(f / summary.mass) + (1.0 - f) * np.log(
+                (1.0 - f) / summary.mass_complement
+            )
+            best = float((f * h_top + (1.0 - f) * rho * n * key_rate - kl).max())
+            assert best == pytest.approx(
                 saturation_split_value(p, n, rho, key_rate), abs=1e-6
             )

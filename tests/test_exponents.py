@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guesswork import (
     CapExceededError,
@@ -32,6 +33,9 @@ from guesswork import (
     tilt,
     variational_identity_check,
 )
+from guesswork.exponents import _tilted_pmf
+from guesswork.optimize import minimize_scan_golden
+from guesswork.sources import power_form
 
 LN2 = math.log(2.0)
 
@@ -74,6 +78,121 @@ class TestIidDual:
         assert np.all(np.diff(values) >= -1e-10)
         slopes = np.diff(values) / np.diff(rhos)
         assert np.all(np.diff(slopes) >= -1e-7)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def scalar_dual(model, rho: float, key_rate: float) -> tuple:
+    """(value, scan argmin) of one rate by a per-rate scan and scalar golden section.
+
+    This is the per-rate refinement the lock-step dual replaced, kept as
+    its oracle: the lock-step loop must reproduce it bit for bit.
+    """
+    form = power_form(model)
+    thetas = np.linspace(0.0, rho, 1024)
+    values = (rho - thetas) * key_rate + pressure(form, thetas)
+
+    def f(theta):
+        return (rho - theta) * key_rate + float(pressure(form, theta))
+
+    i = int(np.argmin(values))
+    best = float(values[i])
+    a, b = float(thetas[max(i - 1, 0)]), float(thetas[min(i + 1, thetas.size - 1)])
+    if b > a:
+        c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(256):
+            if b - a <= 1e-12 * (1.0 + abs(a) + abs(b)):
+                break
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                fd = f(d)
+        refined = f(0.5 * (a + b))
+        if refined < best:
+            best = refined
+    return best, i
+
+
+def _simplex(draw, size, zeros=False):
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+    if zeros:
+        mask = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        weights = [0.0 if z else w for w, z in zip(weights, mask)]
+        if not any(weights):
+            weights[0] = 1.0
+    total = math.fsum(weights)
+    return [w / total for w in weights]
+
+
+@st.composite
+def dual_models(draw):
+    """(model, rate scale): iid, Markov with zero transitions, unifilar, or a finite law."""
+    kind = draw(st.sampled_from(["iid", "markov", "unifilar", "finite"]))
+    if kind == "iid":
+        return IidSource(Pmf(_simplex(draw, draw(st.integers(2, 4)), zeros=True))), 1
+    if kind == "markov":
+        k = draw(st.integers(2, 3))
+        rows = []
+        for s in range(k):
+            row = _simplex(draw, k, zeros=True)
+            # a positive step s -> s+1 keeps the chain irreducible around its zeros
+            row[(s + 1) % k] += 0.1
+            rows.append([x / math.fsum(row) for x in row])
+        return MarkovSource(Pmf([1.0 / k] * k), np.array(rows)), 1
+    if kind == "unifilar":
+        emission = tuple(Pmf(_simplex(draw, 2)) for _ in range(2))
+        return UnifilarSource(Pmf(_simplex(draw, 2)), np.array([[0, 1], [1, 0]]), emission), 1
+    n = draw(st.integers(1, 6))
+    return materialize(IidSource(Pmf(_simplex(draw, draw(st.integers(2, 3))))), n), n
+
+
+class TestLockStepDual:
+    @settings(max_examples=40, deadline=None)
+    @given(dual_models(), st.floats(0.05, 4.0),
+           st.lists(st.floats(1e-3, 2.5), min_size=1, max_size=8))
+    def test_matches_scalar_oracle_bit_for_bit(self, drawn, rho, rates):
+        model, scale = drawn
+        # a linear-regime rate (bracket at theta = 0) and a saturated one (theta = rho)
+        rates = np.array(rates + [1e-3, 50.0]) * scale
+        lockstep = model_exponent_dual(model, rho, rates)
+        assert lockstep.tolist() == [scalar_dual(model, rho, r)[0] for r in rates.tolist()]
+
+    def test_brackets_at_both_grid_ends(self):
+        for r, end in ((1e-3, 0), (50.0, 1023)):
+            value, i = scalar_dual(IidSource(P82), 1.0, r)
+            assert i == end
+            assert iid_exponent_dual(P82, 1.0, np.array([r, 0.55]))[0] == value
+
+    def test_blocks_of_rates(self):
+        # 150 rates span three scan blocks; each rate matches its own scalar refinement
+        model = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.3, 0.7]]))
+        rates = np.linspace(0.01, 1.0, 150)
+        lockstep = model_exponent_dual(model, 2.0, rates)
+        assert lockstep.tolist() == [scalar_dual(model, 2.0, r)[0] for r in rates.tolist()]
+        assert model_exponent_dual(model, 2.0, rates.reshape(10, 15)).shape == (10, 15)
+
+    def test_empty_rate_array(self):
+        assert model_exponent_dual(IidSource(P82), 1.0, np.array([])).shape == (0,)
+
+    def test_never_above_scan_minimum(self):
+        # problem 0 is a parabola, problem 1 oscillates faster than the grid resolves
+        centers, freqs = np.array([0.3, 0.0]), np.array([0.0, 2000.0])
+
+        def f(x, rows):
+            return (x - centers[rows]) ** 2 + np.sin(freqs[rows] * x)
+
+        xs = np.linspace(0.0, 1.0, 64)
+        values = f(xs[None, :], np.arange(2)[:, None])
+        x, value = minimize_scan_golden(f, 0.0, 1.0, values)
+        assert x[0] == pytest.approx(0.3, abs=1e-6) and value[0] <= 1e-12
+        assert value[1] <= values[1].min()
+        assert value[1] == f(x[1:], np.array([1]))[0]
 
 
 class TestIidGrid:
@@ -217,6 +336,73 @@ class TestDecomposition:
                 for r in np.linspace(0.05, math.log(p.size) + 0.1, 20).tolist():
                     _, _, gap = decomposition_check(p, rho, r)
                     assert gap <= 1e-4
+
+
+class TestDecompositionArrays:
+    # 0 below H(P), +inf from ln(support), the bisection in between; for the
+    # correct term the free tilt, the bisection, and for the uniform law the
+    # grid fallback under ln 2
+    RATES = np.array([0.05, 0.3, H_P82, 0.55, 0.65, LN2, 0.8, 1.2])
+
+    @pytest.mark.parametrize("p", [P82, pmf(0.6, 0.3, 0.1), pmf(0.5, 0.5), pmf(0.7, 0.3, 0.0)])
+    def test_array_equals_scalar(self, p):
+        rho = 1.0
+        err = iid_error_exponent(p, self.RATES)
+        correct = iid_correct_term(p, rho, self.RATES)
+        lhs, rhs, gap = decomposition_check(p, rho, self.RATES)
+        for i, r in enumerate(self.RATES.tolist()):
+            assert err[i] == iid_error_exponent(p, r)
+            assert correct[i] == iid_correct_term(p, rho, r)
+            assert (lhs[i], rhs[i], gap[i]) == decomposition_check(p, rho, r)
+        assert isinstance(iid_error_exponent(p, 0.3), float)
+        assert isinstance(iid_correct_term(p, rho, 0.3), float)
+        assert all(isinstance(v, float) for v in decomposition_check(p, rho, 0.3))
+
+    def test_matches_scalar_bisection(self):
+        # the per-rate 200-step bisections the array path replaced, kept as its oracle
+        def tilted_entropy(p, s):
+            log_p = np.log(p.probs[p.probs > 0.0])
+            w = np.exp(s * log_p - (s * log_p).max())
+            w /= w.sum()
+            w = w[w > 0.0]
+            return float(-(w * np.log(w)).sum())
+
+        def bisect(p, r, lo, hi):
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if tilted_entropy(p, mid) > r:
+                    lo = mid
+                else:
+                    hi = mid
+            return _tilted_pmf(p, 0.5 * (lo + hi))
+
+        def correct_term(p, rho, r):
+            hi = 1.0
+            while tilted_entropy(p, hi) > r:
+                hi *= 2.0
+            q = bisect(p, r, 1.0 / (1.0 + rho), hi)
+            return rho * entropy(q) - divergence(q, p)
+
+        p, rho = pmf(0.6, 0.3, 0.1), 1.0
+        rates = np.array([0.2, 0.5, 0.8, 1.0])
+        interior = np.array([0.9, 0.95, 1.05])
+        assert iid_error_exponent(p, interior).tolist() == [
+            divergence(bisect(p, r, 1e-9, 1.0), p) for r in interior.tolist()]
+        assert iid_correct_term(p, rho, rates).tolist() == [
+            correct_term(p, rho, r) for r in rates.tolist()]
+
+    def test_branches_are_covered(self):
+        err = iid_error_exponent(P82, self.RATES)
+        assert err[0] == 0.0 and err[-1] == math.inf and 0.0 < err[3] < math.inf
+        uniform = iid_correct_term(pmf(0.5, 0.5), 1.0, self.RATES)
+        # the grid fallback gives the closed form (1+rho) R - ln 2 under ln 2
+        assert uniform[:2] == pytest.approx(2.0 * self.RATES[:2] - LN2, abs=1e-4)
+
+    def test_shape_is_kept(self):
+        grid = self.RATES.reshape(2, 4)
+        assert iid_error_exponent(P82, grid).shape == (2, 4)
+        assert iid_correct_term(P82, 1.0, grid).shape == (2, 4)
+        assert decomposition_check(P82, 1.0, grid)[2].shape == (2, 4)
 
 
 class TestMarkov:
