@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,7 @@ class Cipher:
         tbl = np.array(self.table, dtype=int)
         if tbl.shape != (self.spec.num_keys, self.spec.num_messages):
             raise ValidationError("table must be (num_keys x num_messages)")
-        full = np.arange(self.spec.num_messages)
-        for u in range(tbl.shape[0]):
-            if not np.array_equal(np.sort(tbl[u]), full):
-                raise ValidationError(f"key {u} does not act as a bijection")
+        validate_tables(tbl)
         if self.pmf.size != self.spec.num_messages:
             raise ValidationError("message distribution must cover the message set")
         tbl.setflags(write=False)
@@ -85,6 +83,16 @@ class Cipher:
     def from_json_dict(doc: dict) -> "Cipher":
         spec = CipherSpec(doc["n"], doc["k"], doc["num_messages"])
         return Cipher(spec, np.array(doc["table"], dtype=int), Pmf(doc["probs"]))
+
+
+def validate_tables(tables: np.ndarray) -> None:
+    """Require every key row of a (keys x messages) table, or of a stack of
+    them, to permute the message indices; the error names the first bad key."""
+    bad = np.any(np.sort(tables, axis=-1) != np.arange(tables.shape[-1]), axis=-1)
+    if np.any(bad):
+        *table, key = np.argwhere(bad)[0].tolist()
+        where = "".join(f"table {t}, " for t in table)
+        raise ValidationError(f"{where}key {key} does not act as a bijection")
 
 
 def sorted_padded_pmf(p: Pmf, num_keys: int) -> Pmf:
@@ -175,11 +183,33 @@ def attack_moment(cipher: Cipher, p: Pmf, rho: float) -> float:
 
 
 def attack_moment_for_orders(cipher: Cipher, p: Pmf, rho: float, orders) -> float:
-    """Moment when the attacker uses a caller-supplied order per cryptogram."""
-    row, msg, weight, _ = _attack_weights(np.argsort(cipher.table, axis=1, kind="stable").T,
-                                          p.probs)
-    rank = np.array([orders[y].rank[m] for y, m in zip(row.tolist(), msg.tolist())], dtype=int)
-    return math.fsum((weight / cipher.spec.num_keys * rank ** rho).tolist())
+    """Moment when the attacker uses a caller-supplied order per cryptogram.
+
+    The one-table case of :func:`attack_moments_for_ranks`.
+    """
+    ranks = np.array([order.rank for order in orders])
+    return float(attack_moments_for_ranks(cipher.table, p, rho, ranks))
+
+
+def attack_moments_for_ranks(tables: np.ndarray, p: Pmf, rho: float, ranks: np.ndarray):
+    """Attack moment of each table when the attacker's guess number for
+    message m given cryptogram y is ``ranks[..., y, m]``.
+
+    ``tables`` is one (keys x messages) table with (messages x messages)
+    ``ranks``, or a stack of T tables with T rank arrays; the result is a
+    float or a length-T array.  The terms are ``attack_moment``'s, weight
+    times rank^rho over each cryptogram's preimages of positive weight,
+    formed for the whole stack at once and summed per table by fsum.
+    """
+    stack = np.reshape(tables, (-1, *np.shape(tables)[-2:]))
+    n_tables, m_keys, n_msgs = stack.shape
+    cols = np.argsort(stack, axis=-1, kind="stable").transpose(0, 2, 1).reshape(-1, m_keys)
+    row, msg, weight, _ = _attack_weights(cols, p.probs)
+    rank = np.reshape(ranks, (-1, n_msgs))[row, msg]
+    terms = (weight / m_keys * rank ** rho).tolist()
+    ends = np.searchsorted(row, np.arange(n_tables + 1) * n_msgs).tolist()
+    moments = np.array([math.fsum(terms[a:b]) for a, b in zip(ends, ends[1:])])
+    return float(moments[0]) if np.ndim(tables) == 2 else moments
 
 
 def group_xor_moment_closed(law, k: int, rho: float) -> float:
@@ -260,6 +290,26 @@ def _multisets(n: int, r: int) -> np.ndarray:
     return rows
 
 
+# key multisets already built, by (n, r), in their narrowest integer dtype;
+# an array joins while the cache stays within _KEY_CACHE_BYTES (the largest
+# searchable set, C(122, 3) triples over 120 permutations, takes 885,720 bytes)
+_KEY_CACHE: dict = {}
+_KEY_CACHE_BYTES = 1 << 20
+_KEY_CACHE_LOCK = threading.Lock()
+
+
+def _key_multisets(n: int, r: int) -> np.ndarray:
+    """``_multisets(n, r)`` as a cached, read-only array of the narrowest dtype."""
+    keys = _KEY_CACHE.get((n, r))
+    if keys is None:
+        keys = _multisets(n, r).astype(np.min_scalar_type(max(n - 1, 0)))
+        keys.setflags(write=False)
+        with _KEY_CACHE_LOCK:
+            if keys.nbytes + sum(a.nbytes for a in _KEY_CACHE.values()) <= _KEY_CACHE_BYTES:
+                keys = _KEY_CACHE.setdefault((n, r), keys)
+    return keys
+
+
 def _lookup_moments(perms: np.ndarray, probs: np.ndarray, m_keys: int, rho: float):
     """(keys 1..M-1 as indices into ``perms``, attack moment) of every canonical table.
 
@@ -268,7 +318,9 @@ def _lookup_moments(perms: np.ndarray, probs: np.ndarray, m_keys: int, rho: floa
     once over all multisets of M messages with ``attack_moment``'s terms.
     Column y is encoded as sum_u (M+1)^(preimage of y under key u), so a
     table's codes are the identity's code vector plus one fixed vector per
-    free key.
+    free key.  The moments of a block of tables are accumulated one
+    cryptogram at a time, y = 0, 1, ..., which adds each table's terms in
+    the same order as a row sum over y.
     """
     columns = _multisets(probs.size, m_keys)
     row, _, weight, rank = _attack_weights(columns, probs)
@@ -277,12 +329,15 @@ def _lookup_moments(perms: np.ndarray, probs: np.ndarray, m_keys: int, rho: floa
     g = np.zeros((m_keys + 1) ** probs.size)
     g[((m_keys + 1) ** columns).sum(axis=1)] = [math.fsum(terms[a:b])
                                                  for a, b in zip(bounds, bounds[1:])]
-    code = (m_keys + 1) ** np.argsort(perms, axis=1, kind="stable")
-    keys = _multisets(len(perms), m_keys - 1)
-    moments = np.concatenate([
-        g[sum((code[col] for col in keys[lo:lo + _BLOCK].T), code[:1])].sum(axis=1)
-        for lo in range(0, len(keys), _BLOCK)
-    ])
+    # code[y, i]: the code of permutation i's preimage of cryptogram y
+    code = (m_keys + 1) ** np.argsort(perms, axis=1, kind="stable").T
+    keys = _key_multisets(len(perms), m_keys - 1)
+    moments = np.zeros(len(keys))
+    for lo in range(0, len(keys), _BLOCK):
+        block = keys[lo:lo + _BLOCK].T.astype(np.intp)
+        out = moments[lo:lo + _BLOCK]
+        for by_perm in code:
+            out += g[by_perm[0] + sum(by_perm[col] for col in block)]
     return keys, moments
 
 

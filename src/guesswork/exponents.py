@@ -18,8 +18,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import CapExceededError, NumericError, ValidationError
+from .cipher import _multisets
 from .optimize import minimize_scan_golden
 from .sources import (
+    DEFAULT_MATERIALIZE_CAP,
     ExplicitSource,
     IidSource,
     Pmf,
@@ -89,20 +91,26 @@ def markov_exponent(transition, rho: float, key_rate):
 
 
 def _simplex_grid(dim: int, steps: int) -> np.ndarray:
-    """All probability vectors with entries that are multiples of 1/steps."""
-    if dim == 1:
-        return np.ones((1, 1))
-    out = []
+    """All probability vectors with entries that are multiples of 1/steps.
 
-    def rec(prefix, remaining):
-        if len(prefix) == dim - 1:
-            out.append(prefix + [remaining])
-            return
-        for i in range(remaining + 1):
-            rec(prefix + [i], remaining - i)
+    Rows come in lexicographic order: the partial sums of a row's first
+    dim - 1 entries, in units of 1/steps, run through the non-decreasing
+    tuples over 0..steps.  A grid above the materialize cap is refused
+    before it is built.
+    """
+    count = math.comb(steps + dim - 1, dim - 1)
+    if count > DEFAULT_MATERIALIZE_CAP:
+        raise CapExceededError(f"a {dim}-letter simplex grid of step 1/{steps} has {count} "
+                               "points, over the materialize cap")
+    return np.diff(_multisets(steps + 1, dim - 1), axis=1, prepend=0, append=steps) / steps
 
-    rec([], steps)
-    return np.array(out, dtype=float) / steps
+
+def _masked_logs(grid: np.ndarray, p: np.ndarray) -> tuple:
+    """ln of the grid entries (0 where an entry is 0) and each point's
+    feasibility: no mass outside the support of ``p``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.where(grid > 0.0, np.log(np.maximum(grid, 1e-300)), 0.0)
+    return logs, ~np.any((grid > 0.0) & (p[None, :] <= 0.0), axis=1)
 
 
 def _objective_on_simplex(q: np.ndarray, p: np.ndarray, rho: float, key_rate: float) -> float:
@@ -130,12 +138,11 @@ def iid_exponent_grid(p1: Pmf, rho: float, key_rate: float, resolution: float = 
     grid = _simplex_grid(p1.size, steps)
     p = p1.probs
     log_p = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(grid > 0.0, np.log(np.maximum(grid, 1e-300)), 0.0)
-        h = -(grid * logs).sum(axis=1)
+    logs, feasible = _masked_logs(grid, p)
+    h = -(grid * logs).sum(axis=1)
+    with np.errstate(invalid="ignore"):
         cross = np.where(grid > 0.0, grid * log_p[None, :], 0.0).sum(axis=1)
-        d = -h - cross
-    feasible = ~np.any((grid > 0.0) & (p[None, :] <= 0.0), axis=1)
+    d = -h - cross
     objective = np.where(feasible, rho * np.minimum(h, key_rate) - d, -np.inf)
     best_i = int(np.argmax(objective))
     best_val = float(objective[best_i])
@@ -223,10 +230,13 @@ def iid_correct_term(p1: Pmf, rho: float, key_rate):
     spread out, the entropy constraint binds and the maximizer moves along
     the tilted family toward (and past) P until H(tilt) = R.  Tilting
     cannot push the entropy below ln(#maximal probabilities); if R sits
-    under that floor the maximizer leaves the family and a simplex grid
-    with local refinement takes over (alphabets up to 4).  ``key_rate``
-    may be an array; its rates are bisected together and only the rates
-    under the floor go to the grid, one at a time.
+    under that floor the maximizer leaves the family and a step-1/500
+    simplex grid, scored in one array pass, with local refinement takes
+    over; a 4-letter grid (21,084,251 points) is over the materialize cap
+    and raises :class:`CapExceededError`, so the fallback serves up to 3
+    letters.  ``key_rate`` may be an array; its rates are bisected
+    together and only the rates under the floor go to the grid, one at a
+    time.
     """
     rates = np.asarray(key_rate, dtype=float)
     if rho <= 0.0 or np.any(rates <= 0.0):
@@ -262,18 +272,15 @@ def _correct_term_grid(p1: Pmf, rho: float, key_rate: float) -> float:
         )
     grid = _simplex_grid(p1.size, 500)
     p = p1.probs
-    best_val = -math.inf
-    best_q = None
-    for q in grid:
-        mask = q > 0.0
-        if np.any(mask & (p <= 0.0)):
-            continue
-        h = float(-(q[mask] * np.log(q[mask])).sum())
-        if h > key_rate:
-            continue
-        val = rho * h - float((q[mask] * (np.log(q[mask]) - np.log(p[mask]))).sum())
-        if val > best_val:
-            best_val, best_q = val, q
+    # the first maximum over feasible points with H(Q) <= R; each point's sums
+    # run over its positive entries in index order, as a per-point loop does
+    logs, feasible = _masked_logs(grid, p)
+    log_p = np.log(np.where(p > 0.0, p, 1.0))
+    h = -(grid * logs).sum(axis=1)
+    val = rho * h - (grid * (logs - log_p)).sum(axis=1)
+    val[~feasible | (h > key_rate)] = -math.inf
+    best_i = int(np.argmax(val))
+    best_val, best_q = float(val[best_i]), grid[best_i]
 
     def neg_obj(x: np.ndarray) -> float:
         tail = 1.0 - x.sum()

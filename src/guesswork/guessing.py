@@ -79,8 +79,12 @@ class GuessOrder:
 
 
 def kraft_sum(lf: LengthFunction) -> float:
-    """Sum of 2^-L(x) over all strings."""
-    return math.fsum((2.0 ** (-int(l)) for l in lf.lengths))
+    """Sum of 2^-L(x) over all strings.
+
+    Each term is an exact power of two (0 below the subnormal range), so
+    the compensated sum is the exactly rounded total.
+    """
+    return math.fsum(np.ldexp(1.0, -lf.lengths).tolist())
 
 
 def harmonic_number(n_strings: int) -> float:

@@ -9,6 +9,7 @@ evidence as a green acceptance suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -136,12 +137,47 @@ def check_group_xor_closed_form(seed: int = 0, instances: int = 100) -> CheckRes
                        f"max |exact - closed| {worst:.3e} (tol 1e-12)")
 
 
-def _enumerate_tables(n_msgs: int, num_keys: int):
-    import itertools
+def _all_tables(n_msgs: int, num_keys: int) -> np.ndarray:
+    """Every (num_keys x n_msgs) table of per-key permutations, stacked in
+    ``itertools.product`` order over the lexicographic permutations."""
+    perms = np.array(list(itertools.permutations(range(n_msgs))))
+    return perms[np.indices((len(perms),) * num_keys).reshape(num_keys, -1).T]
 
-    perms = list(itertools.permutations(range(n_msgs)))
-    for combo in itertools.product(perms, repeat=num_keys):
-        yield np.array(combo, dtype=int)
+
+def _ceiling_cases(seed: int):
+    """(p, k, rho, base order, rank budget, moment ceiling) of each attack-ceiling instance."""
+    rng = _rng(seed, 4)
+    for n_msgs in (2, 3, 4):
+        for _ in range(3):
+            p = _random_pmf(rng, n_msgs)
+            for k in (0, 1):
+                rho = float(rng.uniform(0.3, 2.0))
+                key_rate = k * LN2 if k else 0.5
+                _, lengths = co.integer_bruteforce(p, rho, key_rate, 1)
+                lf = gu.LengthFunction(lengths)
+                budget = 2.0 * np.exp(np.minimum(lf.lengths * LN2, key_rate))
+                ceiling = 2.0 ** rho * gu.saturated_moment(lf, p, rho, 1, key_rate) * (1.0 + 1e-12)
+                yield p, k, rho, gu.order_from_lengths(lf), budget, ceiling
+
+
+def _ceiling_violations(tables: np.ndarray, p: so.Pmf, rho: float, base_order: gu.GuessOrder,
+                        budget: np.ndarray, ceiling: float) -> tuple:
+    """(violations, per-table moments) of the interleaved attack on a (T, M, N) stack.
+
+    Cryptogram y's key search lists, key by key, the message each key
+    decrypts y to; the attacker interleaves it with ``base_order``.  Every
+    searched message ranked above its budget is one violation, and so is
+    every table whose moment exceeds ``ceiling``.
+    """
+    ci.validate_tables(tables)
+    searches = np.argsort(tables, axis=-1, kind="stable").transpose(0, 2, 1).reshape(
+        -1, tables.shape[1])
+    distinct, which = np.unique(searches, axis=0, return_inverse=True)
+    merged = np.array([gu.interleave(base_order, s).rank for s in distinct.tolist()])
+    ranks = merged[which.reshape(-1)]
+    over = np.take_along_axis(ranks, searches, axis=1) > budget[searches] * (1.0 + 1e-12)
+    moments = ci.attack_moments_for_ranks(tables, p, rho, ranks.reshape(len(tables), p.size, -1))
+    return int(over.sum()) + int((moments > ceiling).sum()), moments
 
 
 def check_attack_ceiling(seed: int = 0) -> CheckResult:
@@ -151,37 +187,18 @@ def check_attack_ceiling(seed: int = 0) -> CheckResult:
     every consistent (message, cryptogram) pair,
     rank(x | y) <= 2 exp(min(L(x) ln2, nR)), and in expectation the moment
     is at most 2^rho times the saturated cost of the optimal integer
-    lengths.
+    lengths.  Each instance's tables are checked as one stack: one sort
+    yields every key search, ``gu.interleave`` runs once per distinct key
+    search (at most N^M of them), and one batched scoring call gives every
+    table's moment.
     """
-    rng = _rng(seed, 4)
     violations = 0
     cases = 0
-    for n_msgs in (2, 3, 4):
-        for _ in range(3):
-            p = _random_pmf(rng, n_msgs)
-            for k in (0, 1):
-                rho = float(rng.uniform(0.3, 2.0))
-                key_rate = k * LN2 if k else 0.5
-                _, lengths = co.integer_bruteforce(p, rho, key_rate, 1)
-                lf = gu.LengthFunction(lengths)
-                base_order = gu.order_from_lengths(lf)
-                budget = 2.0 * np.exp(np.minimum(lf.lengths * LN2, key_rate))
-                sat_cost = gu.saturated_moment(lf, p, rho, 1, key_rate)
-                for table in _enumerate_tables(n_msgs, 2 ** k):
-                    cases += 1
-                    cipher = ci.Cipher(ci.CipherSpec(1, k, n_msgs), table, p)
-                    # column y lists, key by key, the message each key decrypts y to
-                    inverse = np.argsort(cipher.table, axis=1, kind="stable")
-                    orders = []
-                    for key_search in inverse.T.tolist():
-                        merged = gu.interleave(base_order, key_search)
-                        orders.append(merged)
-                        for x in key_search:
-                            if merged.rank[x] > budget[x] * (1.0 + 1e-12):
-                                violations += 1
-                    moment = ci.attack_moment_for_orders(cipher, p, rho, orders)
-                    if moment > 2.0 ** rho * sat_cost * (1.0 + 1e-12):
-                        violations += 1
+    for p, k, rho, base_order, budget, ceiling in _ceiling_cases(seed):
+        tables = _all_tables(p.size, 2 ** k)
+        found, _ = _ceiling_violations(tables, p, rho, base_order, budget, ceiling)
+        violations += found
+        cases += len(tables)
     return CheckResult("attack-ceiling", violations == 0,
                        f"{violations} violations over {cases} enumerated ciphers")
 

@@ -27,11 +27,16 @@ from guesswork import (
     optimal_attack,
 )
 from guesswork.cipher import (
+    _attack_weights,
+    _key_multisets,
     _lookup_moments,
     _multisets,
     attack_moment_for_orders,
+    attack_moments_for_ranks,
     sorted_padded_pmf,
+    validate_tables,
 )
+from guesswork.errors import ValidationError
 from guesswork.guessing import GuessOrder
 
 LN2 = math.log(2.0)
@@ -74,6 +79,19 @@ class TestGroupXorConstruction:
         for k in (13, 47):
             with pytest.raises(CapExceededError):
                 build_group_xor_cipher(pmf(0.5, 0.3, 0.2), k)
+
+    def test_bad_key_is_named(self):
+        with pytest.raises(ValidationError, match="^key 1 does not act as a bijection"):
+            Cipher(CipherSpec(1, 2, 3), np.array([[0, 1, 2], [0, 0, 2], [1, 1, 1], [2, 1, 0]]),
+                   pmf(0.5, 0.3, 0.2))
+
+    def test_stack_names_the_first_bad_table_and_key(self):
+        stack = np.array([[[0, 1, 2], [2, 1, 0]]] * 4)
+        validate_tables(stack)
+        stack[2, 1] = [2, 2, 0]
+        stack[3, 0] = [0, 1, 1]
+        with pytest.raises(ValidationError, match="^table 2, key 1 does not"):
+            validate_tables(stack)
 
     def test_json_roundtrip(self):
         cipher = build_group_xor_cipher(pmf(0.4, 0.3, 0.2, 0.1), 1)
@@ -190,6 +208,114 @@ class TestAttackMoment:
         assert attack_moment_for_orders(cipher, cipher.pmf, rho, orders) == pytest.approx(
             base, abs=1e-13
         )
+
+
+def oracle_moment_for_orders(cipher, p, rho, orders):
+    """The per-table moment formula, one Python rank lookup per term."""
+    row, msg, weight, _ = _attack_weights(np.argsort(cipher.table, axis=1, kind="stable").T,
+                                          p.probs)
+    rank = np.array([orders[y].rank[m] for y, m in zip(row.tolist(), msg.tolist())], dtype=int)
+    return math.fsum((weight / cipher.spec.num_keys * rank ** rho).tolist())
+
+
+class TestMomentsForRanks:
+    def test_stack_equals_each_table_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for size, k in ((3, 1), (4, 1), (5, 2), (8, 2)):
+            p = Pmf(rng.dirichlet(np.ones(size)), tol=1e-9)
+            rho = float(rng.uniform(0.3, 2.0))
+            tables = np.array([[rng.permutation(size) for _ in range(2 ** k)]
+                               for _ in range(20)])
+            ranks = np.array([[rng.permutation(size) + 1 for _ in range(size)]
+                              for _ in range(20)])
+            moments = attack_moments_for_ranks(tables, p, rho, ranks)
+            assert moments.shape == (20,)
+            for table, rank, value in zip(tables, ranks, moments.tolist()):
+                cipher = Cipher(CipherSpec(1, k, size), table, p)
+                orders = [GuessOrder(r) for r in rank]
+                assert value == oracle_moment_for_orders(cipher, p, rho, orders)
+                assert attack_moment_for_orders(cipher, p, rho, orders) == value
+
+    def test_optimal_ranks_give_attack_moment(self):
+        p = pmf(0.3, 0.3, 0.2, 0.1, 0.1)
+        cipher = build_group_xor_cipher(p, 2)
+        ranks = np.array([optimal_attack(cipher, cipher.pmf, y).rank
+                          for y in range(cipher.spec.num_messages)])
+        assert attack_moments_for_ranks(cipher.table, cipher.pmf, 1.3, ranks) == pytest.approx(
+            attack_moment(cipher, cipher.pmf, 1.3), abs=1e-15)
+
+
+def oracle_attack_ceiling(seed, tighten=1.0):
+    """The attack-ceiling check one cipher at a time, with its budget and
+    ceiling scaled by ``tighten``: (violations, cases, every table's moment)."""
+    from guesswork import (LengthFunction, integer_bruteforce, interleave, order_from_lengths,
+                           saturated_moment)
+    from guesswork.verify import _random_pmf, _rng
+
+    rng = _rng(seed, 4)
+    violations = 0
+    moments = []
+    for n_msgs in (2, 3, 4):
+        for _ in range(3):
+            p = _random_pmf(rng, n_msgs)
+            for k in (0, 1):
+                rho = float(rng.uniform(0.3, 2.0))
+                key_rate = k * LN2 if k else 0.5
+                _, lengths = integer_bruteforce(p, rho, key_rate, 1)
+                lf = LengthFunction(lengths)
+                base_order = order_from_lengths(lf)
+                budget = 2.0 * np.exp(np.minimum(lf.lengths * LN2, key_rate)) * tighten
+                sat_cost = saturated_moment(lf, p, rho, 1, key_rate)
+                perms = list(itertools.permutations(range(n_msgs)))
+                for combo in itertools.product(perms, repeat=2 ** k):
+                    cipher = Cipher(CipherSpec(1, k, n_msgs), np.array(combo, dtype=int), p)
+                    inverse = np.argsort(cipher.table, axis=1, kind="stable")
+                    orders = []
+                    for key_search in inverse.T.tolist():
+                        merged = interleave(base_order, key_search)
+                        orders.append(merged)
+                        for x in key_search:
+                            if merged.rank[x] > budget[x] * (1.0 + 1e-12):
+                                violations += 1
+                    moment = oracle_moment_for_orders(cipher, p, rho, orders)
+                    moments.append(moment)
+                    if moment > 2.0 ** rho * sat_cost * (1.0 + 1e-12) * tighten:
+                        violations += 1
+    return violations, len(moments), moments
+
+
+class TestAttackCeilingStack:
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_matches_per_cipher_loop(self, seed):
+        from guesswork.verify import (_all_tables, _ceiling_cases, _ceiling_violations,
+                                      check_attack_ceiling)
+
+        for tighten in (1.0, 0.5):
+            want_violations, want_cases, want_moments = oracle_attack_ceiling(seed, tighten)
+            violations = cases = 0
+            moments = []
+            for p, k, rho, base_order, budget, ceiling in _ceiling_cases(seed):
+                tables = _all_tables(p.size, 2 ** k)
+                found, values = _ceiling_violations(tables, p, rho, base_order,
+                                                    budget * tighten, ceiling * tighten)
+                violations += found
+                cases += len(tables)
+                moments.extend(values.tolist())
+            assert (violations, cases) == (want_violations, want_cases)
+            assert moments == want_moments
+            if tighten == 1.0:
+                assert check_attack_ceiling(seed).detail == (
+                    f"{violations} violations over {cases} enumerated ciphers")
+            else:
+                assert violations > 0
+
+    def test_tables_in_product_order(self):
+        from guesswork.verify import _all_tables
+
+        perms = list(itertools.permutations(range(3)))
+        for keys in (1, 2):
+            want = [list(combo) for combo in itertools.product(perms, repeat=keys)]
+            assert _all_tables(3, keys).tolist() == [[list(row) for row in t] for t in want]
 
 
 class TestClosedForm:
@@ -371,6 +497,49 @@ class TestColumnLookup:
         again_keys, again = _lookup_moments(perms, probs, 4, 1.3)
         assert np.array_equal(again_keys, keys)
         assert np.array_equal(again, moments)
+
+
+def rowwise_lookup_moments(perms, probs, m_keys, rho):
+    """Column-lookup moments summed as rows: one (tables x cryptograms) gather per block."""
+    columns = _multisets(probs.size, m_keys)
+    row, _, weight, rank = _attack_weights(columns, probs)
+    terms = (weight / m_keys * rank ** rho).tolist()
+    bounds = np.searchsorted(row, np.arange(len(columns) + 1)).tolist()
+    g = np.zeros((m_keys + 1) ** probs.size)
+    g[((m_keys + 1) ** columns).sum(axis=1)] = [math.fsum(terms[a:b])
+                                                 for a, b in zip(bounds, bounds[1:])]
+    code = (m_keys + 1) ** np.argsort(perms, axis=1, kind="stable")
+    keys = _multisets(len(perms), m_keys - 1)
+    block = 1 << 16
+    return np.concatenate([
+        g[sum((code[col] for col in keys[lo:lo + block].T), code[:1])].sum(axis=1)
+        for lo in range(0, len(keys), block)
+    ])
+
+
+class TestColumnAccumulation:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_equals_row_sums_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        perms = np.array(list(itertools.permutations(range(size))))
+        laws = [np.full(size, 1.0 / size), rng.dirichlet(np.ones(size)),
+                np.append(rng.dirichlet(np.ones(size - 1)), 0.0) if size > 1 else np.ones(1)]
+        for probs in laws:
+            for k in (0, 1, 2):
+                rho = float(rng.uniform(0.3, 2.5))
+                _, moments = _lookup_moments(perms, probs, 2 ** k, rho)
+                assert np.array_equal(moments, rowwise_lookup_moments(perms, probs, 2 ** k, rho))
+
+    def test_key_multisets_are_cached_narrow_and_read_only(self):
+        keys = _key_multisets(120, 3)
+        assert keys is _key_multisets(120, 3)
+        assert keys.dtype == np.uint8 and keys.nbytes <= 1 << 20
+        assert not keys.flags.writeable
+        with pytest.raises(ValueError):
+            keys[0, 0] = 1
+        assert np.array_equal(keys, _multisets(120, 3))
+        assert _key_multisets(24, 3).dtype == np.uint8
+        assert _key_multisets(720, 1).dtype == np.uint16
 
 
 class TestAchievedExponent:

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import guesswork
 from guesswork import (
     CapExceededError,
     ExplicitSource,
@@ -403,6 +408,97 @@ class TestDecompositionArrays:
         assert iid_error_exponent(P82, grid).shape == (2, 4)
         assert iid_correct_term(P82, 1.0, grid).shape == (2, 4)
         assert decomposition_check(P82, 1.0, grid)[2].shape == (2, 4)
+
+
+def recursive_simplex_grid(dim, steps):
+    """The simplex grid by recursion over the leading entries."""
+    if dim == 1:
+        return np.ones((1, 1))
+    out = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == dim - 1:
+            out.append(prefix + [remaining])
+            return
+        for i in range(remaining + 1):
+            rec(prefix + [i], remaining - i)
+
+    rec([], steps)
+    return np.array(out, dtype=float) / steps
+
+
+def loop_grid_maximum(p, rho, r):
+    """(value, point) of the first grid maximum, one grid point at a time."""
+    best_val, best_q = -math.inf, None
+    for q in recursive_simplex_grid(p.size, 500):
+        mask = q > 0.0
+        if np.any(mask & (p.probs <= 0.0)):
+            continue
+        h = float(-(q[mask] * np.log(q[mask])).sum())
+        if h > r:
+            continue
+        val = rho * h - float((q[mask] * (np.log(q[mask]) - np.log(p.probs[mask]))).sum())
+        if val > best_val:
+            best_val, best_q = val, q
+    return best_val, best_q
+
+
+class TestGridFallback:
+    @pytest.mark.parametrize("dim,steps", [(1, 5), (2, 1), (2, 7), (3, 10), (4, 6), (3, 500)])
+    def test_simplex_grid_matches_recursion(self, dim, steps):
+        from guesswork.exponents import _simplex_grid
+
+        assert np.array_equal(_simplex_grid(dim, steps), recursive_simplex_grid(dim, steps))
+
+    @pytest.mark.parametrize("probs,rho,r", [
+        ((0.45, 0.45, 0.1), 1.0, 0.3),
+        ((0.4, 0.4, 0.2), 0.5, 0.2),
+        ((0.5, 0.5, 0.0), 2.0, 0.1),
+        ((0.35, 0.35, 0.3), 1.7, 0.6),
+        ((0.5, 0.5), 1.0, 0.3),
+    ])
+    def test_matches_per_point_loop(self, probs, rho, r, monkeypatch):
+        # the grid point the refinement starts from and the returned value
+        # are the per-point loop's, bit for bit
+        from scipy.optimize import minimize
+
+        import guesswork.exponents as ex
+
+        starts, results = [], []
+
+        def recording_minimize(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            results.append(minimize(fun, x0, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(ex, "minimize", recording_minimize)
+        p = pmf(*probs)
+        value = iid_correct_term(p, rho, r)
+        best_val, best_q = loop_grid_maximum(p, rho, r)
+        assert len(starts) == 1
+        assert np.array_equal(starts[0], best_q[:-1])
+        assert value == max(best_val, float(-results[0].fun))
+
+    def test_four_letters_refused_before_the_grid_is_built(self):
+        # C(503, 3) = 21,084,251 grid points would take gigabytes; the
+        # child's address space is capped at 1.5 GB
+        code = "\n".join([
+            "import resource",
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))",
+            "from guesswork import CapExceededError, Pmf, iid_correct_term",
+            "try:",
+            "    iid_correct_term(Pmf([0.3, 0.3, 0.3, 0.1]), 1.0, 0.5)",
+            "except CapExceededError as exc:",
+            "    print('refused:', exc)",
+        ])
+        package_root = str(Path(guesswork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("refused:"), proc.stdout
 
 
 class TestMarkov:

@@ -35,6 +35,19 @@ class TestKraftSum:
         with pytest.raises(ValidationError):
             LengthFunction([0, 1])
 
+    def test_subnormal_and_underflowing_terms(self):
+        # 2^-1074 is the smallest subnormal; longer codewords add nothing
+        assert kraft_sum(LengthFunction([1, 1075, 2000, 10 ** 12])) == 0.5
+        assert kraft_sum(LengthFunction([1074])) == 5e-324
+        assert kraft_sum(LengthFunction([1023, 1074, 1074])) == 2.0 ** -1023 + 2.0 ** -1073
+
+    def test_equals_sum_of_python_powers(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            lengths = rng.integers(1, 1100, size=int(rng.integers(1, 300)))
+            assert kraft_sum(LengthFunction(lengths)) == math.fsum(
+                2.0 ** (-int(l)) for l in lengths)
+
 
 class TestHarmonicNumber:
     def test_two(self):
