@@ -74,6 +74,7 @@ from .sources import (
     markov_renyi_rate,
     materialize,
     model_from_dict,
+    n_letter_spectrum,
     pressure,
     pressure_slope,
     renyi_entropy,

@@ -236,12 +236,11 @@ def cmd_exponent(cfg: RunConfig) -> int:
 
     def one_curve(rho: float):
         curve = ex.build_curve(model, rho, cfg.rates)
-        rows = []
-        for r, e, branch in zip(curve.rates.tolist(), curve.values.tolist(), curve.branches):
-            row = [r, e, branch]
-            if grid_states:
-                row.append(ex.markov_exponent_grid(model.transition, rho, r))
-            rows.append(row)
+        rows = [list(row) for row in zip(curve.rates.tolist(), curve.values.tolist(),
+                                         curve.branches)]
+        if grid_states:
+            grid = ex.markov_exponent_grid(model.transition, rho, curve.rates).tolist()
+            rows = [row + [check] for row, check in zip(rows, grid)]
         return curve, rows
 
     results = _map_cells(cfg.rhos, one_curve, cfg.threads)
@@ -267,31 +266,31 @@ def cmd_exponent(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _law_rows(cfg: RunConfig, model, n: int, row, per_rho) -> list:
-    # P_n and its spectrum live only in this frame, so one law is held at a time
-    p_n = so.materialize(model, n, cap=cfg.materialize_cap)
-    law = so.spectrum(p_n)
-    rates = np.array(cfg.rates)
-    cells = []
-    for rho in cfg.rhos:
-        extra = per_rho(model, law, n, rho, rates) if per_rho else [()] * rates.size
-        cells += [(rho, r, *more) for r, more in zip(cfg.rates, extra)]
-    return _map_cells(cells, lambda cell: row(model, p_n, law, n, *cell), cfg.threads)
+def _law_rows(cfg: RunConfig, model, n: int, row, per_n) -> list:
+    # the spectrum lives only in this frame, so one law is held at a time
+    law = so.n_letter_spectrum(model, n, cap=cfg.materialize_cap)
+    cells = [(rho, r) for rho in cfg.rhos for r in cfg.rates]
+    if per_n:
+        extra = per_n(model, law, n, np.array(cfg.rhos)[:, None], np.array(cfg.rates))
+        cells = [cell + tuple(more) for cell, more in zip(cells, extra)]
+    return _map_cells(cells, lambda cell: row(model, law, n, *cell), cfg.threads)
 
 
-def _run_finite(cfg: RunConfig, header: list, row, to_json=None, per_rho=None) -> int:
-    """Rows ``row(model, p_n, law, n, rho, R, *extra)`` of every (n, rho, R) cell, in config order.
+def _run_finite(cfg: RunConfig, header: list, row, to_json=None, per_n=None) -> int:
+    """Rows ``row(model, law, n, rho, R, *extra)`` of every (n, rho, R) cell, in config order.
 
-    Each n materializes its law ``p_n`` and its spectrum ``law`` once and
-    maps its (rho, R) cells.  ``per_rho(model, law, n, rho, rates)``, when
-    given, computes what the cells of one (n, rho) share in one batch,
-    such as the dual over all rates, and returns one ``extra`` tuple per
-    rate.  JSON is ``{"rows": [...]}`` unless ``to_json`` builds the
-    document from the rows.
+    Each n builds the spectrum ``law`` of its n-letter law once, with
+    :func:`sources.n_letter_spectrum`, which forms no dense law, and maps
+    its (rho, R) cells.  ``per_n(model, law, n, rhos, rates)``, when
+    given, computes what the cells of one n share in one batch, such as
+    the dual over every (rho, R) cell (``rhos`` is a column, ``rates`` a
+    row), and returns one ``extra`` tuple per cell, rho-major.  JSON is
+    ``{"rows": [...]}`` unless ``to_json`` builds the document from the
+    rows.
     """
     _require(cfg, model=True, rhos=True, rates=True, ns=True)
     model = so.load_model(cfg.model_path)
-    rows = [out for n in cfg.ns for out in _law_rows(cfg, model, n, row, per_rho)]
+    rows = [out for n in cfg.ns for out in _law_rows(cfg, model, n, row, per_n)]
     if cfg.out_format == "csv":
         text = _csv(header, rows)
     else:
@@ -310,7 +309,7 @@ def _bounds_records(rows: list) -> dict:
 
 
 def cmd_bounds(cfg: RunConfig) -> int:
-    def row(model, p_n, law, n, rho, r, upper):
+    def row(model, law, n, rho, r, upper):
         lower = co.lower_bound_finite(law, n, rho, r)
         relaxed = co.relaxed_optimum(law, n, rho, r)
         ok = (lower.value - lower.slack <= relaxed.value + 1e-12
@@ -319,12 +318,18 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
     return _run_finite(cfg, ["n", "rho", "R", "lower", "lower_slack", "relaxed",
                              "relaxed_slack", "upper", "ok"], row, _bounds_records,
-                       lambda model, law, n, rho, rates: zip(
-                           co.upper_bound_finite(law, n, rho, rates).tolist()))
+                       lambda model, law, n, rhos, rates: zip(
+                           co.upper_bound_finite(law, n, rhos, rates).ravel().tolist()))
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    def row(model, p_n, law, n, rho, r):
+    def per_n(model, law, n, rhos, rates):
+        # the brute-force bracket needs the dense law, built only when it is that small
+        small = law.size <= cfg.brute_force_messages
+        p_n = so.materialize(model, n, cap=cfg.materialize_cap) if small else None
+        return [(p_n,)] * (rhos.size * rates.size)
+
+    def row(model, law, n, rho, r, p_n):
         achieved = ci.guessing_exponent_achieved(law, n, rho, r)
         relaxed = co.relaxed_optimum(law, n, rho, r)
         try:
@@ -336,7 +341,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         ok = gap <= bound + relaxed.slack + 1e-12
         out = [n, rho, r, achieved.k, achieved.num_keys, achieved.num_messages,
                achieved.moment, achieved.exponent, relaxed.value, bound, gap, ok]
-        if p_n.size <= cfg.brute_force_messages and achieved.k <= cfg.brute_force_keys:
+        if p_n is not None and achieved.k <= cfg.brute_force_keys:
             result = ci.brute_force_best_cipher(
                 p_n, achieved.k, rho,
                 max_messages=cfg.brute_force_messages,
@@ -352,25 +357,25 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return _run_finite(cfg, ["n", "rho", "R", "k", "num_keys", "num_messages", "moment",
                              "exponent", "compression", "gap_bound", "gap", "ok",
                              "bf_max_moment", "bf_exponent", "bracket_lo", "bracket_hi",
-                             "bracket_width"], row)
+                             "bracket_width"], row, per_n=per_n)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    duals = {}  # the single-letter dual does not depend on n: one call per rho
+    duals = []  # the single-letter dual does not depend on n: one call for the run
 
-    def per_rho(model, law, n, rho, rates):
-        if rho not in duals:
-            duals[rho] = ex.model_exponent_dual(model, rho, rates).tolist()
-        return zip(duals[rho], co.upper_bound_finite(law, n, rho, rates).tolist())
+    def per_n(model, law, n, rhos, rates):
+        if not duals:
+            duals.extend(ex.model_exponent_dual(model, rhos, rates).ravel().tolist())
+        return zip(duals, co.upper_bound_finite(law, n, rhos, rates).ravel().tolist())
 
-    def row(model, p_n, law, n, rho, r, dual, upper):
+    def row(model, law, n, rho, r, dual, upper):
         relaxed = co.relaxed_optimum(law, n, rho, r)
         lower = co.lower_bound_finite(law, n, rho, r)
         return (n, rho, r, dual, relaxed.value, abs(relaxed.value - dual),
                 lower.value, lower.slack, upper)
 
     return _run_finite(cfg, ["n", "rho", "R", "dual", "relaxed", "gap", "lower",
-                             "lower_slack", "upper"], row, per_rho=per_rho)
+                             "lower_slack", "upper"], row, per_n=per_n)
 
 
 def cmd_verify(cfg: RunConfig) -> int:

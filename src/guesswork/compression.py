@@ -311,16 +311,16 @@ def saturation_split_value(law: Law, n: int, rho: float, key_rate: float) -> flo
     return log_campbell
 
 
-def upper_bound_finite(law: Law, n: int, rho: float, key_rate):
+def upper_bound_finite(law: Law, n: int, rho, key_rate):
     """min over t in [0, rho] of (rho-t) R + (t/n) H_{1/(1+t)}(P_n), plus ln2/n.
 
     This is the dual of the finite law at total rate nR, divided by n.
     The ln2/n term is the one-bit gap between the entropy bound and an
     achievable prefix code, made explicit rather than absorbed into O(1).
-    ``key_rate`` may be an array: one dual call then refines every rate
-    of the (n, rho) pair together.
+    ``rho`` and ``key_rate`` may be arrays, broadcast against each other:
+    one dual call then refines every (rho, R) cell of the law together.
     """
     rates = np.asarray(key_rate, dtype=float)
-    if np.any(rates <= 0.0) or rho <= 0.0 or n < 1:
+    if np.any(rates <= 0.0) or np.any(np.asarray(rho) <= 0.0) or n < 1:
         raise ValidationError("need key_rate > 0, rho > 0, n >= 1")
     return (model_exponent_dual(law, rho, n * rates) + LN2) / n

@@ -46,37 +46,62 @@ _MARKOV_GRID_MAX_STATES = 4
 _MARKOV_GRID_STEPS = {2: 0.01, 3: 0.1, 4: 0.25}
 
 
-def model_exponent_dual(model, rho: float, key_rate):
+def model_exponent_dual(model, rho, key_rate):
     """min over theta in [0, rho] of (rho - theta) R + P(theta), P the pressure.
 
     ``model`` is an iid, Markov or unifilar source, with R in nats per
     letter, or a finite law (a :class:`Pmf` or :class:`Spectrum`), with R
-    the total rate.  ``key_rate`` may be an array: the pressure is
-    evaluated once on a 1024-point theta grid and serves every rate.  The
-    objective is convex in theta (the pressure is), so per rate the scan
+    the total rate.  ``rho`` and ``key_rate`` may be arrays, broadcast
+    against each other; each (rho, R) cell is one problem.  The pressure
+    is evaluated once, in one batch, on a 1024-point theta grid per
+    distinct rho, and that scan serves every rate of the rho.  The
+    objective is convex in theta (the pressure is), so per cell the scan
     minimum, ties to the smallest theta, is golden-refined on its bracket,
-    and the scan minimum backstops the refinement regardless.  The rates
+    and the scan minimum backstops the refinement regardless.  The cells
     are refined together, in blocks of 64, with one batched pressure call
-    per golden step.
+    per golden step, so one call serves a whole (rho, R) grid.
     """
-    rates = np.asarray(key_rate, dtype=float)
-    if rho <= 0.0 or np.any(rates <= 0.0):
+    rhos, rates = np.asarray(rho, dtype=float), np.asarray(key_rate, dtype=float)
+    if np.any(rhos <= 0.0) or np.any(rates <= 0.0):
         raise ValidationError("need rho > 0 and key_rate > 0")
     form = power_form(model)
-    thetas = np.linspace(0.0, rho, _SCAN_POINTS)
-    scan = pressure(form, thetas)
-    flat = rates.ravel()
+    shape = np.broadcast_shapes(rhos.shape, rates.shape)
+    flat_rho = np.broadcast_to(rhos, shape).ravel()
+    flat = np.broadcast_to(rates, shape).ravel()
+    if flat.size == 0:
+        return np.empty(shape)
+    distinct = sorted(set(rhos.ravel().tolist()))
+    ends = [flat.size]
+    if len(distinct) > 1:
+        # the cells sorted by rho, so the cells of one rho form one run
+        order = np.argsort(flat_rho, kind="stable")
+        flat_rho, flat = flat_rho[order], flat[order]
+        ends = np.searchsorted(flat_rho, distinct, side="right").tolist()
+    starts = [0] + ends[:-1]
+    thetas = np.array([np.linspace(0.0, r, _SCAN_POINTS) for r in distinct])
+    scans = pressure(form, thetas)
     out = np.empty(flat.size)
     for i in range(0, flat.size, _SCAN_BLOCK):
-        block = flat[i:i + _SCAN_BLOCK]
+        block, block_rho = flat[i:i + _SCAN_BLOCK], flat_rho[i:i + _SCAN_BLOCK]
+        values = np.empty((block.size, _SCAN_POINTS))
+        for g, (start, end) in enumerate(zip(starts, ends)):
+            lo, hi = max(start - i, 0), min(end - i, block.size)
+            if lo < hi:
+                # one broadcast per rho: the cells of a rho share its grid and scan
+                np.multiply(block_rho[lo] - thetas[g], block[lo:hi, None], out=values[lo:hi])
+                values[lo:hi] += scans[g]
+        if block_rho[0] == block_rho[-1]:
+            block_rho = block_rho[0]
 
-        def objective(theta: np.ndarray, rows: np.ndarray, block=block) -> np.ndarray:
-            return (rho - theta) * block[rows] + pressure(form, theta)
+        def objective(theta: np.ndarray, rows: np.ndarray, block=block,
+                      block_rho=block_rho) -> np.ndarray:
+            rho_rows = block_rho[rows] if isinstance(block_rho, np.ndarray) else block_rho
+            return (rho_rows - theta) * block[rows] + pressure(form, theta)
 
-        values = (rho - thetas) * block[:, None]
-        values += scan
-        _, out[i:i + block.size] = minimize_scan_golden(objective, 0.0, rho, values)
-    return _shaped(rates, out)
+        _, out[i:i + block.size] = minimize_scan_golden(objective, 0.0, block_rho, values)
+    if len(distinct) > 1:
+        out[order] = out.copy()  # back to the cells' own order
+    return float(out[0]) if not shape else out.reshape(shape)
 
 
 def iid_exponent_dual(p1: Pmf, rho: float, key_rate):
@@ -341,15 +366,16 @@ def _batch_stationary(etas: np.ndarray) -> tuple:
     return q, residual
 
 
-def markov_exponent_grid(transition, rho: float, key_rate: float,
-                         step: float = None) -> float:
+def markov_exponent_grid(transition, rho: float, key_rate, step: float = None):
     """Verifier: maximize over pair-stationary laws q x eta on a row grid.
 
     Every row of the candidate transition matrix eta ranges over a simplex
     grid; q is recomputed as a stationary distribution of eta (reducible
     grid corners contribute through whichever stationary vector the damped
     iteration selects).  Objective: rho min(conditional entropy, R) minus
-    the conditional divergence from the true chain.
+    the conditional divergence from the true chain.  ``key_rate`` may be
+    an array: the grid, its stationary laws, entropies and divergences
+    are computed once and serve every rate.
     """
     pi = np.asarray(transition, dtype=float)
     k = pi.shape[0]
@@ -357,13 +383,13 @@ def markov_exponent_grid(transition, rho: float, key_rate: float,
         raise CapExceededError("transition-matrix grid supports up to 4 states")
     if step is None:
         step = _MARKOV_GRID_STEPS[k]
+    rates = np.asarray(key_rate, dtype=float)
     rows = _simplex_grid(k, int(round(1.0 / step)))
     row_idx = np.stack(
         np.meshgrid(*([np.arange(len(rows))] * k), indexing="ij"), axis=-1
     ).reshape(-1, k)
     etas = rows[row_idx]  # (B, k, k)
     q, residual = _batch_stationary(etas)
-    ok = residual <= 1e-8
 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_eta = np.where(etas > 0.0, np.log(np.maximum(etas, 1e-300)), 0.0)
@@ -374,9 +400,13 @@ def markov_exponent_grid(transition, rho: float, key_rate: float,
         d_rows = d_terms.sum(axis=2)
     h_cond = (q * h_rows).sum(axis=1)
     d_cond = (q * d_rows).sum(axis=1)
-    objective = rho * np.minimum(h_cond, key_rate) - d_cond
-    objective[leak | ~ok] = -math.inf
-    return float(objective.max())
+    excluded = leak | ~(residual <= 1e-8)
+    out = np.empty(rates.size)
+    for i, r in enumerate(rates.ravel().tolist()):
+        objective = rho * np.minimum(h_cond, r) - d_cond
+        objective[excluded] = -math.inf
+        out[i] = objective.max()
+    return _shaped(rates, out)
 
 
 def thresholds(p1: Pmf, rho: float) -> tuple:

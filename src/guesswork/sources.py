@@ -31,6 +31,9 @@ STATIONARY_TOL = 1e-10
 PRESSURE_CHUNK = 2 ** 16
 
 DEFAULT_MATERIALIZE_CAP = 2 ** 24
+# Largest string count n_letter_spectrum takes, whatever the cap, so that every
+# run count is exact as a float.
+_MAX_COUNT = 2 ** 52
 
 
 class Pmf:
@@ -51,9 +54,7 @@ class Pmf:
             raise ValidationError("PMF entries must be finite")
         if np.any(arr < 0.0):
             raise ValidationError("PMF entries must be nonnegative")
-        total = math.fsum(arr.tolist())
-        if abs(total - 1.0) > tol:
-            raise ValidationError(f"PMF entries sum to {total!r}, not 1 within {tol:g}")
+        _require_unit_sum(arr.tolist(), tol)
         arr.setflags(write=False)
         self.probs = arr
 
@@ -66,6 +67,12 @@ class Pmf:
 
     def __repr__(self) -> str:
         return f"Pmf({self.probs.tolist()!r})"
+
+
+def _require_unit_sum(terms: list, tol: float):
+    total = math.fsum(terms)
+    if abs(total - 1.0) > tol:
+        raise ValidationError(f"PMF entries sum to {total!r}, not 1 within {tol:g}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,6 +352,83 @@ def spectrum(p: Pmf) -> Spectrum:
     return Spectrum(values[::-1].copy(), counts[::-1].copy())
 
 
+def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> Spectrum:
+    """``spectrum(materialize(model, n, cap))``, bit for bit, without the K^n strings.
+
+    :func:`materialize` takes each string's probability as a left-to-right
+    product of letter weights, so after one more letter the distinct
+    values are the distinct products of the previous values with that
+    letter's weight.  Runs (value, count) are kept per current state and
+    advanced letter by letter: every run times every weight moves to the
+    letter's next state (see :func:`_letters`), and equal values in one
+    state merge by a stable sort and ``np.add.reduceat``.  An iid source
+    is one state starting from 1.0; a Markov chain's state is its last
+    symbol, starting from ``init``; a unifilar source with one start
+    state s0 starts from 1.0 at s0 and is scaled by its weight at the end.
+    Explicit sources and unifilar sources with a mixed start state take
+    the dense law.  The n check, the cap (checked before any work) and
+    the PRODUCT_TOL sum check, over the exact sum of value x count, raise
+    what :func:`materialize` raises.
+    """
+    if n < 1:
+        raise ValidationError("n must be a positive integer")
+    start = _start_runs(model, n)
+    if start is None:
+        return spectrum(materialize(model, n, cap))
+    k = model.alphabet_size
+    cap = min(cap, _MAX_COUNT)
+    if k ** n > cap:
+        raise CapExceededError(f"{k}^{n} strings exceed the cap of {cap}")
+    values, states, steps, scale = start
+    counts = np.ones(values.size, dtype=np.int64)
+    weights, nxt = _letters(model)
+    for _ in range(steps):
+        values = (values[:, None] * weights[states]).ravel()
+        values, counts, states = _merge_runs(values, np.repeat(counts, k), nxt[states].ravel())
+    values, counts, _ = _merge_runs(values * scale, counts, np.zeros(values.size, dtype=int))
+    _require_unit_sum(_exact_products(values, counts), PRODUCT_TOL)
+    return Spectrum(values[::-1].copy(), counts[::-1].copy())
+
+
+def _start_runs(model, n: int):
+    """(values, states, letters still to multiply, final scale) of the first runs,
+    or None when the model takes the dense law."""
+    if isinstance(model, IidSource):
+        return np.ones(1), np.zeros(1, dtype=int), n, 1.0
+    if isinstance(model, MarkovSource):
+        return model.init.probs, np.arange(model.alphabet_size), n - 1, 1.0
+    if isinstance(model, UnifilarSource):
+        starts = np.flatnonzero(model.init_states.probs)
+        if starts.size == 1:
+            return np.ones(1), starts, n, float(model.init_states.probs[starts[0]])
+    return None
+
+
+def _merge_runs(values: np.ndarray, counts: np.ndarray, states: np.ndarray) -> tuple:
+    """Merge the runs of equal (state, value), sorted by state, then value."""
+    order = np.lexsort((values, states))
+    values, counts, states = values[order], counts[order], states[order]
+    new = np.ones(values.size, dtype=bool)
+    new[1:] = (values[1:] != values[:-1]) | (states[1:] != states[:-1])
+    heads = np.flatnonzero(new)
+    return values[heads], np.add.reduceat(counts, heads), states[heads]
+
+
+def _exact_products(values: np.ndarray, counts: np.ndarray) -> list:
+    """Floats whose exact sum is that of values x counts, for counts below 2^52.
+
+    Each value splits into two halves of at most 26 significant bits
+    (Veltkamp) and each count into two 26-bit digits, so the four partial
+    products are exact unless they fall in the subnormal range.
+    """
+    t = values * 134217729.0  # 2^27 + 1
+    high = t - (t - values)
+    low = values - high
+    digits = np.divmod(counts, 2 ** 26)
+    scaled = (digits[0] * 2.0 ** 26, digits[1].astype(float))
+    return [part for v in (high, low) for c in scaled for part in (v * c).tolist()]
+
+
 def is_irreducible(transition: np.ndarray) -> bool:
     """True when the directed graph of positive transitions is strongly connected."""
     adj = np.asarray(transition) > 0.0
@@ -440,6 +524,24 @@ class PowerForm:
         return np.einsum("bsx,sxt->bst", entries, self.scatter)
 
 
+def _letters(model) -> tuple:
+    """(weights, next_state) of an iid, Markov or unifilar model.
+
+    Letter x emitted in state s has probability ``weights[s, x]`` and
+    moves the source to state ``next_state[s, x]``: an iid source is the
+    one-state case and a Markov chain has state = last symbol.
+    """
+    if isinstance(model, IidSource):
+        weights = model.marginal.probs[None, :]
+        return weights, np.zeros(weights.shape, dtype=int)
+    if isinstance(model, MarkovSource):
+        weights = model.transition
+        return weights, np.broadcast_to(np.arange(model.alphabet_size), weights.shape)
+    if isinstance(model, UnifilarSource):
+        return np.array([e.probs for e in model.emission]), model.next_state
+    raise ValidationError("the pressure needs an iid, Markov or unifilar model or a finite law")
+
+
 def power_form(model) -> PowerForm:
     """The :class:`PowerForm` of an iid, Markov or unifilar model or a finite law.
 
@@ -454,19 +556,10 @@ def power_form(model) -> PowerForm:
         keep = law.values > 0.0
         weights, counts = law.values[None, keep][:, ::-1], law.counts[None, keep][:, ::-1]
         nxt = np.zeros(weights.shape, dtype=int)
-    elif isinstance(model, IidSource):
-        weights = model.marginal.probs[None, :]
-        nxt = np.zeros(weights.shape, dtype=int)
-    elif isinstance(model, MarkovSource):
-        if not is_irreducible(model.transition):
-            raise ValidationError("transition matrix is reducible")
-        weights = model.transition
-        nxt = np.broadcast_to(np.arange(model.alphabet_size), weights.shape)
-    elif isinstance(model, UnifilarSource):
-        weights = np.array([e.probs for e in model.emission])
-        nxt = model.next_state
     else:
-        raise ValidationError("the pressure needs an iid, Markov or unifilar model or a finite law")
+        if isinstance(model, MarkovSource) and not is_irreducible(model.transition):
+            raise ValidationError("transition matrix is reducible")
+        weights, nxt = _letters(model)
     positive = weights > 0.0
     counts = np.where(positive, counts, 0)
     scatter = (nxt[:, :, None] == np.arange(weights.shape[0])) * counts[:, :, None]

@@ -299,11 +299,10 @@ def check_finite_n_convergence() -> CheckResult:
     problems = []
     finals = []
     rates = (0.3, 0.55, 0.69)
+    laws = {n: so.n_letter_spectrum(model, n) for n in (4, 6, 8, 10, 12)}
     for key_rate, dual in zip(rates, ex.iid_exponent_dual(p, rho, rates).tolist()):
-        gaps = []
-        for n in (4, 6, 8, 10, 12):
-            p_n = so.materialize(model, n)
-            gaps.append(abs(co.relaxed_optimum(p_n, n, rho, key_rate).value - dual))
+        gaps = [abs(co.relaxed_optimum(law, n, rho, key_rate).value - dual)
+                for n, law in laws.items()]
         if any(b > a + 1e-12 for a, b in zip(gaps, gaps[1:])):
             problems.append(f"R={key_rate}: gaps not nonincreasing {gaps}")
         if gaps[-1] > 0.15:
@@ -322,8 +321,8 @@ def check_markov_dual(step: float = 0.01) -> CheckResult:
     problems = []
     gaps = []
     rates = (0.3, 0.5, 0.65)
-    for key_rate, dual in zip(rates, ex.markov_exponent(pi, rho, rates).tolist()):
-        grid = ex.markov_exponent_grid(pi, rho, key_rate, step=step)
+    for key_rate, dual, grid in zip(rates, ex.markov_exponent(pi, rho, rates).tolist(),
+                                    ex.markov_exponent_grid(pi, rho, rates, step=step).tolist()):
         gaps.append(abs(dual - grid))
         if abs(dual - grid) > 2e-2:
             problems.append(f"R={key_rate}: |dual-grid|={abs(dual - grid):.4f}")

@@ -6,6 +6,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import guesswork
@@ -301,16 +302,20 @@ class TestFiniteRunner:
     def test_one_law_per_n(self, tmp_path, iid_model, monkeypatch, command, threads):
         from guesswork import cipher, compression, sources
 
-        real = sources.materialize
-        calls, laws, spectra, sorts = [], [], [], []
+        real_build, real_dense = sources.n_letter_spectrum, sources.materialize
+        built, laws, dense, spectra, sorts = [], [], [], [], []
 
-        def counting(model, n, *args, **kwargs):
-            # the previous n's law is released before the next one is built
+        def n_letter_spectrum(model, n, *args, **kwargs):
+            # the previous n's spectrum is released before the next one is built
             assert all(law() is None for law in laws)
-            calls.append(n)
-            out = real(model, n, *args, **kwargs)
-            laws.append(weakref.ref(out.probs))
+            built.append(n)
+            out = real_build(model, n, *args, **kwargs)
+            laws.append(weakref.ref(out))
             return out
+
+        def materialize(model, n, *args, **kwargs):
+            dense.append(n)
+            return real_dense(model, n, *args, **kwargs)
 
         def spectrum(p):
             spectra.append(p.size)
@@ -321,7 +326,8 @@ class TestFiniteRunner:
             return real_sort(p)
 
         real_spectrum, real_sort = sources.spectrum, sources.sort_desc
-        monkeypatch.setattr(sources, "materialize", counting)
+        monkeypatch.setattr(sources, "n_letter_spectrum", n_letter_spectrum)
+        monkeypatch.setattr(sources, "materialize", materialize)
         # every module that binds these names, so no call can go around the count
         for module in (sources, compression, cipher):
             for name, fn in (("spectrum", spectrum), ("sort_desc", sort_desc)):
@@ -331,9 +337,11 @@ class TestFiniteRunner:
                                       "R": [0.3, 0.6], "n": [2, 4, 3]})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
                      "--threads", str(threads)]) == 0
-        assert calls == [2, 4, 3]
-        # one spectrum per law, and the solvers never sort the dense law
-        assert spectra == [4, 16, 8]
+        assert built == [2, 4, 3]
+        # no dense law, bar simulate's brute-force bracket at the one n with
+        # N <= brute_force_messages (5); no np.unique and no sort of a dense law
+        assert dense == ([2] if command == "simulate" else [])
+        assert spectra == []
         assert sorts == []
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
 
@@ -348,7 +356,8 @@ class TestFiniteRunner:
         calls = []
 
         def counting(model, rho, key_rate):
-            calls.append((type(model).__name__, rho, len(key_rate)))
+            calls.append((type(model).__name__, np.ravel(rho).tolist(), np.shape(rho),
+                          np.shape(key_rate)))
             return real(model, rho, key_rate)
 
         # the CLI reaches the dual through exponents, the upper bound through compression
@@ -358,11 +367,12 @@ class TestFiniteRunner:
                                       "R": [0.3, 0.6, 0.9], "n": [2, 4, 3]})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
                      "--threads", str(threads)]) == 0
-        # one upper-bound dual per (n, rho) over all three rates, and one
-        # single-letter dual per rho for the whole run
-        laws = [("Spectrum", rho, 3) for _ in (2, 4, 3) for rho in (0.5, 1.0)]
+        # one upper-bound dual per n over every (rho, R) cell, and one
+        # single-letter dual for the whole run
+        cells = ([0.5, 1.0], (2, 1), (3,))
+        laws = [("Spectrum", *cells)] * 3
         assert [c for c in calls if c[0] == "Spectrum"] == (laws if uppers else [])
-        expected = [("IidSource", rho, 3) for rho in (0.5, 1.0)] if single_letter else []
+        expected = [("IidSource", *cells)] if single_letter else []
         assert [c for c in calls if c[0] != "Spectrum"] == expected
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 2 * 3
 

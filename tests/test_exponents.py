@@ -185,6 +185,61 @@ class TestLockStepDual:
     def test_empty_rate_array(self):
         assert model_exponent_dual(IidSource(P82), 1.0, np.array([])).shape == (0,)
 
+    @settings(max_examples=40, deadline=None)
+    @given(dual_models(), st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4),
+           st.lists(st.floats(1e-3, 2.5), min_size=1, max_size=8))
+    def test_rho_array_matches_per_rho_calls(self, drawn, rhos, rates):
+        # one call over a (rho, R) grid refines every cell in lock-step, and each
+        # cell comes out as its own rho's call makes it, bit for bit
+        model, scale = drawn
+        rates = np.array(rates + [1e-3, 50.0]) * scale
+        grid = model_exponent_dual(model, np.array(rhos)[:, None], rates)
+        assert grid.shape == (len(rhos), rates.size)
+        for row, rho in zip(grid.tolist(), rhos):
+            assert row == model_exponent_dual(model, rho, rates).tolist()
+
+    def test_interleaved_rhos_over_blocks(self):
+        # 150 cells with three rhos in no order: the rho groups straddle the scan blocks
+        model = UnifilarSource(Pmf([1.0, 0.0]), np.array([[0, 1], [1, 0]]),
+                               (pmf(0.6, 0.4), pmf(0.25, 0.75)))
+        rhos = np.tile([2.0, 0.5, 1.0], 50)
+        rates = np.linspace(0.01, 1.0, 150)
+        mixed = model_exponent_dual(model, rhos, rates)
+        assert mixed.tolist() == [model_exponent_dual(model, rho, r)
+                                  for rho, r in zip(rhos.tolist(), rates.tolist())]
+
+    def test_rho_array_shapes(self):
+        model = IidSource(P82)
+        assert isinstance(model_exponent_dual(model, 1.0, 0.3), float)
+        assert model_exponent_dual(model, np.array([0.5, 1.0]), 0.3).shape == (2,)
+        assert model_exponent_dual(model, np.array([[0.5], [1.0]]), np.ones((1, 3))).shape == (
+            2, 3)
+        assert model_exponent_dual(model, np.array([[0.5], [1.0]]), np.array([])).shape == (2, 0)
+        with pytest.raises(ValidationError):
+            model_exponent_dual(model, np.array([1.0, 0.0]), 0.3)
+
+    def test_per_problem_interval_ends(self):
+        # each problem's grid is np.linspace(lo, hi[i], num), bit for bit, and a
+        # batch with several ends matches one call per end
+        hi = np.array([0.3, 1.0, 2.7, 2.7])
+        target = np.array([0.11, 0.93, 2.7, 0.0])
+
+        def f(x, rows):
+            return (x - target[rows]) ** 2
+
+        grids = np.array([np.linspace(0.0, h, 97) for h in hi.tolist()])
+        values = f(grids, np.arange(hi.size)[:, None])
+        x, value = minimize_scan_golden(f, 0.0, hi, values)
+        for i, h in enumerate(hi.tolist()):
+            alone = minimize_scan_golden(lambda t, rows: f(t, rows + i), 0.0, h, values[i:i + 1])
+            assert (x[i], value[i]) == (alone[0][0], alone[1][0])
+        # minima at the grid's ends are scan points, the last one exactly hi
+        assert x[2] == 2.7 and x[3] == 0.0
+        # an objective the refinement cannot improve on returns the scan points
+        scan = np.random.default_rng(0).uniform(size=values.shape)
+        x, _ = minimize_scan_golden(lambda t, rows: np.full(t.shape, 2.0), 0.0, hi, scan)
+        assert x.tolist() == [grids[i, np.argmin(scan[i])] for i in range(hi.size)]
+
     def test_never_above_scan_minimum(self):
         # problem 0 is a parabola, problem 1 oscillates faster than the grid resolves
         centers, freqs = np.array([0.3, 0.0]), np.array([0.0, 2000.0])
@@ -520,6 +575,17 @@ class TestMarkov:
             dual = markov_exponent(self.PI, 1.0, r)
             grid = markov_exponent_grid(self.PI, 1.0, r, step=0.01)
             assert abs(dual - grid) <= 2e-2
+
+    @pytest.mark.parametrize("pi,step", [
+        (PI, 0.01), (np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [0.4, 0.4, 0.2]]), 0.25)])
+    def test_grid_over_a_rate_array(self, pi, step):
+        # one grid serves every rate, each as its own call computes it
+        rates = np.array([[0.05, 0.3, 0.5], [0.65, 0.9, 1.2]])
+        grid = markov_exponent_grid(pi, 1.0, rates, step=step)
+        assert grid.shape == rates.shape
+        assert grid.ravel().tolist() == [markov_exponent_grid(pi, 1.0, r, step=step)
+                                         for r in rates.ravel().tolist()]
+        assert isinstance(markov_exponent_grid(pi, 1.0, 0.3, step=step), float)
 
     def test_grid_never_exceeds_dual(self):
         for r in (0.3, 0.5, 0.65):

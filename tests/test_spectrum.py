@@ -3,16 +3,21 @@
 Every finite-n solver reads a law through its sorted spectrum (distinct
 probabilities and their multiplicities).  The oracles below work string by
 string on the dense law, the way the solvers did before the spectrum, and
-stay here as the reference.
+stay here as the reference.  The spectrum builder that forms no dense law,
+``n_letter_spectrum``, is checked against ``spectrum(materialize(...))``
+bit for bit.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from guesswork import (
+    CapExceededError,
+    ExplicitSource,
     IidSource,
     MarkovSource,
     Pmf,
@@ -21,15 +26,18 @@ from guesswork import (
     group_xor_moment_closed,
     lower_bound_finite,
     materialize,
+    n_letter_spectrum,
     relaxed_optimum,
     renyi_entropy,
     sort_desc,
     spectrum,
     top_set,
     upper_bound_finite,
+    ValidationError,
 )
+from guesswork import sources
 from guesswork.compression import _top_count
-from guesswork.sources import pressure
+from guesswork.sources import _exact_products, pressure
 
 TOL = 1e-12
 
@@ -190,3 +198,134 @@ class TestDenseOracle:
         dense = dense_group_xor(p, k, rho)
         for given_law in (p, spectrum(p)):
             assert group_xor_moment_closed(given_law, k, rho) == pytest.approx(dense, rel=TOL)
+
+
+FLIP = np.array([[0, 1], [1, 0]])
+EMISSION = (Pmf([0.6, 0.4]), Pmf([0.25, 0.75]))
+# every case of the letter-by-letter builder, and both dense fallbacks
+BUILDER_MODELS = {
+    "iid": IidSource(Pmf([0.8, 0.2])),
+    "iid-zero-letter": IidSource(Pmf([0.7, 0.0, 0.3])),
+    "iid-repeated-letters": IidSource(Pmf([0.4, 0.2, 0.2, 0.2])),
+    "iid-uniform": IidSource(Pmf([0.5, 0.5])),
+    "iid-one-letter": IidSource(Pmf([1.0])),
+    "markov-zeros": MarkovSource(Pmf([0.0, 0.6, 0.4]),
+                                 np.array([[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.2, 0.8, 0.0]])),
+    "markov-sticky": MarkovSource(Pmf([0.5, 0.5]), np.array([[1.0, 0.0], [0.3, 0.7]])),
+    "unifilar-point-start": UnifilarSource(Pmf([0.0, 1.0]), FLIP, EMISSION),
+    "unifilar-three-states": UnifilarSource(
+        Pmf([1.0, 0.0, 0.0]), np.array([[1, 0], [2, 0], [2, 1]]),
+        (Pmf([0.5, 0.5]), Pmf([0.9, 0.1]), Pmf([0.0, 1.0]))),
+    "unifilar-mixed-start": UnifilarSource(Pmf([0.3, 0.7]), FLIP, EMISSION),
+    "explicit": ExplicitSource(tuple(materialize(IidSource(Pmf([0.6, 0.3, 0.1])), n)
+                                     for n in range(1, 6))),
+}
+DENSE_FALLBACK = {"unifilar-mixed-start", "explicit"}
+
+
+def _lengths(model):
+    """Every n with K^n <= 2^16, within the lengths an explicit source defines."""
+    k = model.alphabet_size
+    top = len(model.pmfs) if isinstance(model, ExplicitSource) else 16
+    return [n for n in range(1, top + 1) if k ** n <= 2 ** 16]
+
+
+class TestNLetterSpectrum:
+    @pytest.mark.parametrize("name", sorted(BUILDER_MODELS))
+    def test_bit_identical_to_the_dense_law(self, name, monkeypatch):
+        model = BUILDER_MODELS[name]
+        real, dense = sources.materialize, []
+
+        def counting(model, n, *args, **kwargs):
+            dense.append(n)
+            return real(model, n, *args, **kwargs)
+
+        monkeypatch.setattr(sources, "materialize", counting)
+        for n in _lengths(model):
+            oracle = spectrum(real(model, n))
+            built = n_letter_spectrum(model, n)
+            assert np.array_equal(built.values, oracle.values)
+            assert np.array_equal(built.counts, oracle.counts)
+            assert built.counts.dtype == oracle.counts.dtype
+        # only the fallbacks build the dense law
+        assert dense == (_lengths(model) if name in DENSE_FALLBACK else [])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_models(self, data):
+        kind = data.draw(st.sampled_from(["iid", "markov", "unifilar"]))
+        k = data.draw(st.integers(2, 3))
+        n = data.draw(st.integers(1, {2: 12, 3: 8}[k]))
+        if kind == "iid":
+            model = IidSource(Pmf(_simplex(data.draw, k, zeros=True)))
+        elif kind == "markov":
+            rows = [_simplex(data.draw, k, zeros=True) for _ in range(k)]
+            model = MarkovSource(Pmf(_simplex(data.draw, k, zeros=True)), np.array(rows))
+        else:
+            nxt = np.array(data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=k,
+                                                       max_size=k), min_size=k, max_size=k)))
+            start = [0.0] * k
+            start[data.draw(st.integers(0, k - 1))] = 1.0
+            emission = tuple(Pmf(_simplex(data.draw, k, zeros=True)) for _ in range(k))
+            model = UnifilarSource(Pmf(start), nxt, emission)
+        oracle = spectrum(materialize(model, n))
+        built = n_letter_spectrum(model, n)
+        assert np.array_equal(built.values, oracle.values)
+        assert np.array_equal(built.counts, oracle.counts)
+
+    @pytest.mark.parametrize("name", sorted(BUILDER_MODELS))
+    def test_cap_at_the_same_string_count(self, name):
+        model = BUILDER_MODELS[name]
+        n = _lengths(model)[-1]
+        size = model.alphabet_size ** n if name != "explicit" else model.pmfs[n - 1].size
+        assert n_letter_spectrum(model, n, cap=size).size == size
+        with pytest.raises(CapExceededError) as dense:
+            materialize(model, n, cap=size - 1)
+        with pytest.raises(CapExceededError) as built:
+            n_letter_spectrum(model, n, cap=size - 1)
+        assert str(built.value) == str(dense.value)
+
+    def test_cap_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a run was merged before the cap check")
+
+        monkeypatch.setattr(sources, "_merge_runs", no_work)
+        with pytest.raises(CapExceededError, match="2\\^10000 strings"):
+            n_letter_spectrum(IidSource(Pmf([0.5, 0.5])), 10_000)
+        with pytest.raises(ValidationError):
+            n_letter_spectrum(IidSource(Pmf([0.5, 0.5])), 0)
+
+    def test_raised_cap_without_a_dense_law(self):
+        # a cap raised past any dense law still bounds the string count at 2^52,
+        # where every run count is exact as a float
+        uniform = IidSource(Pmf([0.5, 0.5]))
+        assert n_letter_spectrum(uniform, 52, cap=2 ** 60).counts.tolist() == [2 ** 52]
+        with pytest.raises(CapExceededError):
+            n_letter_spectrum(uniform, 53, cap=2 ** 60)
+        spec = n_letter_spectrum(IidSource(Pmf([0.8, 0.2])), 40, cap=2 ** 40)
+        assert spec.size == 2 ** 40 and spec.values[0] == pytest.approx(0.8 ** 40, rel=1e-13)
+
+    def test_product_tolerance(self):
+        model = IidSource(Pmf([0.6, 0.4 + 8e-10], tol=1e-9))
+        assert np.array_equal(n_letter_spectrum(model, 1).values,
+                              spectrum(materialize(model, 1)).values)
+        with pytest.raises(ValidationError) as dense:
+            materialize(model, 2)
+        with pytest.raises(ValidationError) as built:
+            n_letter_spectrum(model, 2)
+        assert str(built.value) == str(dense.value)
+
+    @pytest.mark.parametrize("name", sorted(BUILDER_MODELS))
+    def test_exact_mass(self, name):
+        # the sum check sees the exact sum of value x count: the fsum of the dense law
+        model = BUILDER_MODELS[name]
+        for n in _lengths(model)[-3:]:
+            spec = n_letter_spectrum(model, n)
+            assert math.fsum(_exact_products(spec.values, spec.counts)) == math.fsum(
+                materialize(model, n).probs.tolist())
+
+    def test_exact_products_of_large_counts(self):
+        values = np.array([1.0 / 3.0, 0.1, 2.0 ** -40])
+        counts = np.array([2 ** 51 + 12345, 3, 2 ** 40 - 1])
+        exact = sum(Fraction(v) * c for v, c in zip(values.tolist(), counts.tolist()))
+        assert sum(map(Fraction, _exact_products(values, counts))) == exact
