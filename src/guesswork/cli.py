@@ -269,22 +269,21 @@ def cmd_exponent(cfg: RunConfig) -> int:
 def _law_rows(cfg: RunConfig, model, n: int, row, per_n) -> list:
     # the spectrum lives only in this frame, so one law is held at a time
     law = so.n_letter_spectrum(model, n, cap=cfg.materialize_cap)
+    extra = per_n(model, law, n, np.array(cfg.rhos)[:, None], np.array(cfg.rates))
     cells = [(rho, r) for rho in cfg.rhos for r in cfg.rates]
-    if per_n:
-        extra = per_n(model, law, n, np.array(cfg.rhos)[:, None], np.array(cfg.rates))
-        cells = [cell + tuple(more) for cell, more in zip(cells, extra)]
+    cells = [cell + tuple(more) for cell, more in zip(cells, extra)]
     return _map_cells(cells, lambda cell: row(model, law, n, *cell), cfg.threads)
 
 
-def _run_finite(cfg: RunConfig, header: list, row, to_json=None, per_n=None) -> int:
+def _run_finite(cfg: RunConfig, header: list, row, per_n, to_json=None) -> int:
     """Rows ``row(model, law, n, rho, R, *extra)`` of every (n, rho, R) cell, in config order.
 
     Each n builds the spectrum ``law`` of its n-letter law once, with
     :func:`sources.n_letter_spectrum`, which forms no dense law, and maps
-    its (rho, R) cells.  ``per_n(model, law, n, rhos, rates)``, when
-    given, computes what the cells of one n share in one batch, such as
-    the dual over every (rho, R) cell (``rhos`` is a column, ``rates`` a
-    row), and returns one ``extra`` tuple per cell, rho-major.  JSON is
+    its (rho, R) cells.  ``per_n(model, law, n, rhos, rates)`` computes
+    what the cells of one n share in one batch, such as the dual over
+    every (rho, R) cell (``rhos`` is a column, ``rates`` a row), and
+    returns one ``extra`` tuple per cell, rho-major.  JSON is
     ``{"rows": [...]}`` unless ``to_json`` builds the document from the
     rows.
     """
@@ -317,9 +316,10 @@ def cmd_bounds(cfg: RunConfig) -> int:
         return (n, rho, r, lower.value, lower.slack, relaxed.value, relaxed.slack, upper, ok)
 
     return _run_finite(cfg, ["n", "rho", "R", "lower", "lower_slack", "relaxed",
-                             "relaxed_slack", "upper", "ok"], row, _bounds_records,
+                             "relaxed_slack", "upper", "ok"], row,
                        lambda model, law, n, rhos, rates: zip(
-                           co.upper_bound_finite(law, n, rhos, rates).ravel().tolist()))
+                           co.upper_bound_finite(law, n, rhos, rates).ravel().tolist()),
+                       _bounds_records)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -357,7 +357,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return _run_finite(cfg, ["n", "rho", "R", "k", "num_keys", "num_messages", "moment",
                              "exponent", "compression", "gap_bound", "gap", "ok",
                              "bf_max_moment", "bf_exponent", "bracket_lo", "bracket_hi",
-                             "bracket_width"], row, per_n=per_n)
+                             "bracket_width"], row, per_n)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -375,7 +375,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 lower.value, lower.slack, upper)
 
     return _run_finite(cfg, ["n", "rho", "R", "dual", "relaxed", "gap", "lower",
-                             "lower_slack", "upper"], row, per_n=per_n)
+                             "lower_slack", "upper"], row, per_n)
 
 
 def cmd_verify(cfg: RunConfig) -> int:

@@ -71,12 +71,10 @@ def model_exponent_dual(model, rho, key_rate):
     if flat.size == 0:
         return np.empty(shape)
     distinct = sorted(set(rhos.ravel().tolist()))
-    ends = [flat.size]
-    if len(distinct) > 1:
-        # the cells sorted by rho, so the cells of one rho form one run
-        order = np.argsort(flat_rho, kind="stable")
-        flat_rho, flat = flat_rho[order], flat[order]
-        ends = np.searchsorted(flat_rho, distinct, side="right").tolist()
+    # the cells sorted by rho, so the cells of one rho form one run
+    order = np.argsort(flat_rho, kind="stable")
+    flat_rho, flat = flat_rho[order], flat[order]
+    ends = np.searchsorted(flat_rho, distinct, side="right").tolist()
     starts = [0] + ends[:-1]
     thetas = np.array([np.linspace(0.0, r, _SCAN_POINTS) for r in distinct])
     scans = pressure(form, thetas)
@@ -90,17 +88,13 @@ def model_exponent_dual(model, rho, key_rate):
                 # one broadcast per rho: the cells of a rho share its grid and scan
                 np.multiply(block_rho[lo] - thetas[g], block[lo:hi, None], out=values[lo:hi])
                 values[lo:hi] += scans[g]
-        if block_rho[0] == block_rho[-1]:
-            block_rho = block_rho[0]
 
         def objective(theta: np.ndarray, rows: np.ndarray, block=block,
                       block_rho=block_rho) -> np.ndarray:
-            rho_rows = block_rho[rows] if isinstance(block_rho, np.ndarray) else block_rho
-            return (rho_rows - theta) * block[rows] + pressure(form, theta)
+            return (block_rho[rows] - theta) * block[rows] + pressure(form, theta)
 
         _, out[i:i + block.size] = minimize_scan_golden(objective, 0.0, block_rho, values)
-    if len(distinct) > 1:
-        out[order] = out.copy()  # back to the cells' own order
+    out[order] = out.copy()  # back to the cells' own order
     return float(out[0]) if not shape else out.reshape(shape)
 
 

@@ -368,7 +368,8 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
     Explicit sources and unifilar sources with a mixed start state take
     the dense law.  The n check, the cap (checked before any work) and
     the PRODUCT_TOL sum check, over the exact sum of value x count, raise
-    what :func:`materialize` raises.
+    what :func:`materialize` raises.  A string count above 2^52 is refused
+    whatever the cap: run counts past it are not exact floats.
     """
     if n < 1:
         raise ValidationError("n must be a positive integer")
@@ -376,9 +377,11 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
     if start is None:
         return spectrum(materialize(model, n, cap))
     k = model.alphabet_size
-    cap = min(cap, _MAX_COUNT)
     if k ** n > cap:
         raise CapExceededError(f"{k}^{n} strings exceed the cap of {cap}")
+    if k ** n > _MAX_COUNT:
+        raise CapExceededError(f"{k}^{n} strings exceed 2^52, past which run counts "
+                               "are not exact floats")
     values, states, steps, scale = start
     counts = np.ones(values.size, dtype=np.int64)
     weights, nxt = _letters(model)

@@ -300,8 +300,13 @@ class TestNLetterSpectrum:
         # where every run count is exact as a float
         uniform = IidSource(Pmf([0.5, 0.5]))
         assert n_letter_spectrum(uniform, 52, cap=2 ** 60).counts.tolist() == [2 ** 52]
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as past:
             n_letter_spectrum(uniform, 53, cap=2 ** 60)
+        assert str(past.value) == "2^53 strings exceed 2^52, past which run counts are not exact floats"
+        # the user's cap, when it refuses first, is the one the message names
+        with pytest.raises(CapExceededError) as capped:
+            n_letter_spectrum(uniform, 60, cap=2 ** 55)
+        assert str(capped.value) == f"2^60 strings exceed the cap of {2 ** 55}"
         spec = n_letter_spectrum(IidSource(Pmf([0.8, 0.2])), 40, cap=2 ** 40)
         assert spec.size == 2 ** 40 and spec.values[0] == pytest.approx(0.8 ** 40, rel=1e-13)
 
