@@ -318,7 +318,8 @@ def upper_bound_finite(law: Law, n: int, rho, key_rate):
     The ln2/n term is the one-bit gap between the entropy bound and an
     achievable prefix code, made explicit rather than absorbed into O(1).
     ``rho`` and ``key_rate`` may be arrays, broadcast against each other:
-    one dual call then refines every (rho, R) cell of the law together.
+    one dual call then solves every (rho, R) cell of the law together,
+    from one slope call at both ends of each cell's [0, rho].
     """
     rates = np.asarray(key_rate, dtype=float)
     if np.any(rates <= 0.0) or np.any(np.asarray(rho) <= 0.0) or n < 1:

@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 
 from .errors import CapExceededError, NumericError, ValidationError
 from .cipher import _multisets
-from .optimize import minimize_scan_golden
+from .optimize import bracketed_roots
 from .sources import (
     DEFAULT_MATERIALIZE_CAP,
     ExplicitSource,
@@ -37,9 +37,6 @@ from .sources import (
     tilt,
 )
 
-_SCAN_POINTS = 1024
-# rates per scan block, so a block's (rates x points) scan holds 2^16 floats
-_SCAN_BLOCK = 64
 _GRID_MAX_ALPHABET = 4
 _MARKOV_GRID_MAX_STATES = 4
 # default row-grid steps for the transition-matrix verifier, by state count
@@ -52,14 +49,14 @@ def model_exponent_dual(model, rho, key_rate):
     ``model`` is an iid, Markov or unifilar source, with R in nats per
     letter, or a finite law (a :class:`Pmf` or :class:`Spectrum`), with R
     the total rate.  ``rho`` and ``key_rate`` may be arrays, broadcast
-    against each other; each (rho, R) cell is one problem.  The pressure
-    is evaluated once, in one batch, on a 1024-point theta grid per
-    distinct rho, and that scan serves every rate of the rho.  The
-    objective is convex in theta (the pressure is), so per cell the scan
-    minimum, ties to the smallest theta, is golden-refined on its bracket,
-    and the scan minimum backstops the refinement regardless.  The cells
-    are refined together, in blocks of 64, with one batched pressure call
-    per golden step, so one call serves a whole (rho, R) grid.
+    against each other; each (rho, R) cell is one problem.  P is convex,
+    so the minimizer is the root of P'(theta) = R clamped to [0, rho]:
+    theta = 0 where P'(0) >= R (the linear regime), theta = rho where
+    P'(rho) <= R (saturation), both settled by one slope call.  The other
+    cells solve P'(theta) = R on their own [0, rho] together, with one
+    batched slope call per step (:func:`optimize.bracketed_roots`), and
+    the values take one batched pressure call.  Multi-state sources must
+    have an irreducible state chain.
     """
     rhos, rates = np.asarray(rho, dtype=float), np.asarray(key_rate, dtype=float)
     if np.any(rhos <= 0.0) or np.any(rates <= 0.0):
@@ -70,31 +67,15 @@ def model_exponent_dual(model, rho, key_rate):
     flat = np.broadcast_to(rates, shape).ravel()
     if flat.size == 0:
         return np.empty(shape)
-    distinct = sorted(set(rhos.ravel().tolist()))
-    # the cells sorted by rho, so the cells of one rho form one run
-    order = np.argsort(flat_rho, kind="stable")
-    flat_rho, flat = flat_rho[order], flat[order]
-    ends = np.searchsorted(flat_rho, distinct, side="right").tolist()
-    starts = [0] + ends[:-1]
-    thetas = np.array([np.linspace(0.0, r, _SCAN_POINTS) for r in distinct])
-    scans = pressure(form, thetas)
-    out = np.empty(flat.size)
-    for i in range(0, flat.size, _SCAN_BLOCK):
-        block, block_rho = flat[i:i + _SCAN_BLOCK], flat_rho[i:i + _SCAN_BLOCK]
-        values = np.empty((block.size, _SCAN_POINTS))
-        for g, (start, end) in enumerate(zip(starts, ends)):
-            lo, hi = max(start - i, 0), min(end - i, block.size)
-            if lo < hi:
-                # one broadcast per rho: the cells of a rho share its grid and scan
-                np.multiply(block_rho[lo] - thetas[g], block[lo:hi, None], out=values[lo:hi])
-                values[lo:hi] += scans[g]
-
-        def objective(theta: np.ndarray, rows: np.ndarray, block=block,
-                      block_rho=block_rho) -> np.ndarray:
-            return (block_rho[rows] - theta) * block[rows] + pressure(form, theta)
-
-        _, out[i:i + block.size] = minimize_scan_golden(objective, 0.0, block_rho, values)
-    out[order] = out.copy()  # back to the cells' own order
+    slopes = pressure_slope(form, np.concatenate([[0.0], flat_rho]))
+    at_zero, at_rho = slopes[0] - flat, slopes[1:] - flat
+    theta = np.where((at_zero < 0.0) & (at_rho <= 0.0), flat_rho, 0.0)
+    inner = np.flatnonzero((at_zero < 0.0) & (at_rho > 0.0))
+    inner_rates = flat[inner]
+    theta[inner] = bracketed_roots(
+        lambda t, rows: pressure_slope(form, t) - inner_rates[rows],
+        np.zeros(inner.size), flat_rho[inner], at_zero[inner], at_rho[inner])
+    out = (flat_rho - theta) * flat + pressure(form, theta)
     return float(out[0]) if not shape else out.reshape(shape)
 
 

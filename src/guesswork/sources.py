@@ -588,11 +588,23 @@ def pressure(model, thetas) -> np.ndarray:
     return ((1.0 + thetas.ravel()) * np.log(lam)).reshape(thetas.shape)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over the last axis, term by term in index order.
+
+    The order is fixed, so a row's bits do not depend on the batch it is in.
+    """
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
+
+
 def pressure_slope(model, thetas) -> np.ndarray:
     """P'(theta) = ln lambda - beta lambda'/lambda at beta = 1/(1+theta).
 
     lambda' = u M'(beta) v / (u v) with u, v the left and right Perron
-    vectors.  The slope is the entropy rate of the order-beta tilt: the
+    vectors; for a one-state form lambda and lambda' are the power sums
+    themselves.  The slope is the entropy rate of the order-beta tilt: the
     entropy rate itself at theta = 0, the saturation threshold H' at
     theta = rho.  Multi-state forms must have an irreducible state chain.
     """
@@ -601,18 +613,22 @@ def pressure_slope(model, thetas) -> np.ndarray:
         raise ValidationError("the state chain is reducible")
     thetas = np.asarray(thetas, dtype=float)
     betas = 1.0 / (1.0 + thetas.ravel())
-    out = []
+    lam, dlam = [], []
     for beta, w in form.powers(betas):
         m, dm = form.matrix(w), form.matrix(w * form.log_weights)
+        if form.num_states == 1:
+            lam.append(m[:, 0, 0])
+            dlam.append(dm[:, 0, 0])
+            continue
         rows = np.arange(beta.size)
         roots, right = np.linalg.eig(m)
         roots_left, left = np.linalg.eig(np.swapaxes(m, 1, 2))
         i, j = roots.real.argmax(axis=1), roots_left.real.argmax(axis=1)
-        lam = roots.real[rows, i]
         v, u = right[rows, :, i].real, left[rows, :, j].real
-        dlam = np.einsum("bs,bst,bt->b", u, dm, v) / np.einsum("bs,bs->b", u, v)
-        out.append(np.log(lam) - beta * dlam / lam)
-    return np.concatenate(out).reshape(thetas.shape)
+        lam.append(roots.real[rows, i])
+        dlam.append(_dot(u, _dot(dm, v[:, None, :])) / _dot(u, v))
+    lam, dlam = np.concatenate(lam), np.concatenate(dlam)
+    return (np.log(lam) - betas * dlam / lam).reshape(thetas.shape)
 
 
 def chain_source(transition) -> MarkovSource:

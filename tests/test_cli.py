@@ -437,6 +437,12 @@ FAILURES = [
           model={"kind": "unifilar", "next_state": [[0, 1], [1, 0]],
                  "emission": [[0.5, 0.5], [0.9, 0.1]], "init_state": "a"},
           id="model-init-state-string"),
+    # from its start state the source never leaves state 0, so the single-letter
+    # dual of the whole state chain is not its exponent
+    _case("sweep", _cfg(), 2, "config error",
+          model={"kind": "unifilar", "next_state": [[0, 0], [1, 1]],
+                 "emission": [[0.99, 0.01], [0.5, 0.5]], "init_state": 0},
+          id="sweep-reducible-unifilar"),
     _case("verify", None, 2, "config error", extra=("--threads", "0"), id="verify-threads-0"),
     _case("verify", None, 2, "config error", extra=("--seed", "-1"), id="verify-seed-negative"),
     _case("simulate", _cfg(rho=[1e300]), 3, "numeric error", id="simulate-rho-1e300"),

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,8 +39,9 @@ from guesswork import (
     tilt,
     variational_identity_check,
 )
+from guesswork.errors import NumericError
 from guesswork.exponents import _tilted_pmf
-from guesswork.optimize import minimize_scan_golden
+from guesswork.optimize import bracketed_roots
 from guesswork.sources import power_form
 
 LN2 = math.log(2.0)
@@ -91,8 +93,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def scalar_dual(model, rho: float, key_rate: float) -> tuple:
     """(value, scan argmin) of one rate by a per-rate scan and scalar golden section.
 
-    This is the per-rate refinement the lock-step dual replaced, kept as
-    its oracle: the lock-step loop must reproduce it bit for bit.
+    This is a direct minimization of the dual objective, with no use of
+    the pressure slope, kept as the reference the root solve must match.
     """
     form = power_form(model)
     thetas = np.linspace(0.0, rho, 1024)
@@ -157,39 +159,109 @@ def dual_models(draw):
     return materialize(IidSource(Pmf(_simplex(draw, draw(st.integers(2, 3))))), n), n
 
 
+def mp_iid_dual(probs, rho: float, key_rate: float) -> float:
+    """The iid dual at 50 digits: bisection on P'(theta) = R, clamped to [0, rho]."""
+    with mpmath.workdps(50):
+        p = [mpmath.mpf(x) for x in probs if x > 0.0]
+        rho, rate = mpmath.mpf(rho), mpmath.mpf(key_rate)
+
+        def pressure_at(theta):
+            return (1 + theta) * mpmath.log(mpmath.fsum(x ** (1 / (1 + theta)) for x in p))
+
+        def slope(theta):
+            beta = 1 / (1 + theta)
+            lam = mpmath.fsum(x ** beta for x in p)
+            return mpmath.log(lam) - beta * mpmath.fsum(x ** beta * mpmath.log(x) for x in p) / lam
+
+        if slope(0) >= rate:
+            theta = mpmath.mpf(0)
+        elif slope(rho) <= rate:
+            theta = rho
+        else:
+            a, b = mpmath.mpf(0), rho
+            for _ in range(200):
+                mid = (a + b) / 2
+                a, b = (mid, b) if slope(mid) < rate else (a, mid)
+            theta = (a + b) / 2
+        return float((rho - theta) * rate + pressure_at(theta))
+
+
 class TestLockStepDual:
     @settings(max_examples=40, deadline=None)
     @given(dual_models(), st.floats(0.05, 4.0),
            st.lists(st.floats(1e-3, 2.5), min_size=1, max_size=8))
-    def test_matches_scalar_oracle_bit_for_bit(self, drawn, rho, rates):
+    def test_matches_scalar_oracle(self, drawn, rho, rates):
         model, scale = drawn
-        # a linear-regime rate (bracket at theta = 0) and a saturated one (theta = rho)
+        # a linear-regime rate (theta = 0) and a saturated one (theta = rho)
         rates = np.array(rates + [1e-3, 50.0]) * scale
-        lockstep = model_exponent_dual(model, rho, rates)
-        assert lockstep.tolist() == [scalar_dual(model, rho, r)[0] for r in rates.tolist()]
+        dual = model_exponent_dual(model, rho, rates)
+        oracle = [scalar_dual(model, rho, r)[0] for r in rates.tolist()]
+        assert np.abs(dual - oracle).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4).flatmap(
+        lambda k: st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)),
+           st.lists(st.booleans(), min_size=4, max_size=4),
+           st.floats(0.05, 4.0), st.lists(st.floats(1e-3, 2.5), min_size=1, max_size=8))
+    def test_iid_matches_mpmath(self, weights, zeros, rho, rates):
+        weights = [0.0 if z else w for w, z in zip(weights, zeros)]
+        if not any(weights):
+            weights[0] = 1.0
+        p = Pmf([w / math.fsum(weights) for w in weights])
+        rates = rates + [1e-3, 50.0]
+        dual = iid_exponent_dual(p, rho, np.array(rates))
+        oracle = [mp_iid_dual(p.probs.tolist(), rho, r) for r in rates]
+        assert np.abs(dual - oracle).max() <= 1e-13
 
     def test_brackets_at_both_grid_ends(self):
-        for r, end in ((1e-3, 0), (50.0, 1023)):
+        # the oracle's scan minimum sits at theta = 0 and theta = rho, and the
+        # dual's clamped cells take exactly rho R + P(0) and P(rho)
+        for r, end, theta in ((1e-3, 0, 0.0), (50.0, 1023, 1.0)):
             value, i = scalar_dual(IidSource(P82), 1.0, r)
             assert i == end
-            assert iid_exponent_dual(P82, 1.0, np.array([r, 0.55]))[0] == value
+            dual = iid_exponent_dual(P82, 1.0, np.array([r, 0.55]))[0]
+            assert dual == pytest.approx(value, abs=1e-12)
+            assert dual == (1.0 - theta) * r + pressure(IidSource(P82), np.array([theta]))[0]
+
+    def test_clamped_cells_solve_nothing(self, monkeypatch):
+        # every cell in the linear or the saturated regime: the root solve gets no cell
+        sizes = []
+
+        def spy(g, a, *args):
+            sizes.append(np.size(a))
+            return bracketed_roots(g, a, *args)
+
+        monkeypatch.setattr(guesswork.exponents, "bracketed_roots", spy)
+        model = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.3, 0.7]]))
+        model_exponent_dual(model, np.array([[0.5], [2.0]]), np.array([0.05, 0.2, 0.69]))
+        model_exponent_dual(model, 1.0, np.array([0.05, 0.5, 0.69]))
+        assert sizes == [0, 1]
 
     def test_blocks_of_rates(self):
-        # 150 rates span three scan blocks; each rate matches its own scalar refinement
+        # 150 rates across all three regimes, each against its own scalar refinement
         model = MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.3, 0.7]]))
         rates = np.linspace(0.01, 1.0, 150)
-        lockstep = model_exponent_dual(model, 2.0, rates)
-        assert lockstep.tolist() == [scalar_dual(model, 2.0, r)[0] for r in rates.tolist()]
+        dual = model_exponent_dual(model, 2.0, rates)
+        oracle = [scalar_dual(model, 2.0, r)[0] for r in rates.tolist()]
+        assert np.abs(dual - oracle).max() <= 1e-12
         assert model_exponent_dual(model, 2.0, rates.reshape(10, 15)).shape == (10, 15)
 
     def test_empty_rate_array(self):
         assert model_exponent_dual(IidSource(P82), 1.0, np.array([])).shape == (0,)
 
+    def test_reducible_unifilar_is_refused(self):
+        # from state 0 the source never leaves it; the single-letter dual is
+        # not that of the whole state chain, so the model is refused
+        model = UnifilarSource(Pmf([1.0, 0.0]), np.array([[0, 0], [1, 1]]),
+                               (pmf(0.99, 0.01), pmf(0.5, 0.5)))
+        with pytest.raises(ValidationError, match="reducible"):
+            model_exponent_dual(model, 1.0, 0.3)
+
     @settings(max_examples=40, deadline=None)
     @given(dual_models(), st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4),
            st.lists(st.floats(1e-3, 2.5), min_size=1, max_size=8))
     def test_rho_array_matches_per_rho_calls(self, drawn, rhos, rates):
-        # one call over a (rho, R) grid refines every cell in lock-step, and each
+        # one call over a (rho, R) grid solves every cell in lock-step, and each
         # cell comes out as its own rho's call makes it, bit for bit
         model, scale = drawn
         rates = np.array(rates + [1e-3, 50.0]) * scale
@@ -199,7 +271,7 @@ class TestLockStepDual:
             assert row == model_exponent_dual(model, rho, rates).tolist()
 
     def test_interleaved_rhos_over_blocks(self):
-        # 150 cells with three rhos in no order: the rho groups straddle the scan blocks
+        # 150 cells with three rhos in no order, each as its own call makes it
         model = UnifilarSource(Pmf([1.0, 0.0]), np.array([[0, 1], [1, 0]]),
                                (pmf(0.6, 0.4), pmf(0.25, 0.75)))
         rhos = np.tile([2.0, 0.5, 1.0], 50)
@@ -218,41 +290,63 @@ class TestLockStepDual:
         with pytest.raises(ValidationError):
             model_exponent_dual(model, np.array([1.0, 0.0]), 0.3)
 
-    def test_per_problem_interval_ends(self):
-        # each problem's grid is np.linspace(lo, hi[i], num), bit for bit, and a
-        # batch with several ends matches one call per end
-        hi = np.array([0.3, 1.0, 2.7, 2.7])
-        target = np.array([0.11, 0.93, 2.7, 0.0])
 
-        def f(x, rows):
-            return (x - target[rows]) ** 2
+class TestBracketedRoots:
+    def test_kinked_monotone_function(self):
+        # slope 0.05 below the kink at 0.7 and 4 above it; roots on both sides
+        shift = np.array([0.02, -0.5])
 
-        grids = np.array([np.linspace(0.0, h, 97) for h in hi.tolist()])
-        values = f(grids, np.arange(hi.size)[:, None])
-        x, value = minimize_scan_golden(f, 0.0, hi, values)
-        for i, h in enumerate(hi.tolist()):
-            alone = minimize_scan_golden(lambda t, rows: f(t, rows + i), 0.0, h, values[i:i + 1])
-            assert (x[i], value[i]) == (alone[0][0], alone[1][0])
-        # minima at the grid's ends are scan points, the last one exactly hi
-        assert x[2] == 2.7 and x[3] == 0.0
-        # an objective the refinement cannot improve on returns the scan points
-        scan = np.random.default_rng(0).uniform(size=values.shape)
-        x, _ = minimize_scan_golden(lambda t, rows: np.full(t.shape, 2.0), 0.0, hi, scan)
-        assert x.tolist() == [grids[i, np.argmin(scan[i])] for i in range(hi.size)]
+        def g(x, rows):
+            return np.where(x < 0.7, 0.05 * (x - 0.7), 4.0 * (x - 0.7)) + shift[rows]
 
-    def test_never_above_scan_minimum(self):
-        # problem 0 is a parabola, problem 1 oscillates faster than the grid resolves
-        centers, freqs = np.array([0.3, 0.0]), np.array([0.0, 2000.0])
+        x = bracketed_roots(g, [0.0, 0.0], [1.0, 1.0], g(np.zeros(2), np.arange(2)),
+                            g(np.ones(2), np.arange(2)))
+        assert x == pytest.approx([0.3, 0.825], abs=1e-11)
 
-        def f(x, rows):
-            return (x - centers[rows]) ** 2 + np.sin(freqs[rows] * x)
+    def test_per_problem_brackets(self):
+        # each problem keeps its own bracket, and its root does not depend on the batch
+        a, b = np.array([0.0, -3.0, 1.0, 10.0]), np.array([1.0, 2.0, 1e3, 11.0])
+        roots = np.array([0.25, -1.0, 400.0, 10.5])
 
-        xs = np.linspace(0.0, 1.0, 64)
-        values = f(xs[None, :], np.arange(2)[:, None])
-        x, value = minimize_scan_golden(f, 0.0, 1.0, values)
-        assert x[0] == pytest.approx(0.3, abs=1e-6) and value[0] <= 1e-12
-        assert value[1] <= values[1].min()
-        assert value[1] == f(x[1:], np.array([1]))[0]
+        def g(x, rows):
+            return np.tanh(x - roots[rows]) + 0.1 * (x - roots[rows]) ** 3
+
+        rows = np.arange(a.size)
+        x = bracketed_roots(g, a, b, g(a, rows), g(b, rows))
+        assert x == pytest.approx(roots, rel=1e-11, abs=1e-11)
+        for i in range(a.size):
+            one = np.array([i])
+            alone = bracketed_roots(lambda t, r: g(t, r + i), a[one], b[one],
+                                    g(a[one], one), g(b[one], one))
+            assert alone[0] == x[i]
+
+    def test_exact_zero_closes_the_bracket(self):
+        # the first chord point is the root itself
+        calls = []
+
+        def g(x, rows):
+            calls.append(x.copy())
+            return x - 0.5
+
+        assert bracketed_roots(g, [0.0], [1.0], [-0.5], [0.5]).tolist() == [0.5]
+        assert len(calls) == 1
+
+    def test_empty_batch(self):
+        def g(x, rows):
+            raise AssertionError("no problem to evaluate")
+
+        assert bracketed_roots(g, [], [], [], []).shape == (0,)
+
+    def test_open_bracket_at_the_cap(self):
+        calls = []
+
+        def g(x, rows):
+            calls.append(rows)
+            return np.full(x.shape, np.nan)
+
+        with pytest.raises(NumericError, match="still open after 100 steps"):
+            bracketed_roots(g, [0.0, 0.0], [1.0, 1.0], [-1.0, -1.0], [1.0, 1.0])
+        assert len(calls) == 100
 
 
 class TestIidGrid:

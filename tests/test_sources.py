@@ -18,6 +18,7 @@ from guesswork import (
     markov_renyi_rate,
     model_from_dict,
     pressure,
+    pressure_slope,
     renyi_entropy,
     renyi_entropy_rate,
     sort_desc,
@@ -446,3 +447,22 @@ class TestPressure:
         assert abs(batched[0]) <= 1e-12
         single = np.array([float(pressure(p, t)) for t in thetas[::97].tolist()])
         assert np.abs(batched[::97] - single).max() <= 1e-13
+
+
+class TestPressureSlope:
+    @pytest.mark.parametrize("model", [
+        IidSource(pmf(0.7, 0.2, 0.1)),
+        IidSource(pmf(0.5, 0.0, 0.5)),
+        MarkovSource(pmf(0.5, 0.5), np.array([[0.9, 0.1], [0.3, 0.7]])),
+        MarkovSource(pmf(0.2, 0.3, 0.5),
+                     np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [0.4, 0.4, 0.2]])),
+        # the form of docs/examples/unifilar.json
+        UnifilarSource(pmf(1.0, 0.0), np.array([[0, 1], [1, 0]]),
+                       (pmf(0.6, 0.4), pmf(0.25, 0.75))),
+        materialize(IidSource(pmf(0.6, 0.3, 0.1)), 6),
+    ], ids=["iid", "iid-zero", "markov", "markov-3", "unifilar", "finite"])
+    def test_batch_and_single_theta_bit_for_bit(self, model):
+        thetas = np.random.default_rng(61).uniform(0.0, 3.0, size=150)
+        batched = pressure_slope(model, thetas)
+        single = [float(pressure_slope(model, np.array([t]))[0]) for t in thetas.tolist()]
+        assert batched.tolist() == single
