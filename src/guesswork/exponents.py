@@ -55,12 +55,12 @@ def model_exponent_dual(model, rho, key_rate):
     P'(rho) <= R (saturation), both settled by one slope call.  The other
     cells solve P'(theta) = R on their own [0, rho] together, with one
     batched slope call per step (:func:`optimize.bracketed_roots`), and
-    the values take one batched pressure call.  Multi-state sources must
-    have an irreducible state chain.
+    the values take one batched pressure call; a saturated cell is P(rho)
+    even at R = +inf.  Multi-state sources must have an irreducible state chain.
     """
     rhos, rates = np.asarray(rho, dtype=float), np.asarray(key_rate, dtype=float)
-    if np.any(rhos <= 0.0) or np.any(rates <= 0.0):
-        raise ValidationError("need rho > 0 and key_rate > 0")
+    if not np.all(np.isfinite(rhos)) or np.any(rhos <= 0.0) or np.any(rates <= 0.0):
+        raise ValidationError("need finite rho > 0 and key_rate > 0")
     form = power_form(model)
     shape = np.broadcast_shapes(rhos.shape, rates.shape)
     flat_rho = np.broadcast_to(rhos, shape).ravel()
@@ -75,7 +75,9 @@ def model_exponent_dual(model, rho, key_rate):
     theta[inner] = bracketed_roots(
         lambda t, rows: pressure_slope(form, t) - inner_rates[rows],
         np.zeros(inner.size), flat_rho[inner], at_zero[inner], at_rho[inner])
-    out = (flat_rho - theta) * flat + pressure(form, theta)
+    # saturated cells leave out 0 x R, which is nan for R = inf
+    gap = flat_rho - theta
+    out = pressure(form, theta) + np.multiply(gap, flat, out=np.zeros_like(gap), where=gap > 0.0)
     return float(out[0]) if not shape else out.reshape(shape)
 
 

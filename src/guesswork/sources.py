@@ -187,9 +187,11 @@ SourceModel = Union[IidSource, MarkovSource, UnifilarSource, ExplicitSource]
 def materialize(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> Pmf:
     """Return the n-letter distribution of ``model`` over all strings of length n.
 
-    Strings are indexed lexicographically.  Raises
-    :class:`CapExceededError` when the string count would exceed ``cap``
-    (default 2^24 entries).
+    Strings are indexed lexicographically.  Each probability is a
+    left-to-right product over the letter table (:func:`_letters`), summed
+    over the starts of :func:`_start_runs` in state order; explicit
+    sources are looked up.  Raises :class:`CapExceededError` when the
+    string count would exceed ``cap`` (default 2^24 entries).
     """
     if n < 1:
         raise ValidationError("n must be a positive integer")
@@ -200,45 +202,22 @@ def materialize(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE_CAP) 
         if out.size > cap:
             raise CapExceededError(f"{out.size} strings exceed the cap of {cap}")
         return out
-
     k = model.alphabet_size
     if k ** n > cap:
         raise CapExceededError(f"{k}^{n} strings exceed the cap of {cap}")
+    return Pmf(_dense_law(model, n), tol=PRODUCT_TOL)
 
-    if isinstance(model, IidSource):
-        probs = model.marginal.probs
-        out = probs
-        for _ in range(n - 1):
-            out = np.kron(out, probs)
-        return Pmf(out, tol=PRODUCT_TOL)
 
-    if isinstance(model, MarkovSource):
-        cur = model.init.probs.copy()
-        pi = model.transition
-        for _ in range(n - 1):
-            last = np.arange(cur.size) % k
-            cur = (cur[:, None] * pi[last]).ravel()
-        return Pmf(cur, tol=PRODUCT_TOL)
-
-    if isinstance(model, UnifilarSource):
-        # The state trajectory is deterministic given the start state, so
-        # evolve (probability, current state) per string and start state,
-        # then mix over the initial state distribution.
-        emission = np.array([e.probs for e in model.emission])
-        total = np.zeros(k ** n)
-        for s0 in range(model.num_states):
-            w0 = model.init_states.probs[s0]
-            if w0 == 0.0:
-                continue
-            probs = np.array([1.0])
-            states = np.array([s0], dtype=int)
-            for _ in range(n):
-                probs = (probs[:, None] * emission[states]).ravel()
-                states = model.next_state[states].ravel()
-            total += w0 * probs
-        return Pmf(total, tol=PRODUCT_TOL)
-
-    raise ValidationError(f"unknown source model {type(model).__name__}")
+def _dense_law(model, n: int) -> np.ndarray:
+    """The walk of :func:`materialize`; its temporaries die before the law is checked."""
+    weights, nxt = _letters(model)
+    total = None
+    for values, states, steps, scale in _start_runs(model, n):
+        for _ in range(steps):
+            values, states = _append_letter(values, states, weights, nxt)
+        values *= scale
+        total = values if total is None else np.add(total, values, out=total)
+    return total
 
 
 def entropy(p: Pmf) -> float:
@@ -355,26 +334,20 @@ def spectrum(p: Pmf) -> Spectrum:
 def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> Spectrum:
     """``spectrum(materialize(model, n, cap))``, bit for bit, without the K^n strings.
 
-    :func:`materialize` takes each string's probability as a left-to-right
-    product of letter weights, so after one more letter the distinct
-    values are the distinct products of the previous values with that
-    letter's weight.  Runs (value, count) are kept per current state and
-    advanced letter by letter: every run times every weight moves to the
-    letter's next state (see :func:`_letters`), and equal values in one
-    state merge by a stable sort and ``np.add.reduceat``.  An iid source
-    is one state starting from 1.0; a Markov chain's state is its last
-    symbol, starting from ``init``; a unifilar source with one start
-    state s0 starts from 1.0 at s0 and is scaled by its weight at the end.
-    Explicit sources and unifilar sources with a mixed start state take
-    the dense law.  The n check, the cap (checked before any work) and
-    the PRODUCT_TOL sum check, over the exact sum of value x count, raise
+    After one more letter the distinct values of the dense walk are the
+    distinct products of the previous values with that letter's weight, so
+    runs (value, count) per current state take the walk's step
+    (:func:`_append_letter`) and merge equal values by a stable sort and
+    ``np.add.reduceat``.  A model without a single start in
+    :func:`_start_runs` takes the dense law.  The n check, the cap (checked before any work) and the
+    PRODUCT_TOL sum check, over the exact sum of value x count, raise
     what :func:`materialize` raises.  A string count above 2^52 is refused
     whatever the cap: run counts past it are not exact floats.
     """
     if n < 1:
         raise ValidationError("n must be a positive integer")
-    start = _start_runs(model, n)
-    if start is None:
+    starts = _start_runs(model, n)
+    if len(starts) != 1:
         return spectrum(materialize(model, n, cap))
     k = model.alphabet_size
     if k ** n > cap:
@@ -382,29 +355,47 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
     if k ** n > _MAX_COUNT:
         raise CapExceededError(f"{k}^{n} strings exceed 2^52, past which run counts "
                                "are not exact floats")
-    values, states, steps, scale = start
+    (values, states, steps, scale), = starts
     counts = np.ones(values.size, dtype=np.int64)
     weights, nxt = _letters(model)
     for _ in range(steps):
-        values = (values[:, None] * weights[states]).ravel()
-        values, counts, states = _merge_runs(values, np.repeat(counts, k), nxt[states].ravel())
+        values, states = _append_letter(values, states, weights, nxt)
+        values, counts, states = _merge_runs(values, np.repeat(counts, k), states)
     values, counts, _ = _merge_runs(values * scale, counts, np.zeros(values.size, dtype=int))
     _require_unit_sum(_exact_products(values, counts), PRODUCT_TOL)
     return Spectrum(values[::-1].copy(), counts[::-1].copy())
 
 
-def _start_runs(model, n: int):
-    """(values, states, letters still to multiply, final scale) of the first runs,
-    or None when the model takes the dense law."""
+def _start_runs(model, n: int) -> list:
+    """(values, states, letters still to multiply, final scale) per start of the
+    n-letter walk, in state order, with fresh values; none for an explicit source.
+    A unifilar source has one start per start state of positive weight."""
     if isinstance(model, IidSource):
-        return np.ones(1), np.zeros(1, dtype=int), n, 1.0
+        return [(np.ones(1), np.zeros(1, dtype=int), n, 1.0)]
     if isinstance(model, MarkovSource):
-        return model.init.probs, np.arange(model.alphabet_size), n - 1, 1.0
+        return [(model.init.probs.copy(), np.arange(model.alphabet_size), n - 1, 1.0)]
     if isinstance(model, UnifilarSource):
-        starts = np.flatnonzero(model.init_states.probs)
-        if starts.size == 1:
-            return np.ones(1), starts, n, float(model.init_states.probs[starts[0]])
-    return None
+        return [(np.ones(1), np.array([s]), n, w)
+                for s, w in enumerate(model.init_states.probs.tolist()) if w > 0.0]
+    return []
+
+
+def _append_letter(values, states, weights, nxt) -> tuple:
+    """Every string followed by every letter, in lexicographic order: (values, states).
+
+    Filled a letter column at a time (faster than a product with a short
+    last axis).  A one-state table gathers nothing: every string is in state 0.
+    """
+    out = np.empty((values.size, weights.shape[1]))
+    if weights.shape[0] == 1:
+        for x, weight in enumerate(weights[0]):
+            np.multiply(values, weight, out=out[:, x])
+        return out.ravel(), np.zeros(out.size, dtype=nxt.dtype)
+    out_states = np.empty(out.shape, dtype=nxt.dtype)
+    for x in range(weights.shape[1]):
+        np.multiply(values, weights[:, x].take(states), out=out[:, x])
+        out_states[:, x] = nxt[:, x].take(states)
+    return out.ravel(), out_states.ravel()
 
 
 def _merge_runs(values: np.ndarray, counts: np.ndarray, states: np.ndarray) -> tuple:
@@ -505,10 +496,18 @@ class PowerForm:
     the one-state case and a Markov chain has state = last symbol; a
     finite n-letter law is one state whose letters are its distinct
     probabilities, counted by multiplicity.  Zero weights carry no count.
+
+    A multi-state form whose state chain (over letters of positive weight)
+    is reducible is refused when it is built: its Perron root is not the
+    one its start states see.
     """
 
     log_weights: np.ndarray  # (states, letters)
     scatter: np.ndarray  # (states, letters, states)
+
+    def __post_init__(self):
+        if self.num_states > 1 and not is_irreducible(self.scatter.sum(axis=1)):
+            raise ValidationError("the state chain is reducible")
 
     @property
     def num_states(self) -> int:
@@ -548,7 +547,8 @@ def _letters(model) -> tuple:
 def power_form(model) -> PowerForm:
     """The :class:`PowerForm` of an iid, Markov or unifilar model or a finite law.
 
-    A finite law is a :class:`Spectrum` or a dense :class:`Pmf`.
+    A finite law is a :class:`Spectrum` or a dense :class:`Pmf`; a model
+    with a reducible state chain raises :class:`ValidationError`.
     """
     if isinstance(model, PowerForm):
         return model
@@ -560,8 +560,6 @@ def power_form(model) -> PowerForm:
         weights, counts = law.values[None, keep][:, ::-1], law.counts[None, keep][:, ::-1]
         nxt = np.zeros(weights.shape, dtype=int)
     else:
-        if isinstance(model, MarkovSource) and not is_irreducible(model.transition):
-            raise ValidationError("transition matrix is reducible")
         weights, nxt = _letters(model)
     positive = weights > 0.0
     counts = np.where(positive, counts, 0)
@@ -575,7 +573,7 @@ def pressure(model, thetas) -> np.ndarray:
     lambda(beta) is the Perron root of the tilted state-power matrix of
     ``model`` (see :func:`power_form`); for a one-state form it is the
     power sum itself.  P(theta) is theta times the order-1/(1+theta)
-    entropy rate, and P(0) = 0.
+    entropy rate, and P(0) = 0.  A reducible state chain is refused.
     """
     form = power_form(model)
     thetas = np.asarray(thetas, dtype=float)
@@ -606,11 +604,9 @@ def pressure_slope(model, thetas) -> np.ndarray:
     vectors; for a one-state form lambda and lambda' are the power sums
     themselves.  The slope is the entropy rate of the order-beta tilt: the
     entropy rate itself at theta = 0, the saturation threshold H' at
-    theta = rho.  Multi-state forms must have an irreducible state chain.
+    theta = rho.  A reducible state chain is refused when its form is built.
     """
     form = power_form(model)
-    if form.num_states > 1 and not is_irreducible(form.scatter.sum(axis=1)):
-        raise ValidationError("the state chain is reducible")
     thetas = np.asarray(thetas, dtype=float)
     betas = 1.0 / (1.0 + thetas.ravel())
     lam, dlam = [], []

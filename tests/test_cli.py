@@ -443,6 +443,10 @@ FAILURES = [
           model={"kind": "unifilar", "next_state": [[0, 0], [1, 1]],
                  "emission": [[0.99, 0.01], [0.5, 0.5]], "init_state": 0},
           id="sweep-reducible-unifilar"),
+    # a given init skips the stationary solve, which would refuse the chain first
+    _case("exponent", _cfg(), 2, "config error",
+          model={"kind": "markov", "init": [0.5, 0.5], "transition": [[1.0, 0.0], [0.3, 0.7]]},
+          id="exponent-reducible-markov-with-init"),
     _case("verify", None, 2, "config error", extra=("--threads", "0"), id="verify-threads-0"),
     _case("verify", None, 2, "config error", extra=("--seed", "-1"), id="verify-seed-negative"),
     _case("simulate", _cfg(rho=[1e300]), 3, "numeric error", id="simulate-rho-1e300"),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -35,12 +36,14 @@ from guesswork import (
     perfect_secrecy_exponent,
     pressure,
     renyi_entropy,
+    renyi_entropy_rate,
     thresholds,
     tilt,
     variational_identity_check,
 )
 from guesswork.errors import NumericError
 from guesswork.exponents import _tilted_pmf
+from guesswork import sources
 from guesswork.optimize import bracketed_roots
 from guesswork.sources import power_form
 
@@ -256,6 +259,49 @@ class TestLockStepDual:
                                (pmf(0.99, 0.01), pmf(0.5, 0.5)))
         with pytest.raises(ValidationError, match="reducible"):
             model_exponent_dual(model, 1.0, 0.3)
+
+    def test_reducible_unifilar_has_no_pressure(self):
+        # the whole chain's pressure at theta = 1 is ln 2, the start state's 0.181:
+        # every reader of the pressure refuses the model, not only the dual
+        model = UnifilarSource(Pmf([1.0, 0.0]), np.array([[0, 0], [1, 1]]),
+                               (pmf(0.99, 0.01), pmf(0.5, 0.5)))
+        for read in (lambda: pressure(model, 1.0), lambda: renyi_entropy_rate(model, 0.5),
+                     lambda: perfect_secrecy_exponent(model, 1.0)):
+            with pytest.raises(ValidationError, match="reducible"):
+                read()
+
+    @pytest.mark.parametrize("model", [
+        MarkovSource(Pmf([0.5, 0.5]), np.array([[0.9, 0.1], [0.3, 0.7]])),
+        UnifilarSource(pmf(1.0, 0.0), np.array([[0, 1], [1, 0]]),
+                       (pmf(0.6, 0.4), pmf(0.25, 0.75))),
+    ], ids=["markov", "unifilar"])
+    def test_one_irreducibility_check_per_call(self, model, monkeypatch):
+        # the form is checked once, when it is built, not at every root-finder step
+        calls = []
+        real = sources.is_irreducible
+
+        def counting(transition):
+            calls.append(transition)
+            return real(transition)
+
+        monkeypatch.setattr(sources, "is_irreducible", counting)
+        rates = np.linspace(0.05, 1.15, 23)
+        dual = model_exponent_dual(model, 1.0, rates)
+        assert len(calls) == 1
+        # the rates span all three regimes, so the root finder ran
+        assert dual[0] == pytest.approx(rates[0], rel=1e-12) and np.ptp(dual[-3:]) == 0.0
+
+    def test_infinite_rate_saturates(self):
+        # a saturated cell takes P(rho) without forming 0 x inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dual = model_exponent_dual(IidSource(P82), 1.0, [math.inf, 0.3])
+        assert dual.tolist() == [float(pressure(IidSource(P82), 1.0)), 0.3]
+        assert dual[0] == pytest.approx(2.0 * math.log(math.sqrt(0.8) + math.sqrt(0.2)),
+                                        rel=1e-15)
+        for rho in (math.inf, math.nan):
+            with pytest.raises(ValidationError):
+                model_exponent_dual(IidSource(P82), rho, 0.3)
 
     @settings(max_examples=40, deadline=None)
     @given(dual_models(), st.lists(st.floats(0.05, 4.0), min_size=1, max_size=4),

@@ -62,7 +62,88 @@ class TestPmf:
             p.probs[0] = 0.3
 
 
+def per_model_loops(model, n: int) -> np.ndarray:
+    """The n-letter law by the per-model loops that materialize once ran,
+    kept as its reference: iid by repeated ``np.kron``, Markov by the last
+    symbol's row, unifilar by one walk per start state, summed in order."""
+    k = model.alphabet_size
+    if isinstance(model, IidSource):
+        out = model.marginal.probs
+        for _ in range(n - 1):
+            out = np.kron(out, model.marginal.probs)
+        return out
+    if isinstance(model, MarkovSource):
+        cur = model.init.probs.copy()
+        for _ in range(n - 1):
+            last = np.arange(cur.size) % k
+            cur = (cur[:, None] * model.transition[last]).ravel()
+        return cur
+    emission = np.array([e.probs for e in model.emission])
+    total = np.zeros(k ** n)
+    for s0 in range(model.num_states):
+        w0 = model.init_states.probs[s0]
+        if w0 == 0.0:
+            continue
+        probs = np.array([1.0])
+        states = np.array([s0], dtype=int)
+        for _ in range(n):
+            probs = (probs[:, None] * emission[states]).ravel()
+            states = model.next_state[states].ravel()
+        total += w0 * probs
+    return total
+
+
+LOOP_MODELS = {
+    "iid-zero-letter": IidSource(pmf(0.7, 0.0, 0.3)),
+    "iid-rounding": IidSource(pmf(0.8, 0.2)),
+    "markov-zeros": MarkovSource(pmf(0.0, 0.6, 0.4),
+                                 np.array([[0.0, 0.5, 0.5], [0.3, 0.0, 0.7], [0.2, 0.8, 0.0]])),
+    "unifilar-single-start": UnifilarSource(pmf(0.0, 1.0, 0.0),
+                                            np.array([[1, 0], [2, 0], [2, 1]]),
+                                            (pmf(0.5, 0.5), pmf(0.9, 0.1), pmf(0.0, 1.0))),
+    "unifilar-mixed-start": UnifilarSource(pmf(0.3, 0.0, 0.7),
+                                           np.array([[1, 0], [2, 0], [2, 1]]),
+                                           (pmf(0.5, 0.5), pmf(0.9, 0.1), pmf(0.35, 0.65))),
+}
+
+
+@st.composite
+def loop_models(draw):
+    """An iid, Markov or unifilar model over 2-3 letters with zeros, and an n."""
+    def simplex(size):
+        weights = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.35, 0.5, 1.0]),
+                                min_size=size, max_size=size))
+        weights = weights if any(weights) else [1.0] + weights[1:]
+        return Pmf([w / math.fsum(weights) for w in weights], tol=1e-9)
+
+    kind = draw(st.sampled_from(["iid", "markov", "unifilar"]))
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, {2: 12, 3: 8}[k]))
+    if kind == "iid":
+        return IidSource(simplex(k)), n
+    if kind == "markov":
+        return MarkovSource(simplex(k), np.array([simplex(k).probs for _ in range(k)])), n
+    states = draw(st.integers(1, 3))
+    nxt = draw(st.lists(st.lists(st.integers(0, states - 1), min_size=k, max_size=k),
+                        min_size=states, max_size=states))
+    return UnifilarSource(simplex(states), np.array(nxt),
+                          tuple(simplex(k) for _ in range(states))), n
+
+
 class TestMaterialize:
+    @pytest.mark.parametrize("name", sorted(LOOP_MODELS))
+    def test_matches_the_per_model_loops(self, name):
+        model = LOOP_MODELS[name]
+        lengths = [n for n in range(1, 15) if model.alphabet_size ** n <= 2 ** 14]
+        for n in lengths:
+            assert np.array_equal(materialize(model, n).probs, per_model_loops(model, n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(loop_models())
+    def test_random_models_match_the_per_model_loops(self, drawn):
+        model, n = drawn
+        assert np.array_equal(materialize(model, n).probs, per_model_loops(model, n))
+
     def test_iid_uniform_binary(self):
         p = materialize(IidSource(pmf(0.5, 0.5)), 2)
         assert np.allclose(p.probs, [0.25, 0.25, 0.25, 0.25])
