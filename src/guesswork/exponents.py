@@ -7,6 +7,11 @@ entropy beyond a saturation threshold.  The same value comes out of a
 one-dimensional dual over a mixing weight theta, out of a direct simplex
 search, and out of an error/correct-decoding split; this module computes
 all three so they can certify each other.
+
+The dual, the correct-decoding term and the error exponent are one
+clamped root of P'(theta) = R, P the pressure, on [0, rho], [-1, rho] and
+[0, inf) (:func:`_pressure_roots`).  The two split terms stay primal,
+evaluated at the tilt the root picks, so the split still checks the dual.
 """
 
 from __future__ import annotations
@@ -38,9 +43,48 @@ from .sources import (
 )
 
 _GRID_MAX_ALPHABET = 4
+# the error exponent's tilt exponent beta = 1/(1+theta) stops at 1e-9
+_THETA_MAX = 1.0 / 1e-9 - 1.0
 _MARKOV_GRID_MAX_STATES = 4
 # default row-grid steps for the transition-matrix verifier, by state count
 _MARKOV_GRID_STEPS = {2: 0.01, 3: 0.1, 4: 0.25}
+
+
+def _cells(rho, key_rate) -> tuple:
+    """(shape, rho, R) of the broadcast (rho, R) cells, flattened; rho must
+    be finite and positive and R positive (+inf too) and not nan."""
+    rhos, rates = np.asarray(rho, dtype=float), np.asarray(key_rate, dtype=float)
+    if not (np.all(np.isfinite(rhos) & (rhos > 0.0)) and np.all(rates > 0.0)):
+        raise ValidationError("need finite rho > 0 and key_rate > 0")
+    shape = np.broadcast_shapes(rhos.shape, rates.shape)
+    return shape, np.broadcast_to(rhos, shape).ravel(), np.broadcast_to(rates, shape).ravel()
+
+
+def _shaped(shape: tuple, out: np.ndarray):
+    """Per-cell results ``out`` in ``shape``, a float for a scalar cell."""
+    return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _pressure_roots(form, rates, lo, hi) -> np.ndarray:
+    """Per cell, the minimizer over theta in [lo, hi] of (rho - theta) R + P(theta).
+
+    P is convex, so it is the root of P'(theta) = R clamped to [lo, hi]:
+    lo where P'(lo) >= R, hi where P'(hi) <= R, both settled by one slope
+    call.  The other cells solve P'(theta) = R together, one batched slope
+    call per step (:func:`optimize.bracketed_roots`).  ``lo`` is one end
+    for all cells or one per cell.
+    """
+    ends = np.ravel(lo)
+    slopes = pressure_slope(form, np.concatenate([ends, hi]))
+    at_lo, at_hi = slopes[:ends.size] - rates, slopes[ends.size:] - rates
+    lo = np.full(rates.shape, lo)
+    theta = np.where((at_lo < 0.0) & (at_hi <= 0.0), hi, lo)
+    inner = np.flatnonzero((at_lo < 0.0) & (at_hi > 0.0))
+    inner_rates = rates[inner]
+    theta[inner] = bracketed_roots(
+        lambda t, rows: pressure_slope(form, t) - inner_rates[rows],
+        lo[inner], hi[inner], at_lo[inner], at_hi[inner])
+    return theta
 
 
 def model_exponent_dual(model, rho, key_rate):
@@ -49,36 +93,19 @@ def model_exponent_dual(model, rho, key_rate):
     ``model`` is an iid, Markov or unifilar source, with R in nats per
     letter, or a finite law (a :class:`Pmf` or :class:`Spectrum`), with R
     the total rate.  ``rho`` and ``key_rate`` may be arrays, broadcast
-    against each other; each (rho, R) cell is one problem.  P is convex,
-    so the minimizer is the root of P'(theta) = R clamped to [0, rho]:
-    theta = 0 where P'(0) >= R (the linear regime), theta = rho where
-    P'(rho) <= R (saturation), both settled by one slope call.  The other
-    cells solve P'(theta) = R on their own [0, rho] together, with one
-    batched slope call per step (:func:`optimize.bracketed_roots`), and
-    the values take one batched pressure call; a saturated cell is P(rho)
-    even at R = +inf.  Multi-state sources must have an irreducible state chain.
+    against each other; each (rho, R) cell is one problem, solved by
+    :func:`_pressure_roots` (theta = 0 is the linear regime and theta = rho
+    saturation).  The values take one batched pressure call; a saturated
+    cell is P(rho) even at R = +inf.  Multi-state sources must have an
+    irreducible state chain.
     """
-    rhos, rates = np.asarray(rho, dtype=float), np.asarray(key_rate, dtype=float)
-    if not np.all(np.isfinite(rhos)) or np.any(rhos <= 0.0) or np.any(rates <= 0.0):
-        raise ValidationError("need finite rho > 0 and key_rate > 0")
+    shape, flat_rho, flat = _cells(rho, key_rate)
     form = power_form(model)
-    shape = np.broadcast_shapes(rhos.shape, rates.shape)
-    flat_rho = np.broadcast_to(rhos, shape).ravel()
-    flat = np.broadcast_to(rates, shape).ravel()
-    if flat.size == 0:
-        return np.empty(shape)
-    slopes = pressure_slope(form, np.concatenate([[0.0], flat_rho]))
-    at_zero, at_rho = slopes[0] - flat, slopes[1:] - flat
-    theta = np.where((at_zero < 0.0) & (at_rho <= 0.0), flat_rho, 0.0)
-    inner = np.flatnonzero((at_zero < 0.0) & (at_rho > 0.0))
-    inner_rates = flat[inner]
-    theta[inner] = bracketed_roots(
-        lambda t, rows: pressure_slope(form, t) - inner_rates[rows],
-        np.zeros(inner.size), flat_rho[inner], at_zero[inner], at_rho[inner])
+    theta = _pressure_roots(form, flat, 0.0, flat_rho)
     # saturated cells leave out 0 x R, which is nan for R = inf
     gap = flat_rho - theta
     out = pressure(form, theta) + np.multiply(gap, flat, out=np.zeros_like(gap), where=gap > 0.0)
-    return float(out[0]) if not shape else out.reshape(shape)
+    return _shaped(shape, out)
 
 
 def iid_exponent_dual(p1: Pmf, rho: float, key_rate):
@@ -162,144 +189,63 @@ def iid_exponent_grid(p1: Pmf, rho: float, key_rate: float, resolution: float = 
     return max(best_val, float(-result.fun))
 
 
-def _tilted_entropy(p1: Pmf, exponents) -> np.ndarray:
-    """Entropy of p^s / Z for each s > 0 in ``exponents`` (not restricted to the (0,1] tilt op)."""
-    log_p = np.log(p1.probs[p1.probs > 0.0])
-    e = np.asarray(exponents, dtype=float)[:, None] * log_p
-    w = np.exp(e - e.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # huge exponents underflow the tail; 0 ln 0 = 0
-        return -np.where(w > 0.0, w * np.log(w), 0.0).sum(axis=1)
-
-
-def _tilted_pmf(p1: Pmf, exponent: float) -> Pmf:
-    log_p = np.log(np.maximum(p1.probs, 1e-300))
-    out = np.zeros(p1.size)
-    mask = p1.probs > 0.0
-    w = np.exp(exponent * log_p[mask] - (exponent * log_p[mask]).max())
-    out[mask] = w / w.sum()
-    return Pmf(out, tol=1e-9)
-
-
-def _bisect_tilt(p1: Pmf, rates: np.ndarray, lo, hi) -> list:
-    """Per rate, the tilt p^s / Z with H = R, by 200 bisection steps on s in [lo, hi].
-
-    The tilted entropy decreases in s, and all rates are bisected together.
-    """
-    lo = np.broadcast_to(lo, rates.shape).astype(float)
-    hi = np.broadcast_to(hi, rates.shape).astype(float)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        above = _tilted_entropy(p1, mid) > rates
-        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-    return [_tilted_pmf(p1, s) for s in (0.5 * (lo + hi)).tolist()]
-
-
-def _shaped(rates: np.ndarray, out: np.ndarray):
-    """Per-rate results ``out`` in the shape of ``rates``, a float for a scalar rate."""
-    return float(out[0]) if rates.ndim == 0 else out.reshape(rates.shape)
+def _tilts(p1: Pmf, theta: np.ndarray) -> tuple:
+    """(H(Q), D(Q||P)) per theta, Q the order-1/(1+theta) tilt of P."""
+    qs = [tilt(p1, 1.0 / (1.0 + t)) for t in theta.tolist()]
+    return np.array([entropy(q) for q in qs]), np.array([divergence(q, p1) for q in qs])
 
 
 def iid_error_exponent(p1: Pmf, key_rate):
     """Smallest divergence from P among distributions with entropy above R.
 
     Zero for R up to H(P) (P itself sits in the closure of the constraint
-    set); +inf from ln(support size) on, where the constraint set empties;
-    in between, solved on the tilted family p^b / Z by bisecting
-    H(tilt) = R over b in (0, 1), along which the entropy is monotone.
-    ``key_rate`` may be an array; its rates are bisected together.
+    set); +inf from ln(support size) on, where the constraint set empties.
+    In between, D(Q||P) at the order-1/(1+theta) tilt Q, theta the root of
+    P'(theta) = R on [0, inf) (:func:`_pressure_roots`), bracketed by
+    doubling theta from 1 and clamped at 1/(1+theta) = 1e-9.  ``key_rate``
+    may be an array; its rates are solved together.
     """
-    rates = np.asarray(key_rate, dtype=float)
-    if np.any(rates <= 0.0):
-        raise ValidationError("key rate must be positive")
-    flat = rates.ravel()
+    shape, _, flat = _cells(1.0, key_rate)
     out = np.zeros(flat.size)
     h_p = entropy(p1)
     support = int((p1.probs > 0.0).sum())
     empty = (flat > h_p) & (flat >= math.log(support) - 1e-15)
     out[empty] = math.inf
     inner = np.flatnonzero((flat > h_p) & ~empty)
-    out[inner] = [divergence(q, p1) for q in _bisect_tilt(p1, flat[inner], 1e-9, 1.0)]
-    return _shaped(rates, out)
+    form, rates = power_form(IidSource(p1)), flat[inner]
+    lo, hi = np.zeros(inner.size), np.ones(inner.size)
+    grow = pressure_slope(form, hi) < rates
+    while np.any(grow):
+        lo[grow], hi[grow] = hi[grow], np.minimum(2.0 * hi[grow], _THETA_MAX)
+        grow[grow] = (hi[grow] < _THETA_MAX) & (pressure_slope(form, hi[grow]) < rates[grow])
+    out[inner] = _tilts(p1, _pressure_roots(form, rates, lo, hi))[1]
+    return _shaped(shape, out)
 
 
 def iid_correct_term(p1: Pmf, rho: float, key_rate):
     """max of rho H(Q) - D(Q||P) over distributions with entropy at most R.
 
-    Unconstrained, the maximum is rho times the order-1/(1+rho) entropy,
-    attained by the tilt with exponent 1/(1+rho).  When that tilt is too
-    spread out, the entropy constraint binds and the maximizer moves along
-    the tilted family toward (and past) P until H(tilt) = R.  Tilting
-    cannot push the entropy below ln(#maximal probabilities); if R sits
-    under that floor the maximizer leaves the family and a step-1/500
-    simplex grid, scored in one array pass, with local refinement takes
-    over; a 4-letter grid (21,084,251 points) is over the materialize cap
-    and raises :class:`CapExceededError`, so the fallback serves up to 3
-    letters.  ``key_rate`` may be an array; its rates are bisected
-    together and only the rates under the floor go to the grid, one at a
-    time.
+    Free (P'(rho) <= R), it is rho times the order-1/(1+rho) entropy.  At
+    the tie floor, R <= P'(-1+) = ln(#letters equal to p_max), read at the
+    float above -1, it is (1+rho) R + ln p_max, the value of any law on the
+    maximal letters with entropy R.  Otherwise it is rho H(Q) - D(Q||P) at
+    the order-1/(1+theta) tilt Q, theta the root of P'(theta) = R on
+    [-1, rho] (:func:`_pressure_roots`); a letter a hair below p_max can put
+    that root where theta cannot resolve it, and a tilt whose entropy
+    misses R by 1e-9 raises :class:`NumericError`.  ``key_rate`` may be an
+    array.
     """
-    rates = np.asarray(key_rate, dtype=float)
-    if rho <= 0.0 or np.any(rates <= 0.0):
-        raise ValidationError("need rho > 0 and key_rate > 0")
-    flat = rates.ravel()
-    out = np.empty(flat.size)
-    s_free = 1.0 / (1.0 + rho)
-    free = _tilted_entropy(p1, [s_free])[0] <= flat
-    out[free] = rho * renyi_entropy(p1, s_free)
-    bound = np.flatnonzero(~free)
-    # double each upper end until its tilt's entropy drops to R; an end that
-    # passes 1e12 first means R lies under the floor
-    hi = np.ones(bound.size)
-    floor = np.zeros(bound.size, dtype=bool)
-    grow = _tilted_entropy(p1, hi) > flat[bound]
-    while np.any(grow):
-        hi = np.where(grow, 2.0 * hi, hi)
-        floor |= grow & (hi > 1e12)
-        grow = ~floor & (_tilted_entropy(p1, hi) > flat[bound])
-    for i in bound[floor].tolist():
-        out[i] = _correct_term_grid(p1, rho, float(flat[i]))
-    inner = bound[~floor]
-    tilts = _bisect_tilt(p1, flat[inner], s_free, hi[~floor])
-    out[inner] = [rho * entropy(q) - divergence(q, p1) for q in tilts]
-    return _shaped(rates, out)
-
-
-def _correct_term_grid(p1: Pmf, rho: float, key_rate: float) -> float:
-    if p1.size > _GRID_MAX_ALPHABET:
-        raise NumericError(
-            "entropy-constrained maximizer left the tilted family and the "
-            "alphabet is too large for the grid fallback"
-        )
-    grid = _simplex_grid(p1.size, 500)
-    p = p1.probs
-    # the first maximum over feasible points with H(Q) <= R; each point's sums
-    # run over its positive entries in index order, as a per-point loop does
-    logs, feasible = _masked_logs(grid, p)
-    log_p = np.log(np.where(p > 0.0, p, 1.0))
-    h = -(grid * logs).sum(axis=1)
-    val = rho * h - (grid * (logs - log_p)).sum(axis=1)
-    val[~feasible | (h > key_rate)] = -math.inf
-    best_i = int(np.argmax(val))
-    best_val, best_q = float(val[best_i]), grid[best_i]
-
-    def neg_obj(x: np.ndarray) -> float:
-        tail = 1.0 - x.sum()
-        if np.any(x < -1e-12) or tail < -1e-12:
-            return 1e6
-        q = np.append(np.maximum(x, 0.0), max(tail, 0.0))
-        mask = q > 0.0
-        if np.any(mask & (p <= 0.0)):
-            return 1e6
-        h = float(-(q[mask] * np.log(q[mask])).sum())
-        if h > key_rate:
-            return 1e6
-        return -(rho * h - float((q[mask] * (np.log(q[mask]) - np.log(p[mask]))).sum()))
-
-    result = minimize(neg_obj, best_q[:-1], method="Nelder-Mead",
-                      options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-    return max(best_val, float(-result.fun))
+    shape, _, flat = _cells(rho, key_rate)
+    lo = np.nextafter(-1.0, 0.0)
+    theta = _pressure_roots(power_form(IidSource(p1)), flat, lo, np.full(flat.size, float(rho)))
+    out = (1.0 + rho) * flat + math.log(p1.probs.max())
+    out[theta == rho] = rho * renyi_entropy(p1, 1.0 / (1.0 + rho))
+    inner = (theta > lo) & (theta < rho)
+    h, d = _tilts(p1, theta[inner])
+    if np.any(np.abs(h - flat[inner]) > 1e-9):
+        raise NumericError("the correct-decoding root sits too near theta = -1 to resolve")
+    out[inner] = rho * h - d
+    return _shaped(shape, out)
 
 
 def decomposition_check(p1: Pmf, rho: float, key_rate) -> tuple:
@@ -383,7 +329,7 @@ def markov_exponent_grid(transition, rho: float, key_rate, step: float = None):
         objective = rho * np.minimum(h_cond, r) - d_cond
         objective[excluded] = -math.inf
         out[i] = objective.max()
-    return _shaped(rates, out)
+    return _shaped(rates.shape, out)
 
 
 def thresholds(p1: Pmf, rho: float) -> tuple:

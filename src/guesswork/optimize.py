@@ -26,20 +26,26 @@ def bracketed_roots(g, a, b, ga, gb) -> np.ndarray:
     ``ga`` and ``gb`` hold each problem's values at its ends, ga < 0 < gb.
     ``g(x, rows)`` evaluates problem ``rows[i]`` at ``x[i]`` for every i.
     A bracket closes once b - a <= 1e-12 (1 + |a| + |b|) or g hits zero, and
-    its root is the last point evaluated in it (``a`` for a bracket
-    closed from the start).  Each problem's steps depend only on its own
-    values, so its root does not depend on the batch.  A bracket still
-    open after 100 steps raises :class:`NumericError`.
+    its root is where the chord through its ends and their true (not
+    halved) values crosses zero, far closer than either end where g is
+    steep.  Each problem's steps depend only on its own values, so its
+    root does not depend on the batch.  A bracket still open after 100
+    steps raises :class:`NumericError`.
     """
     a, b, ga, gb = (np.array(v, dtype=float).ravel() for v in (a, b, ga, gb))
     x = a.copy()
     live = np.arange(a.size)
+    fa, fb = ga.copy(), gb.copy()  # g at the ends, never halved
     # +1 when a problem's last step moved b, -1 when it moved a
     side = np.zeros(a.size)
     for step in range(_MAX_STEPS + 1):
         open_ = b - a > _TOL * (1.0 + np.abs(a) + np.abs(b))
         if not open_.all():
-            live, a, b, ga, gb, side = (v[open_] for v in (live, a, b, ga, gb, side))
+            # fa = fb = 0 only where g hit zero, and there a = b
+            chord = b - fb * (b - a) / np.where(fb > fa, fb - fa, 1.0)
+            x[live[~open_]] = chord[~open_]
+            live, a, b, ga, gb, fa, fb, side = (
+                v[open_] for v in (live, a, b, ga, gb, fa, fb, side))
         if live.size == 0:
             return x
         if step == _MAX_STEPS:
@@ -47,11 +53,12 @@ def bracketed_roots(g, a, b, ga, gb) -> np.ndarray:
                 f"{live.size} root brackets still open after {_MAX_STEPS} steps")
         new = b - gb * (b - a) / (gb - ga)
         g_new = g(new, live)
-        x[live] = new
         below = g_new < 0.0
         # an end that survives a second step in a row has its value halved
         ga = np.where(below, g_new, np.where(side > 0.0, 0.5 * ga, ga))
         gb = np.where(below, np.where(side < 0.0, 0.5 * gb, gb), g_new)
         # g = 0 moves both ends, which closes the bracket
-        a, b = np.where(g_new <= 0.0, new, a), np.where(g_new >= 0.0, new, b)
+        to_a, to_b = g_new <= 0.0, g_new >= 0.0
+        a, b = np.where(to_a, new, a), np.where(to_b, new, b)
+        fa, fb = np.where(to_a, g_new, fa), np.where(to_b, g_new, fb)
         side = np.where(below, -1.0, 1.0)

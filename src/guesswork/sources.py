@@ -252,17 +252,19 @@ def tilt(p: Pmf, beta: float, support=None) -> Pmf:
     """Exponentiate-and-normalize: p^beta / Z on ``support``, zero elsewhere.
 
     ``support`` is an index array or boolean mask; None means the full set.
-    ``beta`` must lie in (0, 1].
+    ``beta`` is any finite positive number; powers of p over its largest
+    value on the support neither overflow nor underflow Z.
     """
-    if not 0.0 < beta <= 1.0:
-        raise ValidationError("tilt exponent must lie in (0, 1]")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValidationError("tilt exponent must be finite and positive")
     idx = _support_indices(p.size, support)
     if idx.size == 0:
         raise ValidationError("support is empty")
-    weights = p.probs[idx] ** beta
-    z = math.fsum(weights.tolist())
-    if z <= 0.0:
+    sub = p.probs[idx]
+    if sub.max() <= 0.0:
         raise ValidationError("support carries no probability mass")
+    weights = (sub / sub.max()) ** beta
+    z = math.fsum(weights.tolist())
     out = np.zeros(p.size)
     out[idx] = weights / z
     return Pmf(out, tol=PRODUCT_TOL)
@@ -514,12 +516,23 @@ class PowerForm:
         return int(self.scatter.shape[0])
 
     def powers(self, betas: np.ndarray):
-        """Yield (beta, weight^beta) over chunks of ``betas`` of at most PRESSURE_CHUNK floats."""
+        """Yield (beta, shift, logs, e^(beta logs)) per chunk of at most PRESSURE_CHUNK floats.
+
+        logs = ln weight - shift.  The shift is 0 for beta <= 1 and, for
+        beta > 1, the peak log weight of a counted letter (zero weights are
+        stored as log 1 and keep it), whose power stays 1 at any beta.
+        """
         s, k = self.log_weights.shape
         step = max(1, PRESSURE_CHUNK // (s * k * s))
-        for i in range(0, betas.size, step):
+        # an empty batch is one empty chunk
+        for i in range(0, max(betas.size, 1), step):
             beta = betas[i:i + step]
-            yield beta, np.exp(beta[:, None, None] * self.log_weights)
+            shift, logs = 0.0, self.log_weights
+            if (beta > 1.0).any():
+                counted = self.scatter.sum(axis=2) > 0.0
+                shift = np.where(beta > 1.0, self.log_weights[counted].max(), 0.0)
+                logs = np.where(counted, self.log_weights - shift[:, None, None], 0.0)
+            yield beta, shift, logs, np.exp(beta[:, None, None] * logs)
 
     def matrix(self, entries: np.ndarray) -> np.ndarray:
         """Gather per-letter entries (batch, states, letters) into state-to-state matrices."""
@@ -573,17 +586,19 @@ def pressure(model, thetas) -> np.ndarray:
     lambda(beta) is the Perron root of the tilted state-power matrix of
     ``model`` (see :func:`power_form`); for a one-state form it is the
     power sum itself.  P(theta) is theta times the order-1/(1+theta)
-    entropy rate, and P(0) = 0.  A reducible state chain is refused.
+    entropy rate, and P(0) = 0.  For theta < 0 the root is that of the
+    shifted powers (:meth:`PowerForm.powers`), with beta shift added back
+    to its log.  A reducible state chain is refused.
     """
     form = power_form(model)
     thetas = np.asarray(thetas, dtype=float)
     betas = 1.0 / (1.0 + thetas.ravel())
-    lam = []
-    for _, w in form.powers(betas):
+    log_lam = []
+    for beta, shift, _, w in form.powers(betas):
         m = form.matrix(w)
-        lam.append(m[:, 0, 0] if form.num_states == 1 else perron_root(m))
-    lam = np.concatenate(lam)
-    return ((1.0 + thetas.ravel()) * np.log(lam)).reshape(thetas.shape)
+        root = m[:, 0, 0] if form.num_states == 1 else perron_root(m)
+        log_lam.append(np.log(root) + beta * shift)
+    return ((1.0 + thetas.ravel()) * np.concatenate(log_lam)).reshape(thetas.shape)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -604,14 +619,16 @@ def pressure_slope(model, thetas) -> np.ndarray:
     vectors; for a one-state form lambda and lambda' are the power sums
     themselves.  The slope is the entropy rate of the order-beta tilt: the
     entropy rate itself at theta = 0, the saturation threshold H' at
-    theta = rho.  A reducible state chain is refused when its form is built.
+    theta = rho, and ln(#peak letters) as theta falls to -1 for iid.  The
+    shift of :meth:`PowerForm.powers` cancels in it.  A reducible state
+    chain is refused when its form is built.
     """
     form = power_form(model)
     thetas = np.asarray(thetas, dtype=float)
     betas = 1.0 / (1.0 + thetas.ravel())
     lam, dlam = [], []
-    for beta, w in form.powers(betas):
-        m, dm = form.matrix(w), form.matrix(w * form.log_weights)
+    for beta, _, logs, w in form.powers(betas):
+        m, dm = form.matrix(w), form.matrix(w * logs)
         if form.num_states == 1:
             lam.append(m[:, 0, 0])
             dlam.append(dm[:, 0, 0])

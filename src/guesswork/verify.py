@@ -82,7 +82,7 @@ def check_renyi_variational(seed: int = 0, instances: int = 200) -> CheckResult:
     return CheckResult("renyi-variational", worst <= 1e-9, f"max gap {worst:.3e} (tol 1e-9)")
 
 
-def check_decomposition(tol: float = 1e-4) -> CheckResult:
+def check_decomposition(tol: float = 1e-9) -> CheckResult:
     """Error/correct split equals the theta dual on a (rho, R) sweep."""
     worst = 0.0
     for probs in ([0.8, 0.2], [0.6, 0.3, 0.1]):

@@ -46,7 +46,7 @@ def test_criterion_1_variational_identities():
 
 def test_criterion_2_decomposition_identity():
     t0 = time.time()
-    result = check_decomposition(tol=1e-4)
+    result = check_decomposition(tol=1e-9)
     report(2, "decomposition identity", result.passed, result.detail,
            time.time() - t0, 30.0)
 

@@ -42,7 +42,6 @@ from guesswork import (
     variational_identity_check,
 )
 from guesswork.errors import NumericError
-from guesswork.exponents import _tilted_pmf
 from guesswork import sources
 from guesswork.optimize import bracketed_roots
 from guesswork.sources import power_form
@@ -490,8 +489,8 @@ class TestIidCorrectTerm:
 
     def test_tied_maxima_fall_back_to_grid(self):
         # tilting a uniform marginal never lowers its entropy, so the
-        # constrained maximizer leaves the family; closed form for uniform:
-        # (1+rho) R - ln k
+        # constrained maximizer leaves the family: R sits on the tie floor,
+        # whose closed form for uniform is (1+rho) R - ln k
         u = pmf(0.5, 0.5)
         rho, r = 1.0, 0.3
         value = iid_correct_term(u, rho, r)
@@ -501,6 +500,9 @@ class TestIidCorrectTerm:
         p = pmf(0.4, 0.4, 0.2)
         rho, r = 1.0, 0.5  # below ln 2, the two-way tie floor
         value = iid_correct_term(p, rho, r)
+        # the floor's closed form (1+rho) R + ln p_max, 0.083709268
+        assert value == pytest.approx((1.0 + rho) * r + math.log(0.4), abs=1e-12)
+        assert value == pytest.approx(0.083709268, abs=1e-9)
         # independent oracle: dense grid over the 2-simplex
         qs = np.linspace(0, 1, 400)
         best = -math.inf
@@ -515,7 +517,111 @@ class TestIidCorrectTerm:
                     continue
                 d = float((q[mask] * (np.log(q[mask]) - np.log(p.probs[mask]))).sum())
                 best = max(best, rho * h - d)
-        assert value == pytest.approx(best, abs=2e-3)
+        # the grid's points are feasible, so it reads at most the maximum (0.078930)
+        assert best <= value
+
+
+def two_peak_law(size=64, ratio=1.3):
+    """Two tied maxima, each ``ratio`` times every other letter."""
+    w = np.ones(size)
+    w[:2] = ratio
+    return Pmf(w / w.sum())
+
+
+def mp_tilt_witness(p, rho, r):
+    """rho R - D(Q||P) at the tilt Q = p^beta / Z with H(Q) = R, beta >= 1,
+    found by 300 bisection steps on ln beta in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        ps = [mpmath.mpf(x) for x in p.probs.tolist() if x > 0.0]
+
+        def tilted(beta):
+            w = [x ** beta for x in ps]
+            z = mpmath.fsum(w)
+            return [x / z for x in w]
+
+        lo, hi = mpmath.mpf(0), mpmath.mpf(20)  # ln beta
+        for _ in range(300):
+            mid = (lo + hi) / 2
+            q = tilted(mpmath.exp(mid))
+            if -mpmath.fsum(x * mpmath.log(x) for x in q if x > 0) > r:
+                lo = mid
+            else:
+                hi = mid
+        q = tilted(mpmath.exp(lo))
+        return float(rho * mpmath.mpf(r) - mpmath.fsum(
+            x * mpmath.log(x / y) for x, y in zip(q, ps) if x > 0))
+
+
+class TestPressureRoot:
+    """The error and correct-decoding exponents from the pressure's root."""
+
+    def test_three_letter_tie_floor(self):
+        # R = 0.5 sits under ln 2, the floor of the two tied maxima; the
+        # maximum (1+rho) R + ln p_max is attained by (q, 1-q, 0) with h(q) = R
+        value = iid_correct_term(pmf(0.45, 0.45, 0.1), 2.0, 0.5)
+        assert value == pytest.approx(3.0 * 0.5 + math.log(0.45), abs=1e-12)
+        assert value == pytest.approx(0.701492304, abs=1e-9)
+
+    def test_pressure_near_minus_one(self):
+        # at theta = -0.999 (beta = 1000) the unscaled powers underflow
+        model = IidSource(two_peak_law())
+        value = pressure(model, -0.999)
+        slope = sources.pressure_slope(model, -0.999)
+        assert math.isfinite(value) and math.isfinite(slope)
+        assert slope == pytest.approx(LN2, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_correct_term_above_the_floor(self, eps):
+        # just above ln 2 the root sits near theta = -1
+        p, rho = two_peak_law(), 1.0
+        value = iid_correct_term(p, rho, LN2 + eps)
+        assert value == pytest.approx(mp_tilt_witness(p, rho, LN2 + eps), abs=1e-9)
+
+    def test_root_near_minus_one(self):
+        # a near tie puts the root at beta ~ 700, where P' is so steep in
+        # theta that the root finder's last point is 1e-10 off in H; the
+        # chord through its final bracket is not
+        p, rho, r = pmf(0.3075, 0.3068, 0.2755, 0.1102), 1.9, 0.4865
+        value = iid_correct_term(p, rho, r)
+        assert value == pytest.approx(mp_tilt_witness(p, rho, r), abs=1e-12)
+
+    def test_near_tie_at_the_floor(self):
+        # the two maxima are one rounding apart: under the floor that the
+        # slope just above theta = -1 reads, the closed form holds; above
+        # it the root is closer to -1 than theta resolves, which is refused
+        p = pmf(0.35, 0.35000000000000003, 0.3)
+        value = iid_correct_term(p, 1.0, 0.2)
+        assert value == pytest.approx(2.0 * 0.2 + math.log(0.35), abs=1e-12)
+        with pytest.raises(NumericError):
+            iid_correct_term(p, 1.0, np.array([0.2, 0.5]))
+
+    def test_error_exponent_near_full_rate(self):
+        # the root sits near theta = 1e6; the value stays under D(uniform || P)
+        p = two_peak_law()
+        value = iid_error_exponent(p, math.log(64.0) - 1e-12)
+        uniform = divergence(Pmf(np.full(64, 1.0 / 64.0)), p)
+        assert math.isfinite(value)
+        assert iid_error_exponent(p, math.log(64.0) - 1e-3) < value <= uniform
+
+    @pytest.mark.parametrize("call", [
+        lambda: iid_error_exponent(P82, math.nan),
+        lambda: iid_correct_term(P82, 1.0, math.nan),
+        lambda: iid_correct_term(P82, math.nan, 0.3),
+        lambda: iid_correct_term(P82, math.inf, 0.3),
+        lambda: model_exponent_dual(IidSource(P82), 1.0, math.nan),
+        lambda: decomposition_check(P82, 1.0, math.nan),
+        lambda: decomposition_check(P82, 1.0, np.array([0.3, math.nan])),
+    ], ids=["error-rate", "correct-rate", "correct-rho", "correct-inf-rho", "dual-rate",
+            "decomposition-rate", "decomposition-array"])
+    def test_nan_refused(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+    def test_infinite_rate_kept(self):
+        saturated = float(pressure(IidSource(P82), 1.0))
+        assert iid_error_exponent(P82, math.inf) == math.inf
+        assert iid_correct_term(P82, 1.0, math.inf) == pytest.approx(saturated, rel=1e-15)
+        assert model_exponent_dual(IidSource(P82), 1.0, math.inf) == saturated
 
 
 class TestDecomposition:
@@ -535,13 +641,13 @@ class TestDecomposition:
             for rho in (0.5, 1.0, 2.0):
                 for r in np.linspace(0.05, math.log(p.size) + 0.1, 20).tolist():
                     _, _, gap = decomposition_check(p, rho, r)
-                    assert gap <= 1e-4
+                    assert gap <= 1e-9
 
 
 class TestDecompositionArrays:
-    # 0 below H(P), +inf from ln(support), the bisection in between; for the
-    # correct term the free tilt, the bisection, and for the uniform law the
-    # grid fallback under ln 2
+    # 0 below H(P), +inf from ln(support), the pressure root in between; for
+    # the correct term the free tilt, the pressure root, and for the uniform
+    # law the tie floor under ln 2
     RATES = np.array([0.05, 0.3, H_P82, 0.55, 0.65, LN2, 0.8, 1.2])
 
     @pytest.mark.parametrize("p", [P82, pmf(0.6, 0.3, 0.1), pmf(0.5, 0.5), pmf(0.7, 0.3, 0.0)])
@@ -559,7 +665,16 @@ class TestDecompositionArrays:
         assert all(isinstance(v, float) for v in decomposition_check(p, rho, 0.3))
 
     def test_matches_scalar_bisection(self):
-        # the per-rate 200-step bisections the array path replaced, kept as its oracle
+        # the per-rate 200-step bisections on the tilt exponent that the
+        # pressure root replaced, kept as its oracle
+        def tilted_pmf(p, s):
+            log_p = np.log(np.maximum(p.probs, 1e-300))
+            out = np.zeros(p.size)
+            mask = p.probs > 0.0
+            w = np.exp(s * log_p[mask] - (s * log_p[mask]).max())
+            out[mask] = w / w.sum()
+            return Pmf(out, tol=1e-9)
+
         def tilted_entropy(p, s):
             log_p = np.log(p.probs[p.probs > 0.0])
             w = np.exp(s * log_p - (s * log_p).max())
@@ -574,7 +689,7 @@ class TestDecompositionArrays:
                     lo = mid
                 else:
                     hi = mid
-            return _tilted_pmf(p, 0.5 * (lo + hi))
+            return tilted_pmf(p, 0.5 * (lo + hi))
 
         def correct_term(p, rho, r):
             hi = 1.0
@@ -586,16 +701,16 @@ class TestDecompositionArrays:
         p, rho = pmf(0.6, 0.3, 0.1), 1.0
         rates = np.array([0.2, 0.5, 0.8, 1.0])
         interior = np.array([0.9, 0.95, 1.05])
-        assert iid_error_exponent(p, interior).tolist() == [
-            divergence(bisect(p, r, 1e-9, 1.0), p) for r in interior.tolist()]
-        assert iid_correct_term(p, rho, rates).tolist() == [
-            correct_term(p, rho, r) for r in rates.tolist()]
+        error = [divergence(bisect(p, r, 1e-9, 1.0), p) for r in interior.tolist()]
+        assert np.abs(iid_error_exponent(p, interior) - error).max() <= 1e-12
+        correct = [correct_term(p, rho, r) for r in rates.tolist()]
+        assert np.abs(iid_correct_term(p, rho, rates) - correct).max() <= 1e-12
 
     def test_branches_are_covered(self):
         err = iid_error_exponent(P82, self.RATES)
         assert err[0] == 0.0 and err[-1] == math.inf and 0.0 < err[3] < math.inf
         uniform = iid_correct_term(pmf(0.5, 0.5), 1.0, self.RATES)
-        # the grid fallback gives the closed form (1+rho) R - ln 2 under ln 2
+        # the tie floor gives the closed form (1+rho) R - ln 2 under ln 2
         assert uniform[:2] == pytest.approx(2.0 * self.RATES[:2] - LN2, abs=1e-4)
 
     def test_shape_is_kept(self):
@@ -652,39 +767,25 @@ class TestGridFallback:
         ((0.35, 0.35, 0.3), 1.7, 0.6),
         ((0.5, 0.5), 1.0, 0.3),
     ])
-    def test_matches_per_point_loop(self, probs, rho, r, monkeypatch):
-        # the grid point the refinement starts from and the returned value
-        # are the per-point loop's, bit for bit
-        from scipy.optimize import minimize
-
-        import guesswork.exponents as ex
-
-        starts, results = [], []
-
-        def recording_minimize(fun, x0, **kwargs):
-            starts.append(np.array(x0))
-            results.append(minimize(fun, x0, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(ex, "minimize", recording_minimize)
+    def test_matches_per_point_loop(self, probs, rho, r):
+        # every case sits on the tie floor, where the maximum is the closed
+        # form (1+rho) R + ln p_max; the per-point grid loop, whose points
+        # are all feasible, reads at most that
         p = pmf(*probs)
         value = iid_correct_term(p, rho, r)
-        best_val, best_q = loop_grid_maximum(p, rho, r)
-        assert len(starts) == 1
-        assert np.array_equal(starts[0], best_q[:-1])
-        assert value == max(best_val, float(-results[0].fun))
+        assert value == pytest.approx((1.0 + rho) * r + math.log(max(probs)), abs=1e-12)
+        best_val, _ = loop_grid_maximum(p, rho, r)
+        assert value >= best_val
 
-    def test_four_letters_refused_before_the_grid_is_built(self):
-        # C(503, 3) = 21,084,251 grid points would take gigabytes; the
-        # child's address space is capped at 1.5 GB
+    def test_four_letter_floor_is_exact(self):
+        # a 4-letter law under its tie floor takes the closed form, with no
+        # grid: the child's address space is capped at 1.5 GB, where the
+        # C(503, 3) = 21,084,251 points of a step-1/500 grid would not fit
         code = "\n".join([
             "import resource",
             "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))",
-            "from guesswork import CapExceededError, Pmf, iid_correct_term",
-            "try:",
-            "    iid_correct_term(Pmf([0.3, 0.3, 0.3, 0.1]), 1.0, 0.5)",
-            "except CapExceededError as exc:",
-            "    print('refused:', exc)",
+            "from guesswork import Pmf, iid_correct_term",
+            "print(repr(iid_correct_term(Pmf([0.3, 0.3, 0.3, 0.1]), 1.0, 0.5)))",
         ])
         package_root = str(Path(guesswork.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
@@ -693,7 +794,8 @@ class TestGridFallback:
             env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("refused:"), proc.stdout
+        assert float(proc.stdout) == pytest.approx(-0.203972804, abs=1e-9)
+        assert float(proc.stdout) == pytest.approx(2.0 * 0.5 + math.log(0.3), abs=1e-12)
 
 
 class TestMarkov:

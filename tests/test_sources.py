@@ -273,8 +273,13 @@ class TestTilt:
             tilt(pmf(0.5, 0.5, 0.0), 0.5, support=[2])
 
     def test_bad_exponent(self):
-        with pytest.raises(ValidationError):
-            tilt(pmf(0.5, 0.5), 1.5)
+        for beta in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                tilt(pmf(0.5, 0.5), beta)
+        # any finite beta > 0 is a tilt, beta > 1 too
+        p = pmf(0.6, 0.3, 0.1)
+        powers = p.probs ** 1.5
+        assert np.allclose(tilt(p, 1.5).probs, powers / powers.sum(), rtol=1e-15, atol=0.0)
 
 
 class TestSortDesc:
