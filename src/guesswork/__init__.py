@@ -36,6 +36,7 @@ from .exponents import (
     ExponentCurve,
     PerfectSecrecyResult,
     build_curve,
+    certified_exponent,
     decomposition_check,
     iid_correct_term,
     iid_error_exponent,
@@ -43,7 +44,6 @@ from .exponents import (
     iid_exponent_grid,
     legendre_fenchel,
     markov_exponent,
-    markov_exponent_grid,
     model_exponent_dual,
     perfect_secrecy_exponent,
     thresholds,

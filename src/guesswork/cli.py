@@ -230,22 +230,21 @@ def _out_paths(cfg: RunConfig, command: str) -> list:
 def cmd_exponent(cfg: RunConfig) -> int:
     _require(cfg, model=True, rhos=True, rates=True)
     model = so.load_model(cfg.model_path)
-    grid_states = (
-        isinstance(model, so.MarkovSource) and model.alphabet_size <= 4
-    )
+    # a chain's curve carries its twisted-chain witness, a certified lower bound on E
+    witnessed = isinstance(model, (so.MarkovSource, so.UnifilarSource))
 
     def one_curve(rho: float):
         curve = ex.build_curve(model, rho, cfg.rates)
         rows = [list(row) for row in zip(curve.rates.tolist(), curve.values.tolist(),
                                          curve.branches)]
-        if grid_states:
-            grid = ex.markov_exponent_grid(model.transition, rho, curve.rates).tolist()
-            rows = [row + [check] for row, check in zip(rows, grid)]
+        if witnessed:
+            lower = ex.certified_exponent(model, rho, curve.rates)[0]
+            rows = [row + [check] for row, check in zip(rows, lower.tolist())]
         return curve, rows
 
     results = _map_cells(cfg.rhos, one_curve, cfg.threads)
     for rho, (curve, rows), out in zip(cfg.rhos, results, _out_paths(cfg, "exponent")):
-        header = ["R", "E", "branch"] + (["grid_check"] if grid_states else [])
+        header = ["R", "E", "branch"] + (["grid_check"] if witnessed else [])
         preamble = [
             f"rho={_fmt(rho)}",
             f"H_P={_fmt(curve.h_source)}",

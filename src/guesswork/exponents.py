@@ -5,13 +5,16 @@ rho min(H(Q), R) - D(Q || P): linear with slope rho up to the source
 entropy, concave in between, and flat at rho times the order-1/(1+rho)
 entropy beyond a saturation threshold.  The same value comes out of a
 one-dimensional dual over a mixing weight theta, out of a direct simplex
-search, and out of an error/correct-decoding split; this module computes
-all three so they can certify each other.
+search (iid), and out of an error/correct-decoding split (iid); for iid,
+Markov and unifilar sources alike, the twisted chain at the dual's root
+brackets it between a primal lower bound and a Collatz-Wielandt upper
+bound (:func:`certified_exponent`).
 
 The dual, the correct-decoding term and the error exponent are one
 clamped root of P'(theta) = R, P the pressure, on [0, rho], [-1, rho] and
 [0, inf) (:func:`_pressure_roots`).  The two split terms stay primal,
-evaluated at the tilt the root picks, so the split still checks the dual.
+evaluated at the tilt the root picks (the one-state twisted chain), so
+the split still checks the dual.
 """
 
 from __future__ import annotations
@@ -31,23 +34,20 @@ from .sources import (
     IidSource,
     Pmf,
     SourceModel,
-    _solve_stationary,
+    _dot,
     chain_source,
     divergence,
     entropy,
+    perron_vectors,
     power_form,
     pressure,
     pressure_slope,
-    renyi_entropy,
     tilt,
 )
 
 _GRID_MAX_ALPHABET = 4
 # the error exponent's tilt exponent beta = 1/(1+theta) stops at 1e-9
 _THETA_MAX = 1.0 / 1e-9 - 1.0
-_MARKOV_GRID_MAX_STATES = 4
-# default row-grid steps for the transition-matrix verifier, by state count
-_MARKOV_GRID_STEPS = {2: 0.01, 3: 0.1, 4: 0.25}
 
 
 def _cells(rho, key_rate) -> tuple:
@@ -87,6 +87,44 @@ def _pressure_roots(form, rates, lo, hi) -> np.ndarray:
     return theta
 
 
+def _twisted_chain(form, thetas: np.ndarray) -> tuple:
+    """(H, D, ln CW) per theta, read off M = M(beta) at beta = 1/(1+theta).
+
+    With u, v the Perron vectors of M, the twisted chain gives letter x in
+    state s the law w(s, x)^beta v_next(s, x) / (M v)_s, each letter
+    counted by its scatter count; its stationary law is pi_s ~ u_s v_s.  H
+    and D are its conditional entropy and divergence from the source, and
+    ln CW = ln max_s (M v)_s / v_s + beta shift >= ln lambda for any v > 0
+    (Collatz-Wielandt).  Sums run in a fixed order: no batch dependence.
+    """
+    betas = 1.0 / (1.0 + thetas)
+    counts, nxt = form.scatter.sum(axis=2), form.scatter.argmax(axis=2)
+    h, d, log_cw = [], [], []
+    for beta, shift, logs, w in form.powers(betas):
+        m = form.matrix(w)
+        _, u, v = perron_vectors(m)
+        u, v = np.abs(u), np.abs(v)
+        mv = _dot(m, v[:, None, :])
+        log_q = beta[:, None, None] * logs + np.log(v[:, nxt]) - np.log(mv)[:, :, None]
+        mass = counts * np.exp(log_q)
+        weight, total = u * v, _dot(u, v)
+        h.append(-_dot(weight, _dot(mass, log_q)) / total)
+        d.append(_dot(weight, _dot(mass, log_q - form.log_weights)) / total)
+        log_cw.append(np.log((mv / v).max(axis=1)) + beta * shift)
+    return np.concatenate(h), np.concatenate(d), np.concatenate(log_cw)
+
+
+def _dual_root(model, rho, key_rate) -> tuple:
+    """(shape, form, rho, R, theta*, (rho - theta*) R) of the dual's flattened
+    cells; the last is 0 where theta* = rho, as 0 x R is nan for R = +inf."""
+    shape, flat_rho, flat = _cells(rho, key_rate)
+    form = power_form(model)
+    theta = _pressure_roots(form, flat, 0.0, flat_rho)
+    gap = flat_rho - theta
+    linear = np.multiply(gap, flat, out=np.zeros_like(gap), where=gap > 0.0)
+    return shape, form, flat_rho, flat, theta, linear
+
+
 def model_exponent_dual(model, rho, key_rate):
     """min over theta in [0, rho] of (rho - theta) R + P(theta), P the pressure.
 
@@ -99,13 +137,23 @@ def model_exponent_dual(model, rho, key_rate):
     cell is P(rho) even at R = +inf.  Multi-state sources must have an
     irreducible state chain.
     """
-    shape, flat_rho, flat = _cells(rho, key_rate)
-    form = power_form(model)
-    theta = _pressure_roots(form, flat, 0.0, flat_rho)
-    # saturated cells leave out 0 x R, which is nan for R = inf
-    gap = flat_rho - theta
-    out = pressure(form, theta) + np.multiply(gap, flat, out=np.zeros_like(gap), where=gap > 0.0)
-    return _shaped(shape, out)
+    shape, form, _, _, theta, linear = _dual_root(model, rho, key_rate)
+    return _shaped(shape, pressure(form, theta) + linear)
+
+
+def certified_exponent(model, rho, key_rate) -> tuple:
+    """(lower, E, upper): E = :func:`model_exponent_dual`, bit for bit, and two
+    bounds on it read at the same root theta* (:func:`_twisted_chain`).
+
+    lower = rho min(H, R) - D is a feasible chain's primal value; upper =
+    (rho - theta*) R + (1 + theta*) ln CW bounds the dual by weak duality.
+    Same arguments, broadcasting and shapes as the dual.
+    """
+    shape, form, flat_rho, flat, theta, linear = _dual_root(model, rho, key_rate)
+    h, d, log_cw = _twisted_chain(form, theta)
+    return tuple(_shaped(shape, out) for out in (
+        flat_rho * np.minimum(h, flat) - d, pressure(form, theta) + linear,
+        linear + (1.0 + theta) * log_cw))
 
 
 def iid_exponent_dual(p1: Pmf, rho: float, key_rate):
@@ -189,21 +237,16 @@ def iid_exponent_grid(p1: Pmf, rho: float, key_rate: float, resolution: float = 
     return max(best_val, float(-result.fun))
 
 
-def _tilts(p1: Pmf, theta: np.ndarray) -> tuple:
-    """(H(Q), D(Q||P)) per theta, Q the order-1/(1+theta) tilt of P."""
-    qs = [tilt(p1, 1.0 / (1.0 + t)) for t in theta.tolist()]
-    return np.array([entropy(q) for q in qs]), np.array([divergence(q, p1) for q in qs])
-
-
 def iid_error_exponent(p1: Pmf, key_rate):
     """Smallest divergence from P among distributions with entropy above R.
 
     Zero for R up to H(P) (P itself sits in the closure of the constraint
     set); +inf from ln(support size) on, where the constraint set empties.
-    In between, D(Q||P) at the order-1/(1+theta) tilt Q, theta the root of
-    P'(theta) = R on [0, inf) (:func:`_pressure_roots`), bracketed by
-    doubling theta from 1 and clamped at 1/(1+theta) = 1e-9.  ``key_rate``
-    may be an array; its rates are solved together.
+    In between, D(Q||P) at the order-1/(1+theta) tilt Q
+    (:func:`_twisted_chain`), theta the root of P'(theta) = R on [0, inf)
+    (:func:`_pressure_roots`), bracketed by doubling theta from 1 and
+    clamped at 1/(1+theta) = 1e-9.  ``key_rate`` may be an array; its
+    rates are solved together.
     """
     shape, _, flat = _cells(1.0, key_rate)
     out = np.zeros(flat.size)
@@ -218,33 +261,32 @@ def iid_error_exponent(p1: Pmf, key_rate):
     while np.any(grow):
         lo[grow], hi[grow] = hi[grow], np.minimum(2.0 * hi[grow], _THETA_MAX)
         grow[grow] = (hi[grow] < _THETA_MAX) & (pressure_slope(form, hi[grow]) < rates[grow])
-    out[inner] = _tilts(p1, _pressure_roots(form, rates, lo, hi))[1]
+    out[inner] = _twisted_chain(form, _pressure_roots(form, rates, lo, hi))[1]
     return _shaped(shape, out)
 
 
 def iid_correct_term(p1: Pmf, rho: float, key_rate):
     """max of rho H(Q) - D(Q||P) over distributions with entropy at most R.
 
-    Free (P'(rho) <= R), it is rho times the order-1/(1+rho) entropy.  At
-    the tie floor, R <= P'(-1+) = ln(#letters equal to p_max), read at the
-    float above -1, it is (1+rho) R + ln p_max, the value of any law on the
-    maximal letters with entropy R.  Otherwise it is rho H(Q) - D(Q||P) at
-    the order-1/(1+theta) tilt Q, theta the root of P'(theta) = R on
-    [-1, rho] (:func:`_pressure_roots`); a letter a hair below p_max can put
-    that root where theta cannot resolve it, and a tilt whose entropy
-    misses R by 1e-9 raises :class:`NumericError`.  ``key_rate`` may be an
-    array.
+    At the tie floor, R <= P'(-1+) = ln(#letters equal to p_max), read at
+    the float above -1, it is (1+rho) R + ln p_max, the value of any law on
+    the maximal letters with entropy R.  Otherwise it is rho H(Q) - D(Q||P)
+    at the order-1/(1+theta) tilt Q (:func:`_twisted_chain`), theta the
+    root of P'(theta) = R clamped to [-1, rho] (:func:`_pressure_roots`):
+    free (P'(rho) <= R), rho times the order-1/(1+rho) entropy.  A letter a
+    hair below p_max can put the root where theta cannot resolve it, and a
+    tilt whose entropy misses R by 1e-9 raises :class:`NumericError`.
+    ``key_rate`` may be an array.
     """
     shape, _, flat = _cells(rho, key_rate)
-    lo = np.nextafter(-1.0, 0.0)
-    theta = _pressure_roots(power_form(IidSource(p1)), flat, lo, np.full(flat.size, float(rho)))
+    lo, form = np.nextafter(-1.0, 0.0), power_form(IidSource(p1))
+    theta = _pressure_roots(form, flat, lo, np.full(flat.size, float(rho)))
     out = (1.0 + rho) * flat + math.log(p1.probs.max())
-    out[theta == rho] = rho * renyi_entropy(p1, 1.0 / (1.0 + rho))
-    inner = (theta > lo) & (theta < rho)
-    h, d = _tilts(p1, theta[inner])
-    if np.any(np.abs(h - flat[inner]) > 1e-9):
+    free = theta > lo
+    h, d, _ = _twisted_chain(form, theta[free])
+    if np.any((np.abs(h - flat[free]) > 1e-9) & (theta[free] < rho)):
         raise NumericError("the correct-decoding root sits too near theta = -1 to resolve")
-    out[inner] = rho * h - d
+    out[free] = rho * h - d
     return _shaped(shape, out)
 
 
@@ -262,74 +304,6 @@ def decomposition_check(p1: Pmf, rho: float, key_rate) -> tuple:
     if np.ndim(key_rate) == 0:
         return float(lhs), float(rhs), float(gap)
     return lhs, rhs, gap
-
-
-def _batch_stationary(etas: np.ndarray) -> tuple:
-    """Stationary rows for a batch of chains; returns (q, residual)."""
-    k = etas.shape[1]
-    q, solved = _solve_stationary(etas)
-    # damped power iteration cleans up the rows the direct solve rejects
-    # (singular reducible cases, negative round-off, a residual above
-    # tolerance); it converges to some stationary vector for every chain
-    bad = ~solved
-    if np.any(bad):
-        v = np.full((int(bad.sum()), k), 1.0 / k)
-        half = 0.5 * (etas[bad] + np.eye(k)[None, :, :])
-        for _ in range(20000):
-            new = np.einsum("bi,bij->bj", v, half)
-            new /= new.sum(axis=1, keepdims=True)
-            if np.abs(new - v).max() < 1e-14:
-                v = new
-                break
-            v = new
-        q[bad] = v
-    q = np.maximum(q, 0.0)
-    q /= q.sum(axis=1, keepdims=True)
-    residual = np.abs(np.einsum("bi,bij->bj", q, etas) - q).sum(axis=1)
-    return q, residual
-
-
-def markov_exponent_grid(transition, rho: float, key_rate, step: float = None):
-    """Verifier: maximize over pair-stationary laws q x eta on a row grid.
-
-    Every row of the candidate transition matrix eta ranges over a simplex
-    grid; q is recomputed as a stationary distribution of eta (reducible
-    grid corners contribute through whichever stationary vector the damped
-    iteration selects).  Objective: rho min(conditional entropy, R) minus
-    the conditional divergence from the true chain.  ``key_rate`` may be
-    an array: the grid, its stationary laws, entropies and divergences
-    are computed once and serve every rate.
-    """
-    pi = np.asarray(transition, dtype=float)
-    k = pi.shape[0]
-    if k > _MARKOV_GRID_MAX_STATES:
-        raise CapExceededError("transition-matrix grid supports up to 4 states")
-    if step is None:
-        step = _MARKOV_GRID_STEPS[k]
-    rates = np.asarray(key_rate, dtype=float)
-    rows = _simplex_grid(k, int(round(1.0 / step)))
-    row_idx = np.stack(
-        np.meshgrid(*([np.arange(len(rows))] * k), indexing="ij"), axis=-1
-    ).reshape(-1, k)
-    etas = rows[row_idx]  # (B, k, k)
-    q, residual = _batch_stationary(etas)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_eta = np.where(etas > 0.0, np.log(np.maximum(etas, 1e-300)), 0.0)
-        h_rows = -(etas * log_eta).sum(axis=2)
-        log_pi = np.log(np.maximum(pi, 1e-300))
-        d_terms = np.where(etas > 0.0, etas * (log_eta - log_pi[None, :, :]), 0.0)
-        leak = np.any((etas > 0.0) & (pi[None, :, :] <= 0.0), axis=(1, 2))
-        d_rows = d_terms.sum(axis=2)
-    h_cond = (q * h_rows).sum(axis=1)
-    d_cond = (q * d_rows).sum(axis=1)
-    excluded = leak | ~(residual <= 1e-8)
-    out = np.empty(rates.size)
-    for i, r in enumerate(rates.ravel().tolist()):
-        objective = rho * np.minimum(h_cond, r) - d_cond
-        objective[excluded] = -math.inf
-        out[i] = objective.max()
-    return _shaped(rates.shape, out)
 
 
 def thresholds(p1: Pmf, rho: float) -> tuple:

@@ -437,46 +437,28 @@ def is_irreducible(transition: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def _solve_stationary(etas: np.ndarray, tol: float = STATIONARY_TOL) -> tuple:
-    """Direct solve of q eta = q, sum(q) = 1 for a stack of chains.
-
-    One balance equation is replaced by the normalization.  Returns
-    (q, solved): a row is solved when its system is nonsingular and its
-    solution is nonnegative up to 1e-12 round-off with an L1 residual
-    |q eta - q| of at most ``tol``.  Singular rows (chains with several
-    closed classes) hold the uniform vector.
-    """
-    b, k, _ = etas.shape
-    m = np.transpose(etas, (0, 2, 1)) - np.eye(k)[None, :, :]
-    m[:, -1, :] = 1.0
-    rhs = np.zeros((b, k, 1))
-    rhs[:, -1] = 1.0
-    # an exactly zero LU pivot is the only way the solve can fail
-    nonsingular = np.linalg.slogdet(m)[0] != 0.0
-    q = np.full((b, k), 1.0 / k)
-    if np.any(nonsingular):
-        q[nonsingular] = np.linalg.solve(m[nonsingular], rhs[nonsingular])[:, :, 0]
-    residual = np.abs(np.einsum("bi,bij->bj", q, etas) - q).sum(axis=1)
-    return q, nonsingular & np.all(q >= -1e-12, axis=1) & (residual <= tol)
-
-
 def stationary(transition, tol: float = STATIONARY_TOL) -> Pmf:
     """Stationary distribution q with q pi = q for an irreducible chain.
 
-    Solves the balance equations directly, with one of them replaced by
-    the normalization; the residual is checked against the matrix.
+    Solves the balance equations directly, with the last replaced by the
+    normalization; q must be nonnegative up to 1e-12 round-off and leave an
+    L1 residual |q pi - q| of at most ``tol``.
     """
     pi = np.asarray(transition, dtype=float)
     if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
         raise ValidationError("transition matrix must be square")
     if not is_irreducible(pi):
         raise ValidationError("transition matrix is reducible")
-    q, solved = _solve_stationary(pi[None], tol)
-    if not solved[0]:
+    m = pi.T - np.eye(len(pi))
+    m[-1, :] = 1.0
+    # an exactly zero LU pivot is the only way the solve can fail
+    singular = np.linalg.slogdet(m)[0] == 0.0
+    q = np.full(len(pi), np.nan) if singular else np.linalg.solve(m, np.eye(len(pi))[-1])
+    if not (np.all(q >= -1e-12) and np.abs(q @ pi - q).sum() <= tol):
         raise NumericError(
             f"stationary solve is singular or leaves a residual above {tol:g}"
         )
-    q = np.maximum(q[0], 0.0)
+    q = np.maximum(q, 0.0)
     return Pmf(q / q.sum(), tol=PRODUCT_TOL)
 
 
@@ -601,6 +583,20 @@ def pressure(model, thetas) -> np.ndarray:
     return ((1.0 + thetas.ravel()) * np.concatenate(log_lam)).reshape(thetas.shape)
 
 
+def perron_vectors(m: np.ndarray) -> tuple:
+    """(lambda, u, v) of a stack of nonnegative matrices: the eigenvalue of
+    largest real part, from ``eig`` of M and of its transpose, with its
+    left and right eigenvectors as ``eig`` scales them; u = v = 1 for one state."""
+    if m.shape[1] == 1:
+        ones = np.ones((m.shape[0], 1))
+        return m[:, 0, 0], ones, ones
+    rows = np.arange(m.shape[0])
+    roots, right = np.linalg.eig(m)
+    roots_left, left = np.linalg.eig(np.swapaxes(m, 1, 2))
+    i, j = roots.real.argmax(axis=1), roots_left.real.argmax(axis=1)
+    return roots.real[rows, i], left[rows, :, j].real, right[rows, :, i].real
+
+
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of a * b over the last axis, term by term in index order.
 
@@ -616,30 +612,22 @@ def pressure_slope(model, thetas) -> np.ndarray:
     """P'(theta) = ln lambda - beta lambda'/lambda at beta = 1/(1+theta).
 
     lambda' = u M'(beta) v / (u v) with u, v the left and right Perron
-    vectors; for a one-state form lambda and lambda' are the power sums
-    themselves.  The slope is the entropy rate of the order-beta tilt: the
-    entropy rate itself at theta = 0, the saturation threshold H' at
-    theta = rho, and ln(#peak letters) as theta falls to -1 for iid.  The
-    shift of :meth:`PowerForm.powers` cancels in it.  A reducible state
-    chain is refused when its form is built.
+    vectors of :func:`perron_vectors`; for a one-state form u = v = 1, so
+    lambda and lambda' are the power sums themselves.  The slope is the
+    entropy rate of the order-beta tilt: the entropy rate itself at
+    theta = 0, the saturation threshold H' at theta = rho, and ln(#peak
+    letters) as theta falls to -1 for iid.  The shift of
+    :meth:`PowerForm.powers` cancels in it.  A reducible state chain is
+    refused when its form is built.
     """
     form = power_form(model)
     thetas = np.asarray(thetas, dtype=float)
     betas = 1.0 / (1.0 + thetas.ravel())
     lam, dlam = [], []
-    for beta, _, logs, w in form.powers(betas):
-        m, dm = form.matrix(w), form.matrix(w * logs)
-        if form.num_states == 1:
-            lam.append(m[:, 0, 0])
-            dlam.append(dm[:, 0, 0])
-            continue
-        rows = np.arange(beta.size)
-        roots, right = np.linalg.eig(m)
-        roots_left, left = np.linalg.eig(np.swapaxes(m, 1, 2))
-        i, j = roots.real.argmax(axis=1), roots_left.real.argmax(axis=1)
-        v, u = right[rows, :, i].real, left[rows, :, j].real
-        lam.append(roots.real[rows, i])
-        dlam.append(_dot(u, _dot(dm, v[:, None, :])) / _dot(u, v))
+    for _, _, logs, w in form.powers(betas):
+        root, u, v = perron_vectors(form.matrix(w))
+        lam.append(root)
+        dlam.append(_dot(u, _dot(form.matrix(w * logs), v[:, None, :])) / _dot(u, v))
     lam, dlam = np.concatenate(lam), np.concatenate(dlam)
     return (np.log(lam) - betas * dlam / lam).reshape(thetas.shape)
 

@@ -92,7 +92,7 @@ def test_criterion_7_finite_n_convergence():
 
 def test_criterion_8_markov_duality():
     t0 = time.time()
-    result = check_markov_dual(step=0.01)
+    result = check_markov_dual()
     report(8, "markov duality", result.passed, result.detail, time.time() - t0, 120.0)
 
 

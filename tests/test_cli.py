@@ -78,7 +78,51 @@ class TestExponentCommand:
         assert lines[4].split(",") == ["R", "E", "branch", "grid_check"]
         for line in lines[5:]:
             parts = line.split(",")
-            assert abs(float(parts[1]) - float(parts[3])) <= 2e-2
+            assert abs(float(parts[1]) - float(parts[3])) <= 1e-9
+
+    def test_unifilar_grid_column(self, tmp_path):
+        write_model(tmp_path, {"kind": "unifilar", "next_state": [[0, 1], [1, 0]],
+                               "emission": [[0.6, 0.4], [0.25, 0.75]], "init_state": 0})
+        cfg = write_config(tmp_path, {
+            "model": "model.json", "rho": [0.5, 2.0],
+            "R": {"min": 0.05, "max": 0.8, "step": 0.05}, "format": "json",
+        })
+        assert main(["exponent", "--config", str(cfg), "--out", str(tmp_path / "curve.json")]) == 0
+        for name in ("curve_rho0.5.json", "curve_rho2.json"):
+            samples = json.loads((tmp_path / name).read_text())["samples"]
+            assert {s["branch"] for s in samples} == {"linear", "interior", "saturated"}
+            for s in samples:
+                assert abs(s["grid_check"] - s["E"]) <= 1e-9
+
+    def test_four_state_chain_in_bounded_memory(self, tmp_path):
+        # the child's address space is capped at 512 MB; a transition-matrix
+        # grid over this chain needs about 1 GB
+        write_model(tmp_path, {"kind": "markov", "transition": [
+            [0.5, 0.2, 0.2, 0.1], [0.1, 0.6, 0.2, 0.1],
+            [0.25, 0.25, 0.25, 0.25], [0.3, 0.1, 0.1, 0.5]]})
+        cfg = write_config(tmp_path, {
+            "model": "model.json", "rho": [1.0], "R": {"min": 0.05, "max": 1.35, "step": 0.05},
+        })
+        out = tmp_path / "curve.csv"
+        code = "\n".join([
+            "import resource, sys",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))",
+            "from guesswork.cli import main",
+            f"sys.exit(main(['exponent', '--config', {str(cfg)!r}, '--out', {str(out)!r}]))",
+        ])
+        package_root = str(Path(guesswork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        assert lines[4].split(",") == ["R", "E", "branch", "grid_check"]
+        assert len(lines[5:]) == 27
+        for line in lines[5:]:
+            parts = line.split(",")
+            assert abs(float(parts[1]) - float(parts[3])) <= 1e-9
 
     def test_json_format(self, tmp_path, iid_model):
         cfg = write_config(tmp_path, {

@@ -23,13 +23,13 @@ from guesswork import (
     decomposition_check,
     divergence,
     entropy,
+    certified_exponent,
     iid_correct_term,
     iid_error_exponent,
     iid_exponent_dual,
     iid_exponent_grid,
     legendre_fenchel,
     markov_exponent,
-    markov_exponent_grid,
     markov_renyi_rate,
     materialize,
     model_exponent_dual,
@@ -43,8 +43,10 @@ from guesswork import (
 )
 from guesswork.errors import NumericError
 from guesswork import sources
+from guesswork.exponents import _simplex_grid
 from guesswork.optimize import bracketed_roots
-from guesswork.sources import power_form
+from guesswork.sources import chain_source, power_form
+from guesswork.verify import check_markov_dual
 
 LN2 = math.log(2.0)
 
@@ -798,8 +800,43 @@ class TestGridFallback:
         assert float(proc.stdout) == pytest.approx(2.0 * 0.5 + math.log(0.3), abs=1e-12)
 
 
+def row_grid_exponent(transition, rho: float, rates, step: float) -> np.ndarray:
+    """Oracle: max of rho min(H, R) - D over chains whose rows lie on a simplex grid.
+
+    Every row of the candidate chain eta runs over the grid of step
+    ``step``; its stationary law q comes from one np.linalg.solve of the
+    balance equations, the last replaced by sum(q) = 1.  A chain whose
+    solve is singular, negative or off balance by more than 1e-8 is
+    skipped, and so is one with mass where the true chain has none.  H
+    and D are the conditional entropy of eta and its conditional
+    divergence from ``transition``, both weighted by q.  Returns one
+    value per rate.
+    """
+    pi = np.asarray(transition, dtype=float)
+    k = len(pi)
+    rows = _simplex_grid(k, int(round(1.0 / step)))
+    picks = np.stack(np.meshgrid(*[np.arange(len(rows))] * k, indexing="ij"), -1).reshape(-1, k)
+    etas = rows[picks]
+    m = np.swapaxes(etas, 1, 2) - np.eye(k)
+    m[:, -1, :] = 1.0
+    solvable = np.linalg.slogdet(m)[0] != 0.0
+    etas, m = etas[solvable], m[solvable]
+    rhs = np.zeros((len(m), k, 1))
+    rhs[:, -1] = 1.0
+    q = np.linalg.solve(m, rhs)[:, :, 0]
+    balanced = np.abs(np.einsum("bi,bij->bj", q, etas) - q).sum(axis=1) <= 1e-8
+    keep = np.all(q >= -1e-12, axis=1) & balanced & ~np.any((etas > 0.0) & (pi <= 0.0), axis=(1, 2))
+    etas, q = etas[keep], np.maximum(q[keep], 0.0)
+    log_eta = np.log(np.where(etas > 0.0, etas, 1.0))
+    log_pi = np.log(np.where(pi > 0.0, pi, 1.0))
+    h = -(q * (etas * log_eta).sum(axis=2)).sum(axis=1)
+    d = (q * (etas * (log_eta - log_pi)).sum(axis=2)).sum(axis=1)
+    return np.array([(rho * np.minimum(h, r) - d).max() for r in np.ravel(rates).tolist()])
+
+
 class TestMarkov:
     PI = np.array([[0.9, 0.1], [0.3, 0.7]])
+    PI3 = np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [0.4, 0.4, 0.2]])
 
     def test_iid_in_disguise(self):
         disguised = np.array([[0.8, 0.2], [0.8, 0.2]])
@@ -813,27 +850,52 @@ class TestMarkov:
         assert markov_exponent(uniform, 1.0, 1.0) == pytest.approx(LN2, abs=1e-9)
 
     def test_dual_vs_grid(self):
-        for r in (0.3, 0.5, 0.65):
-            dual = markov_exponent(self.PI, 1.0, r)
-            grid = markov_exponent_grid(self.PI, 1.0, r, step=0.01)
-            assert abs(dual - grid) <= 2e-2
+        rates = (0.3, 0.5, 0.65)
+        grid = row_grid_exponent(self.PI, 1.0, rates, step=0.01)
+        lower, _, upper = certified_exponent(chain_source(self.PI), 1.0, rates)
+        for r, g, lo, hi in zip(rates, grid.tolist(), lower.tolist(), upper.tolist()):
+            assert abs(markov_exponent(self.PI, 1.0, r) - g) <= 2e-2
+            assert g <= lo + 1e-12
+            assert g <= hi + 1e-12
 
-    @pytest.mark.parametrize("pi,step", [
-        (PI, 0.01), (np.array([[0.5, 0.3, 0.2], [0.1, 0.0, 0.9], [0.4, 0.4, 0.2]]), 0.25)])
-    def test_grid_over_a_rate_array(self, pi, step):
-        # one grid serves every rate, each as its own call computes it
+    @pytest.mark.parametrize("pi", [PI, PI3])
+    def test_certificates_over_a_rate_array(self, pi):
+        # a rate's certificates have the bits its own call computes, and the
+        # middle value is the dual's
         rates = np.array([[0.05, 0.3, 0.5], [0.65, 0.9, 1.2]])
-        grid = markov_exponent_grid(pi, 1.0, rates, step=step)
-        assert grid.shape == rates.shape
-        assert grid.ravel().tolist() == [markov_exponent_grid(pi, 1.0, r, step=step)
-                                         for r in rates.ravel().tolist()]
-        assert isinstance(markov_exponent_grid(pi, 1.0, 0.3, step=step), float)
+        batch = certified_exponent(chain_source(pi), 1.0, rates)
+        assert all(out.shape == rates.shape for out in batch)
+        singles = [certified_exponent(chain_source(pi), 1.0, r) for r in rates.ravel().tolist()]
+        for i, out in enumerate(batch):
+            assert out.ravel().tolist() == [single[i] for single in singles]
+        assert batch[1].tolist() == markov_exponent(pi, 1.0, rates).tolist()
+        assert all(isinstance(v, float) for single in singles for v in single)
 
     def test_grid_never_exceeds_dual(self):
-        for r in (0.3, 0.5, 0.65):
-            assert markov_exponent_grid(self.PI, 1.0, r, step=0.05) <= (
-                markov_exponent(self.PI, 1.0, r) + 1e-9
-            )
+        rates = (0.3, 0.5, 0.65)
+        grid = row_grid_exponent(self.PI, 1.0, rates, step=0.05)
+        lower, _, upper = certified_exponent(chain_source(self.PI), 1.0, rates)
+        for r, g, lo, hi in zip(rates, grid.tolist(), lower.tolist(), upper.tolist()):
+            assert g <= markov_exponent(self.PI, 1.0, r) + 1e-9
+            assert g <= lo + 1e-12
+            assert g <= hi + 1e-12
+
+    def test_three_state_grid_below_certificates(self):
+        # the zero transition keeps grid chains with mass on it out of the oracle
+        rates = (0.3, 0.6, 0.9, 1.2)
+        grid = row_grid_exponent(self.PI3, 1.0, rates, step=0.1)
+        lower, _, upper = certified_exponent(chain_source(self.PI3), 1.0, rates)
+        dual = markov_exponent(self.PI3, 1.0, rates)
+        assert np.all(grid <= lower + 1e-12)
+        assert np.all(lower - 1e-12 <= dual) and np.all(dual <= upper + 1e-12)
+        assert np.all(upper - lower <= 1e-9)
+        assert np.all(dual - grid <= 2e-2)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_verify_check_passes(self, seed):
+        result = check_markov_dual(seed=seed)
+        assert result.passed, result.detail
+        assert "max certificate width" in result.detail
 
     def test_rejects_reducible(self):
         with pytest.raises(ValidationError):
