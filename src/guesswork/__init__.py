@@ -40,13 +40,10 @@ from .exponents import (
     decomposition_check,
     iid_correct_term,
     iid_error_exponent,
-    iid_exponent_dual,
     iid_exponent_grid,
     legendre_fenchel,
-    markov_exponent,
     model_exponent_dual,
     perfect_secrecy_exponent,
-    thresholds,
     variational_identity_check,
 )
 from .guessing import (

@@ -230,21 +230,18 @@ def _out_paths(cfg: RunConfig, command: str) -> list:
 def cmd_exponent(cfg: RunConfig) -> int:
     _require(cfg, model=True, rhos=True, rates=True)
     model = so.load_model(cfg.model_path)
-    # a chain's curve carries its twisted-chain witness, a certified lower bound on E
-    witnessed = isinstance(model, (so.MarkovSource, so.UnifilarSource))
 
     def one_curve(rho: float):
         curve = ex.build_curve(model, rho, cfg.rates)
-        rows = [list(row) for row in zip(curve.rates.tolist(), curve.values.tolist(),
-                                         curve.branches)]
-        if witnessed:
-            lower = ex.certified_exponent(model, rho, curve.rates)[0]
-            rows = [row + [check] for row, check in zip(rows, lower.tolist())]
-        return curve, rows
+        columns = [curve.rates.tolist(), curve.values.tolist(), curve.branches]
+        # a chain's curve carries its twisted-chain witness, a certified lower bound on E
+        if curve.lower is not None:
+            columns.append(curve.lower.tolist())
+        return curve, [list(row) for row in zip(*columns)]
 
     results = _map_cells(cfg.rhos, one_curve, cfg.threads)
     for rho, (curve, rows), out in zip(cfg.rhos, results, _out_paths(cfg, "exponent")):
-        header = ["R", "E", "branch"] + (["grid_check"] if witnessed else [])
+        header = ["R", "E", "branch"] + (["grid_check"] if curve.lower is not None else [])
         preamble = [
             f"rho={_fmt(rho)}",
             f"H_P={_fmt(curve.h_source)}",

@@ -11,8 +11,9 @@ brackets it between a primal lower bound and a Collatz-Wielandt upper
 bound (:func:`certified_exponent`).
 
 The dual, the correct-decoding term and the error exponent are one
-clamped root of P'(theta) = R, P the pressure, on [0, rho], [-1, rho] and
-[0, inf) (:func:`_pressure_roots`).  The two split terms stay primal,
+clamped root of P'(theta) = R, P the pressure, solved in v = ln(1+theta)
+= -ln beta on [0, ln(1+rho)], [ln 2^-53, ln(1+rho)] and [0, ln 1e9]
+(:func:`_pressure_roots`).  The two split terms stay primal,
 evaluated at the tilt the root picks (the one-state twisted chain), so
 the split still checks the dual.
 """
@@ -32,10 +33,12 @@ from .sources import (
     DEFAULT_MATERIALIZE_CAP,
     ExplicitSource,
     IidSource,
+    MarkovSource,
     Pmf,
     SourceModel,
+    UnifilarSource,
     _dot,
-    chain_source,
+    _slope,
     divergence,
     entropy,
     perron_vectors,
@@ -46,8 +49,10 @@ from .sources import (
 )
 
 _GRID_MAX_ALPHABET = 4
-# the error exponent's tilt exponent beta = 1/(1+theta) stops at 1e-9
-_THETA_MAX = 1.0 / 1e-9 - 1.0
+# v = -ln beta ends: the correct term reads its tie floor at beta ~ 2^53, the
+# float above theta = -1, and the error exponent's tilt stops at beta = 1e-9
+_V_TIE_FLOOR = math.log(2.0 ** -53)
+_V_ERROR_CAP = math.log(1e9)
 
 
 def _cells(rho, key_rate) -> tuple:
@@ -66,29 +71,31 @@ def _shaped(shape: tuple, out: np.ndarray):
 
 
 def _pressure_roots(form, rates, lo, hi) -> np.ndarray:
-    """Per cell, the minimizer over theta in [lo, hi] of (rho - theta) R + P(theta).
+    """Per cell, v = ln(1 + theta) = -ln beta at the minimizer over v in
+    [lo, hi] of (rho - theta) R + P(theta).
 
-    P is convex, so it is the root of P'(theta) = R clamped to [lo, hi]:
-    lo where P'(lo) >= R, hi where P'(hi) <= R, both settled by one slope
-    call.  The other cells solve P'(theta) = R together, one batched slope
-    call per step (:func:`optimize.bracketed_roots`).  ``lo`` is one end
+    P is convex and theta grows with v, so it is the root of P' = R clamped
+    to [lo, hi]: exactly lo where P' >= R at lo, exactly hi where P' <= R at
+    hi, both settled by one slope call.  The other cells solve P' = R in v
+    together, one batched slope call at beta = e^-v per step
+    (:func:`optimize.bracketed_roots`).  ``lo`` and ``hi`` are each one end
     for all cells or one per cell.
     """
-    ends = np.ravel(lo)
-    slopes = pressure_slope(form, np.concatenate([ends, hi]))
-    at_lo, at_hi = slopes[:ends.size] - rates, slopes[ends.size:] - rates
-    lo = np.full(rates.shape, lo)
-    theta = np.where((at_lo < 0.0) & (at_hi <= 0.0), hi, lo)
+    lo, hi = np.ravel(lo), np.ravel(hi)
+    slopes = _slope(form, np.exp(-np.concatenate([lo, hi])))
+    at_lo, at_hi = slopes[:lo.size] - rates, slopes[lo.size:] - rates
+    lo, hi = np.broadcast_to(lo, rates.shape), np.broadcast_to(hi, rates.shape)
+    v = np.where((at_lo < 0.0) & (at_hi <= 0.0), hi, lo)
     inner = np.flatnonzero((at_lo < 0.0) & (at_hi > 0.0))
     inner_rates = rates[inner]
-    theta[inner] = bracketed_roots(
-        lambda t, rows: pressure_slope(form, t) - inner_rates[rows],
+    v[inner] = bracketed_roots(
+        lambda x, rows: _slope(form, np.exp(-x)) - inner_rates[rows],
         lo[inner], hi[inner], at_lo[inner], at_hi[inner])
-    return theta
+    return v
 
 
-def _twisted_chain(form, thetas: np.ndarray) -> tuple:
-    """(H, D, ln CW) per theta, read off M = M(beta) at beta = 1/(1+theta).
+def _twisted_chain(form, betas: np.ndarray) -> tuple:
+    """(H, D, ln CW) per tilt exponent beta, read off M = M(beta).
 
     With u, v the Perron vectors of M, the twisted chain gives letter x in
     state s the law w(s, x)^beta v_next(s, x) / (M v)_s, each letter
@@ -97,7 +104,6 @@ def _twisted_chain(form, thetas: np.ndarray) -> tuple:
     ln CW = ln max_s (M v)_s / v_s + beta shift >= ln lambda for any v > 0
     (Collatz-Wielandt).  Sums run in a fixed order: no batch dependence.
     """
-    betas = 1.0 / (1.0 + thetas)
     counts, nxt = form.scatter.sum(axis=2), form.scatter.argmax(axis=2)
     h, d, log_cw = [], [], []
     for beta, shift, logs, w in form.powers(betas):
@@ -116,10 +122,13 @@ def _twisted_chain(form, thetas: np.ndarray) -> tuple:
 
 def _dual_root(model, rho, key_rate) -> tuple:
     """(shape, form, rho, R, theta*, (rho - theta*) R) of the dual's flattened
-    cells; the last is 0 where theta* = rho, as 0 x R is nan for R = +inf."""
+    cells.  Clamped cells take theta* = 0 and rho exactly, and the last is
+    0 where theta* = rho, as 0 x R is nan for R = +inf."""
     shape, flat_rho, flat = _cells(rho, key_rate)
     form = power_form(model)
-    theta = _pressure_roots(form, flat, 0.0, flat_rho)
+    top = np.log1p(flat_rho)
+    v = _pressure_roots(form, flat, 0.0, top)
+    theta = np.where(v == top, flat_rho, np.expm1(v))
     gap = flat_rho - theta
     linear = np.multiply(gap, flat, out=np.zeros_like(gap), where=gap > 0.0)
     return shape, form, flat_rho, flat, theta, linear
@@ -150,21 +159,10 @@ def certified_exponent(model, rho, key_rate) -> tuple:
     Same arguments, broadcasting and shapes as the dual.
     """
     shape, form, flat_rho, flat, theta, linear = _dual_root(model, rho, key_rate)
-    h, d, log_cw = _twisted_chain(form, theta)
+    h, d, log_cw = _twisted_chain(form, 1.0 / (1.0 + theta))
     return tuple(_shaped(shape, out) for out in (
         flat_rho * np.minimum(h, flat) - d, pressure(form, theta) + linear,
         linear + (1.0 + theta) * log_cw))
-
-
-def iid_exponent_dual(p1: Pmf, rho: float, key_rate):
-    """min over theta in [0, rho] of (rho - theta) R + theta H_{1/(1+theta)}(P)."""
-    return model_exponent_dual(IidSource(p1), rho, key_rate)
-
-
-def markov_exponent(transition, rho: float, key_rate):
-    """Dual exponent of an irreducible chain: its pressure is the log Perron
-    root of the entrywise-tilted transition matrix."""
-    return model_exponent_dual(chain_source(transition), rho, key_rate)
 
 
 def _simplex_grid(dim: int, steps: int) -> np.ndarray:
@@ -242,11 +240,10 @@ def iid_error_exponent(p1: Pmf, key_rate):
 
     Zero for R up to H(P) (P itself sits in the closure of the constraint
     set); +inf from ln(support size) on, where the constraint set empties.
-    In between, D(Q||P) at the order-1/(1+theta) tilt Q
-    (:func:`_twisted_chain`), theta the root of P'(theta) = R on [0, inf)
-    (:func:`_pressure_roots`), bracketed by doubling theta from 1 and
-    clamped at 1/(1+theta) = 1e-9.  ``key_rate`` may be an array; its
-    rates are solved together.
+    In between, D(Q||P) at the order-beta tilt Q (:func:`_twisted_chain`),
+    beta = e^-v and v the root of P' = R on the fixed bracket [0, ln 1e9]
+    (:func:`_pressure_roots`), so beta stops at 1e-9.  ``key_rate`` may be
+    an array; its rates are solved together.
     """
     shape, _, flat = _cells(1.0, key_rate)
     out = np.zeros(flat.size)
@@ -255,13 +252,9 @@ def iid_error_exponent(p1: Pmf, key_rate):
     empty = (flat > h_p) & (flat >= math.log(support) - 1e-15)
     out[empty] = math.inf
     inner = np.flatnonzero((flat > h_p) & ~empty)
-    form, rates = power_form(IidSource(p1)), flat[inner]
-    lo, hi = np.zeros(inner.size), np.ones(inner.size)
-    grow = pressure_slope(form, hi) < rates
-    while np.any(grow):
-        lo[grow], hi[grow] = hi[grow], np.minimum(2.0 * hi[grow], _THETA_MAX)
-        grow[grow] = (hi[grow] < _THETA_MAX) & (pressure_slope(form, hi[grow]) < rates[grow])
-    out[inner] = _twisted_chain(form, _pressure_roots(form, rates, lo, hi))[1]
+    form = power_form(IidSource(p1))
+    v = _pressure_roots(form, flat[inner], 0.0, _V_ERROR_CAP)
+    out[inner] = _twisted_chain(form, np.exp(-v))[1]
     return _shaped(shape, out)
 
 
@@ -269,23 +262,25 @@ def iid_correct_term(p1: Pmf, rho: float, key_rate):
     """max of rho H(Q) - D(Q||P) over distributions with entropy at most R.
 
     At the tie floor, R <= P'(-1+) = ln(#letters equal to p_max), read at
-    the float above -1, it is (1+rho) R + ln p_max, the value of any law on
-    the maximal letters with entropy R.  Otherwise it is rho H(Q) - D(Q||P)
-    at the order-1/(1+theta) tilt Q (:func:`_twisted_chain`), theta the
-    root of P'(theta) = R clamped to [-1, rho] (:func:`_pressure_roots`):
-    free (P'(rho) <= R), rho times the order-1/(1+rho) entropy.  A letter a
-    hair below p_max can put the root where theta cannot resolve it, and a
-    tilt whose entropy misses R by 1e-9 raises :class:`NumericError`.
+    beta ~ 2^53, it is (1+rho) R + ln p_max, the value of any law on the
+    maximal letters with entropy R.  Otherwise it is rho H(Q) - D(Q||P) at
+    the order-beta tilt Q (:func:`_twisted_chain`), beta = e^-v and v the
+    root of P' = R clamped to the fixed bracket [ln 2^-53, ln(1+rho)]
+    (:func:`_pressure_roots`): free (P'(rho) <= R), rho times the
+    order-1/(1+rho) entropy.  A letter a hair below p_max puts the root at
+    a huge beta, which v resolves as well as any other; a tilt whose
+    entropy still misses R by 1e-9 raises :class:`NumericError`.
     ``key_rate`` may be an array.
     """
     shape, _, flat = _cells(rho, key_rate)
-    lo, form = np.nextafter(-1.0, 0.0), power_form(IidSource(p1))
-    theta = _pressure_roots(form, flat, lo, np.full(flat.size, float(rho)))
+    top, form = math.log1p(rho), power_form(IidSource(p1))
+    v = _pressure_roots(form, flat, _V_TIE_FLOOR, top)
     out = (1.0 + rho) * flat + math.log(p1.probs.max())
-    free = theta > lo
-    h, d, _ = _twisted_chain(form, theta[free])
-    if np.any((np.abs(h - flat[free]) > 1e-9) & (theta[free] < rho)):
-        raise NumericError("the correct-decoding root sits too near theta = -1 to resolve")
+    free = v > _V_TIE_FLOOR
+    # the clamp at theta = rho reads the tilt at beta = 1/(1+rho) exactly
+    h, d, _ = _twisted_chain(form, np.where(v == top, 1.0 / (1.0 + rho), np.exp(-v))[free])
+    if np.any((np.abs(h - flat[free]) > 1e-9) & (v[free] < top)):
+        raise NumericError("the correct-decoding tilt misses its entropy constraint by over 1e-9")
     out[free] = rho * h - d
     return _shaped(shape, out)
 
@@ -299,27 +294,11 @@ def decomposition_check(p1: Pmf, rho: float, key_rate) -> tuple:
     """
     lhs = np.maximum(rho * np.asarray(key_rate, dtype=float) - iid_error_exponent(p1, key_rate),
                      iid_correct_term(p1, rho, key_rate))
-    rhs = iid_exponent_dual(p1, rho, key_rate)
+    rhs = model_exponent_dual(IidSource(p1), rho, key_rate)
     gap = np.abs(lhs - rhs)
     if np.ndim(key_rate) == 0:
         return float(lhs), float(rhs), float(gap)
     return lhs, rhs, gap
-
-
-def thresholds(p1: Pmf, rho: float) -> tuple:
-    """(H_P, H') for the single-letter curve: linear up to H_P, flat from H'.
-
-    H_P = P'(0) is the entropy and H' = P'(rho) the entropy of the
-    order-1/(1+rho) tilt, the smallest rate at which the dual saturates.
-    """
-    return _thresholds(IidSource(p1), rho)
-
-
-def _thresholds(model: SourceModel, rho: float) -> tuple:
-    if rho <= 0.0:
-        raise ValidationError("rho must be positive")
-    h_p, h_sat = pressure_slope(model, [0.0, rho]).tolist()
-    return h_p, h_sat
 
 
 def legendre_fenchel(rhos, values, lambdas=None, convexity_tol: float = 1e-6):
@@ -410,10 +389,11 @@ def perfect_secrecy_exponent(model: SourceModel, rho: float) -> PerfectSecrecyRe
 
 @dataclass(frozen=True, eq=False)
 class ExponentCurve:
-    """Sampled exponent curve with its regime thresholds.
+    """Sampled exponent curve with its regime thresholds H_P = P'(0) and H' = P'(rho).
 
     ``branch`` labels each sample linear / interior / saturated by
-    comparing R against the thresholds.
+    comparing R against the thresholds.  ``lower`` holds each value's
+    twisted-chain witness for a Markov or unifilar curve, None for iid.
     """
 
     rho: float
@@ -422,6 +402,7 @@ class ExponentCurve:
     h_source: float
     h_saturation: float
     e_max: float
+    lower: np.ndarray | None = None
 
     @property
     def branches(self) -> list:
@@ -437,8 +418,13 @@ class ExponentCurve:
 
 
 def build_curve(model: SourceModel, rho: float, rates) -> ExponentCurve:
-    """Evaluate the dual exponent on a rate grid and locate its thresholds."""
+    """Evaluate the dual exponent on a rate grid and locate its thresholds;
+    a Markov or unifilar curve takes E and its witness from one root."""
     rates = np.asarray(rates, dtype=float)
-    values = model_exponent_dual(model, rho, rates)
-    h_source, h_sat = _thresholds(model, rho)
-    return ExponentCurve(rho, rates, values, h_source, h_sat, float(pressure(model, rho)))
+    lower = None
+    if isinstance(model, (MarkovSource, UnifilarSource)):
+        lower, values, _ = certified_exponent(model, rho, rates)
+    else:
+        values = model_exponent_dual(model, rho, rates)
+    h_source, h_sat = pressure_slope(model, [0.0, rho]).tolist()
+    return ExponentCurve(rho, rates, values, h_source, h_sat, float(pressure(model, rho)), lower)

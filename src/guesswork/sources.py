@@ -27,7 +27,8 @@ PMF_TOL = 1e-12
 PRODUCT_TOL = 1e-9
 # Residual tolerance for stationary distributions.
 STATIONARY_TOL = 1e-10
-# Largest temporary, in floats, of one chunk of a batched pressure evaluation.
+# Largest temporary, in floats, of one chunk of a batched pressure evaluation
+# or of a Pmf's sum check.
 PRESSURE_CHUNK = 2 ** 16
 
 DEFAULT_MATERIALIZE_CAP = 2 ** 24
@@ -54,7 +55,9 @@ class Pmf:
             raise ValidationError("PMF entries must be finite")
         if np.any(arr < 0.0):
             raise ValidationError("PMF entries must be nonnegative")
-        _require_unit_sum(arr.tolist(), tol)
+        # one fsum fed slice by slice: never a Python float per entry at once
+        _require_unit_sum((x for i in range(0, arr.size, PRESSURE_CHUNK)
+                           for x in arr[i:i + PRESSURE_CHUNK].tolist()), tol)
         arr.setflags(write=False)
         self.probs = arr
 
@@ -69,7 +72,7 @@ class Pmf:
         return f"Pmf({self.probs.tolist()!r})"
 
 
-def _require_unit_sum(terms: list, tol: float):
+def _require_unit_sum(terms, tol: float):
     total = math.fsum(terms)
     if abs(total - 1.0) > tol:
         raise ValidationError(f"PMF entries sum to {total!r}, not 1 within {tol:g}")
@@ -462,15 +465,6 @@ def stationary(transition, tol: float = STATIONARY_TOL) -> Pmf:
     return Pmf(q / q.sum(), tol=PRODUCT_TOL)
 
 
-def perron_root(matrices) -> np.ndarray:
-    """Perron roots of a stack of nonnegative square matrices.
-
-    The spectral radius of a nonnegative matrix is itself an eigenvalue,
-    so it is the eigenvalue with the largest real part.
-    """
-    return np.linalg.eigvals(matrices).real.max(axis=-1)
-
-
 @dataclass(frozen=True, eq=False)
 class PowerForm:
     """Entries of the tilted state-power matrix of a source or a finite law.
@@ -565,21 +559,18 @@ def power_form(model) -> PowerForm:
 def pressure(model, thetas) -> np.ndarray:
     """P(theta) = (1+theta) ln lambda(1/(1+theta)) over an array of theta > -1.
 
-    lambda(beta) is the Perron root of the tilted state-power matrix of
-    ``model`` (see :func:`power_form`); for a one-state form it is the
-    power sum itself.  P(theta) is theta times the order-1/(1+theta)
-    entropy rate, and P(0) = 0.  For theta < 0 the root is that of the
+    lambda(beta) is the Perron root (:func:`perron_vectors`) of the tilted
+    state-power matrix of ``model`` (see :func:`power_form`); for a
+    one-state form it is the power sum itself.  P(theta) is theta times
+    the order-1/(1+theta) entropy rate, and P(0) = 0.  For theta < 0 the root is that of the
     shifted powers (:meth:`PowerForm.powers`), with beta shift added back
     to its log.  A reducible state chain is refused.
     """
     form = power_form(model)
     thetas = np.asarray(thetas, dtype=float)
     betas = 1.0 / (1.0 + thetas.ravel())
-    log_lam = []
-    for beta, shift, _, w in form.powers(betas):
-        m = form.matrix(w)
-        root = m[:, 0, 0] if form.num_states == 1 else perron_root(m)
-        log_lam.append(np.log(root) + beta * shift)
+    log_lam = [np.log(perron_vectors(form.matrix(w))[0]) + beta * shift
+               for beta, shift, _, w in form.powers(betas)]
     return ((1.0 + thetas.ravel()) * np.concatenate(log_lam)).reshape(thetas.shape)
 
 
@@ -620,16 +611,20 @@ def pressure_slope(model, thetas) -> np.ndarray:
     :meth:`PowerForm.powers` cancels in it.  A reducible state chain is
     refused when its form is built.
     """
-    form = power_form(model)
     thetas = np.asarray(thetas, dtype=float)
-    betas = 1.0 / (1.0 + thetas.ravel())
+    return _slope(power_form(model), 1.0 / (1.0 + thetas.ravel())).reshape(thetas.shape)
+
+
+def _slope(form: PowerForm, betas: np.ndarray) -> np.ndarray:
+    """P' of :func:`pressure_slope` at each tilt exponent beta of a flat array,
+    so that a beta near 0 or far above 1 never rounds through theta."""
     lam, dlam = [], []
     for _, _, logs, w in form.powers(betas):
         root, u, v = perron_vectors(form.matrix(w))
         lam.append(root)
         dlam.append(_dot(u, _dot(form.matrix(w * logs), v[:, None, :])) / _dot(u, v))
     lam, dlam = np.concatenate(lam), np.concatenate(dlam)
-    return (np.log(lam) - betas * dlam / lam).reshape(thetas.shape)
+    return np.log(lam) - betas * dlam / lam
 
 
 def chain_source(transition) -> MarkovSource:

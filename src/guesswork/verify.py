@@ -102,19 +102,20 @@ def check_decomposition(tol: float = 1e-9) -> CheckResult:
 def check_three_regime() -> CheckResult:
     """Linear, concave-interior, and flat regimes of the (0.8, 0.2) curve."""
     p = so.Pmf([0.8, 0.2])
+    model = so.IidSource(p)
     rho = 1.0
-    h_p, h_sat = ex.thresholds(p, rho)
+    h_p, h_sat = so.pressure_slope(model, [0.0, rho]).tolist()
     e_max = rho * so.renyi_entropy(p, 0.5)
     problems = []
     linear = np.arange(0.01, h_p + 1e-12, 0.01)
-    for r, e in zip(linear.tolist(), ex.iid_exponent_dual(p, rho, linear).tolist()):
+    for r, e in zip(linear.tolist(), ex.model_exponent_dual(model, rho, linear).tolist()):
         if abs(e - rho * r) > 1e-9:
             problems.append(f"linear regime broken at R={r:.4f}")
     saturated = np.arange(h_sat, LN2 + 1e-9, 0.005)
-    for r, e in zip(saturated.tolist(), ex.iid_exponent_dual(p, rho, saturated).tolist()):
+    for r, e in zip(saturated.tolist(), ex.model_exponent_dual(model, rho, saturated).tolist()):
         if abs(e - e_max) > 1e-6:
             problems.append(f"saturated regime broken at R={r:.4f}")
-    vals = ex.iid_exponent_dual(p, rho, np.arange(h_p, h_sat, 0.01))
+    vals = ex.model_exponent_dual(model, rho, np.arange(h_p, h_sat, 0.01))
     if np.any(np.diff(vals) < -1e-10):
         problems.append("interior regime not nondecreasing")
     if np.any(np.diff(vals, 2) > 1e-8):
@@ -298,14 +299,13 @@ def check_relaxed_integer_sandwich(seed: int = 0, instances: int = 200) -> Check
 
 def check_finite_n_convergence() -> CheckResult:
     """Finite-n relaxed optima approach the single-letter dual monotonically."""
-    p = so.Pmf([0.8, 0.2])
-    model = so.IidSource(p)
+    model = so.IidSource(so.Pmf([0.8, 0.2]))
     rho = 1.0
     problems = []
     finals = []
     rates = (0.3, 0.55, 0.69)
     laws = {n: so.n_letter_spectrum(model, n) for n in (4, 6, 8, 10, 12)}
-    for key_rate, dual in zip(rates, ex.iid_exponent_dual(p, rho, rates).tolist()):
+    for key_rate, dual in zip(rates, ex.model_exponent_dual(model, rho, rates).tolist()):
         gaps = [abs(co.relaxed_optimum(law, n, rho, key_rate).value - dual)
                 for n, law in laws.items()]
         if any(b > a + 1e-12 for a, b in zip(gaps, gaps[1:])):
@@ -343,11 +343,10 @@ def check_markov_dual(seed: int = 0) -> CheckResult:
         for r, lo, e, hi in zip(rates.tolist(), lower.tolist(), dual.tolist(), upper.tolist()):
             if not (lo - 1e-12 <= e <= hi + 1e-12 and hi - lo <= 1e-9):
                 problems.append(f"model {i} R={r:.4f}: L={lo:.12f} dual={e:.12f} U={hi:.12f}")
-    p = so.Pmf([0.8, 0.2])
-    disguised = np.array([[0.8, 0.2], [0.8, 0.2]])
+    disguised = so.chain_source([[0.8, 0.2], [0.8, 0.2]])
     rates = (0.3, 0.55, 0.69)
-    disguise_gaps = np.abs(ex.markov_exponent(disguised, rho, rates)
-                           - ex.iid_exponent_dual(p, rho, rates))
+    disguise_gaps = np.abs(ex.model_exponent_dual(disguised, rho, rates)
+                           - ex.model_exponent_dual(so.IidSource(so.Pmf([0.8, 0.2])), rho, rates))
     for key_rate, gap in zip(rates, disguise_gaps.tolist()):
         if gap > 1e-9:
             problems.append(f"iid-in-disguise gap {gap:.3e} at R={key_rate}")

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from guesswork import Pmf, iid_exponent_dual, renyi_entropy
+from guesswork import IidSource, Pmf, model_exponent_dual, renyi_entropy
 from guesswork.cli import main
 from guesswork.verify import (
     check_attack_ceiling,
@@ -55,7 +55,7 @@ def test_criterion_3_three_regime_curve():
     t0 = time.time()
     result = check_three_regime()
     # the saturation plateau sits at the stated value
-    plateau = iid_exponent_dual(Pmf([0.8, 0.2]), 1.0, LN2)
+    plateau = model_exponent_dual(IidSource(Pmf([0.8, 0.2])), 1.0, LN2)
     value_ok = abs(plateau - 0.587787) <= 1e-6
     report(3, "three-regime curve", result.passed and value_ok,
            result.detail + f"; plateau {plateau:.9f} vs 0.587787",

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import guesswork
+from guesswork import exponents
 from guesswork.cli import main
+from guesswork.optimize import bracketed_roots
 
 LN2 = math.log(2.0)
 
@@ -93,6 +95,23 @@ class TestExponentCommand:
             assert {s["branch"] for s in samples} == {"linear", "interior", "saturated"}
             for s in samples:
                 assert abs(s["grid_check"] - s["E"]) <= 1e-9
+
+    def test_one_root_per_chain_curve(self, tmp_path, monkeypatch):
+        # each curve's E and its witness come from one root solve
+        sizes = []
+
+        def spy(g, a, *args):
+            sizes.append(np.size(a))
+            return bracketed_roots(g, a, *args)
+
+        monkeypatch.setattr(exponents, "bracketed_roots", spy)
+        write_model(tmp_path, {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]]})
+        cfg = write_config(tmp_path, {
+            "model": "model.json", "rho": [0.5, 2.0],
+            "R": {"min": 0.05, "max": 0.8, "step": 0.05},
+        })
+        assert main(["exponent", "--config", str(cfg), "--out", str(tmp_path / "curve.csv")]) == 0
+        assert len(sizes) == 2 and min(sizes) > 0
 
     def test_four_state_chain_in_bounded_memory(self, tmp_path):
         # the child's address space is capped at 512 MB; a transition-matrix

@@ -26,18 +26,16 @@ from guesswork import (
     certified_exponent,
     iid_correct_term,
     iid_error_exponent,
-    iid_exponent_dual,
     iid_exponent_grid,
     legendre_fenchel,
-    markov_exponent,
     markov_renyi_rate,
     materialize,
     model_exponent_dual,
     perfect_secrecy_exponent,
     pressure,
+    pressure_slope,
     renyi_entropy,
     renyi_entropy_rate,
-    thresholds,
     tilt,
     variational_identity_check,
 )
@@ -64,28 +62,30 @@ class TestIidDual:
     def test_linear_regime(self):
         for rho in (0.5, 1.0, 2.0):
             for r in (0.05, 0.2, 0.4, H_P82):
-                assert iid_exponent_dual(P82, rho, r) == pytest.approx(rho * r, abs=1e-9)
+                assert model_exponent_dual(IidSource(P82), rho, r) == pytest.approx(
+                    rho * r, abs=1e-9)
 
     def test_saturated_regime(self):
-        assert iid_exponent_dual(P82, 1.0, 1.0) == pytest.approx(EMAX_P82, abs=1e-9)
-        assert iid_exponent_dual(P82, 1.0, LN2) == pytest.approx(EMAX_P82, abs=1e-9)
+        assert model_exponent_dual(IidSource(P82), 1.0, 1.0) == pytest.approx(EMAX_P82, abs=1e-9)
+        assert model_exponent_dual(IidSource(P82), 1.0, LN2) == pytest.approx(EMAX_P82, abs=1e-9)
 
     def test_uniform_source(self):
         u = pmf(0.25, 0.25, 0.25, 0.25)
         for r in (0.3, 1.0, 1.7):
-            assert iid_exponent_dual(u, 1.0, r) == pytest.approx(
+            assert model_exponent_dual(IidSource(u), 1.0, r) == pytest.approx(
                 min(r, math.log(4.0)), abs=1e-9
             )
 
     def test_monotone_concave_in_rate(self):
         rates = np.arange(0.05, 0.7, 0.01)
-        values = np.array([iid_exponent_dual(P82, 1.0, r) for r in rates.tolist()])
+        values = np.array([model_exponent_dual(IidSource(P82), 1.0, r) for r in rates.tolist()])
         assert np.all(np.diff(values) >= -1e-10)
         assert np.all(np.diff(values, 2) <= 1e-8)
 
     def test_convex_nondecreasing_in_rho(self):
         rhos = np.arange(0.1, 3.0, 0.05)
-        values = np.array([iid_exponent_dual(P82, rho, 0.55) for rho in rhos.tolist()])
+        values = np.array([model_exponent_dual(IidSource(P82), rho, 0.55)
+                           for rho in rhos.tolist()])
         assert np.all(np.diff(values) >= -1e-10)
         slopes = np.diff(values) / np.diff(rhos)
         assert np.all(np.diff(slopes) >= -1e-7)
@@ -213,7 +213,7 @@ class TestLockStepDual:
             weights[0] = 1.0
         p = Pmf([w / math.fsum(weights) for w in weights])
         rates = rates + [1e-3, 50.0]
-        dual = iid_exponent_dual(p, rho, np.array(rates))
+        dual = model_exponent_dual(IidSource(p), rho, np.array(rates))
         oracle = [mp_iid_dual(p.probs.tolist(), rho, r) for r in rates]
         assert np.abs(dual - oracle).max() <= 1e-13
 
@@ -223,7 +223,7 @@ class TestLockStepDual:
         for r, end, theta in ((1e-3, 0, 0.0), (50.0, 1023, 1.0)):
             value, i = scalar_dual(IidSource(P82), 1.0, r)
             assert i == end
-            dual = iid_exponent_dual(P82, 1.0, np.array([r, 0.55]))[0]
+            dual = model_exponent_dual(IidSource(P82), 1.0, np.array([r, 0.55]))[0]
             assert dual == pytest.approx(value, abs=1e-12)
             assert dual == (1.0 - theta) * r + pressure(IidSource(P82), np.array([theta]))[0]
 
@@ -413,7 +413,7 @@ class TestIidGrid:
     def test_cross_validates_dual(self):
         for r in (0.55, 0.6, 0.65):
             grid = iid_exponent_grid(P82, 1.0, r, resolution=0.01)
-            dual = iid_exponent_dual(P82, 1.0, r)
+            dual = model_exponent_dual(IidSource(P82), 1.0, r)
             assert grid <= dual + 1e-6  # weak duality is exact here
             assert grid >= dual - 2e-3
 
@@ -588,14 +588,25 @@ class TestPressureRoot:
         assert value == pytest.approx(mp_tilt_witness(p, rho, r), abs=1e-12)
 
     def test_near_tie_at_the_floor(self):
-        # the two maxima are one rounding apart: under the floor that the
-        # slope just above theta = -1 reads, the closed form holds; above
-        # it the root is closer to -1 than theta resolves, which is refused
-        p = pmf(0.35, 0.35000000000000003, 0.3)
-        value = iid_correct_term(p, 1.0, 0.2)
-        assert value == pytest.approx(2.0 * 0.2 + math.log(0.35), abs=1e-12)
-        with pytest.raises(NumericError):
-            iid_correct_term(p, 1.0, np.array([0.2, 0.5]))
+        # the two maxima are one rounding apart: under ln 2 the floor's closed
+        # form holds, and above it the root sits at beta ~ 5e15, which
+        # v = -ln beta resolves.  2R + ln 0.35 bounds rho H - D for every law
+        # with H <= R, as D >= -H - ln p_max, and a law on the two near-tied
+        # maxima attains it
+        rates = np.array([0.2, 0.5, 0.6])
+        value = iid_correct_term(pmf(0.35, 0.35000000000000003, 0.3), 1.0, rates)
+        assert np.abs(value - (2.0 * rates + math.log(0.35))).max() <= 1e-12
+
+    @pytest.mark.parametrize("term, rates", [
+        (lambda r: iid_correct_term(pmf(0.35, 0.35000000000000003, 0.3), 1.0, r),
+         [0.3, 0.7, 0.9, 0.5, 1.05, 4.1]),
+        (lambda r: iid_error_exponent(two_peak_law(), r),
+         [0.3, 4.158, 4.1585, math.log(64.0) - 1e-9, math.log(64.0) - 1e-6, 4.2]),
+    ], ids=["correct", "error"])
+    def test_cell_alone_equals_cell_in_batch(self, term, rates):
+        # the fourth cell's root sits near beta = 5e15 or 1e-3, among
+        # floor, free, inner and empty cells whose steps differ from its own
+        assert term(np.array(rates))[3] == term(rates[3])
 
     def test_error_exponent_near_full_rate(self):
         # the root sits near theta = 1e6; the value stays under D(uniform || P)
@@ -841,20 +852,20 @@ class TestMarkov:
     def test_iid_in_disguise(self):
         disguised = np.array([[0.8, 0.2], [0.8, 0.2]])
         for r in (0.3, 0.55, 0.69):
-            assert markov_exponent(disguised, 1.0, r) == pytest.approx(
-                iid_exponent_dual(P82, 1.0, r), abs=1e-9
+            assert model_exponent_dual(chain_source(disguised), 1.0, r) == pytest.approx(
+                model_exponent_dual(IidSource(P82), 1.0, r), abs=1e-9
             )
 
     def test_uniform_rows_saturate(self):
         uniform = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert markov_exponent(uniform, 1.0, 1.0) == pytest.approx(LN2, abs=1e-9)
+        assert model_exponent_dual(chain_source(uniform), 1.0, 1.0) == pytest.approx(LN2, abs=1e-9)
 
     def test_dual_vs_grid(self):
         rates = (0.3, 0.5, 0.65)
         grid = row_grid_exponent(self.PI, 1.0, rates, step=0.01)
         lower, _, upper = certified_exponent(chain_source(self.PI), 1.0, rates)
         for r, g, lo, hi in zip(rates, grid.tolist(), lower.tolist(), upper.tolist()):
-            assert abs(markov_exponent(self.PI, 1.0, r) - g) <= 2e-2
+            assert abs(model_exponent_dual(chain_source(self.PI), 1.0, r) - g) <= 2e-2
             assert g <= lo + 1e-12
             assert g <= hi + 1e-12
 
@@ -868,7 +879,7 @@ class TestMarkov:
         singles = [certified_exponent(chain_source(pi), 1.0, r) for r in rates.ravel().tolist()]
         for i, out in enumerate(batch):
             assert out.ravel().tolist() == [single[i] for single in singles]
-        assert batch[1].tolist() == markov_exponent(pi, 1.0, rates).tolist()
+        assert batch[1].tolist() == model_exponent_dual(chain_source(pi), 1.0, rates).tolist()
         assert all(isinstance(v, float) for single in singles for v in single)
 
     def test_grid_never_exceeds_dual(self):
@@ -876,7 +887,7 @@ class TestMarkov:
         grid = row_grid_exponent(self.PI, 1.0, rates, step=0.05)
         lower, _, upper = certified_exponent(chain_source(self.PI), 1.0, rates)
         for r, g, lo, hi in zip(rates, grid.tolist(), lower.tolist(), upper.tolist()):
-            assert g <= markov_exponent(self.PI, 1.0, r) + 1e-9
+            assert g <= model_exponent_dual(chain_source(self.PI), 1.0, r) + 1e-9
             assert g <= lo + 1e-12
             assert g <= hi + 1e-12
 
@@ -885,7 +896,7 @@ class TestMarkov:
         rates = (0.3, 0.6, 0.9, 1.2)
         grid = row_grid_exponent(self.PI3, 1.0, rates, step=0.1)
         lower, _, upper = certified_exponent(chain_source(self.PI3), 1.0, rates)
-        dual = markov_exponent(self.PI3, 1.0, rates)
+        dual = model_exponent_dual(chain_source(self.PI3), 1.0, rates)
         assert np.all(grid <= lower + 1e-12)
         assert np.all(lower - 1e-12 <= dual) and np.all(dual <= upper + 1e-12)
         assert np.all(upper - lower <= 1e-9)
@@ -899,43 +910,43 @@ class TestMarkov:
 
     def test_rejects_reducible(self):
         with pytest.raises(ValidationError):
-            markov_exponent(np.eye(2), 1.0, 0.5)
+            model_exponent_dual(chain_source(np.eye(2)), 1.0, 0.5)
 
     def test_linear_regime_matches_entropy_rate(self):
         # below the entropy rate the curve climbs at slope rho
         q = np.array([0.75, 0.25])
         h_rate = -(q[:, None] * self.PI * np.log(self.PI)).sum()
         for r in (0.1, 0.25, h_rate * 0.99):
-            assert markov_exponent(self.PI, 1.0, r) == pytest.approx(r, abs=1e-9)
+            assert model_exponent_dual(chain_source(self.PI), 1.0, r) == pytest.approx(r, abs=1e-9)
 
 
 class TestThresholds:
     def test_uniform(self):
         u = pmf(0.25, 0.25, 0.25, 0.25)
-        h_p, h_sat = thresholds(u, 1.0)
+        h_p, h_sat = pressure_slope(IidSource(u), [0.0, 1.0]).tolist()
         assert h_p == pytest.approx(math.log(4.0), abs=1e-12)
         assert h_sat == pytest.approx(math.log(4.0), abs=1e-6)
 
     def test_point_mass(self):
-        h_p, h_sat = thresholds(pmf(1.0, 0.0), 1.0)
+        h_p, h_sat = pressure_slope(IidSource(pmf(1.0, 0.0)), [0.0, 1.0]).tolist()
         assert h_p == 0.0
         assert h_sat == 0.0
 
     def test_binary_sandwich(self):
-        h_p, h_sat = thresholds(P82, 1.0)
+        h_p, h_sat = pressure_slope(IidSource(P82), [0.0, 1.0]).tolist()
         assert h_p == pytest.approx(H_P82, abs=1e-12)
         assert H_P82 < h_sat < LN2
 
     def test_matches_tilted_entropy_formula(self):
         # the saturation threshold is the entropy of the order-1/(1+rho) tilt
-        h_p, h_sat = thresholds(P82, 1.0)
+        h_p, h_sat = pressure_slope(IidSource(P82), [0.0, 1.0]).tolist()
         analytic = entropy(tilt(P82, 0.5))
         assert analytic == pytest.approx(0.63651416829481282, abs=1e-12)
         assert h_sat == pytest.approx(analytic, abs=1e-12)
 
     def test_dual_saturates_exactly_from_threshold(self):
-        h_p, h_sat = thresholds(P82, 1.0)
-        below, at = iid_exponent_dual(P82, 1.0, [h_sat - 1e-3, h_sat])
+        h_p, h_sat = pressure_slope(IidSource(P82), [0.0, 1.0]).tolist()
+        below, at = model_exponent_dual(IidSource(P82), 1.0, [h_sat - 1e-3, h_sat])
         assert at == pytest.approx(EMAX_P82, abs=1e-12)
         assert below < EMAX_P82 - 1e-8
 
@@ -985,7 +996,7 @@ class TestLegendreFenchel:
 
     def test_double_transform_recovers_curve(self):
         rhos = np.linspace(0.02, 2.0, 256)
-        values = np.array([iid_exponent_dual(P82, rho, 0.6) for rho in rhos.tolist()])
+        values = np.array([model_exponent_dual(IidSource(P82), rho, 0.6) for rho in rhos.tolist()])
         lambdas, transform = legendre_fenchel(rhos, values,
                                               lambdas=np.linspace(0.0, 0.65, 4096))
         recovered = (rhos[:, None] * lambdas[None, :] - transform[None, :]).max(axis=1)
@@ -1099,7 +1110,7 @@ class TestExponentCurve:
         model = UnifilarSource(Pmf([1.0, 0.0]), nxt, (Pmf(pi[0]), Pmf(pi[1])))
         for r in (0.3, 0.5):
             assert model_exponent_dual(model, 1.0, r) == pytest.approx(
-                markov_exponent(pi, 1.0, r), abs=1e-9
+                model_exponent_dual(chain_source(pi), 1.0, r), abs=1e-9
             )
 
     def test_markov_entropy_rate_threshold(self):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import guesswork
 from guesswork import (
     CapExceededError,
     ExplicitSource,
@@ -60,6 +65,24 @@ class TestPmf:
         p = pmf(0.5, 0.5)
         with pytest.raises(ValueError):
             p.probs[0] = 0.3
+
+    def test_sum_check_in_bounded_memory(self):
+        # the child's address space is capped at 768 MB; a Python float per
+        # entry of this 2^24-entry law would take about 800 MB on its own
+        code = "\n".join([
+            "import resource",
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 28, 3 << 28))",
+            "import numpy as np",
+            "from guesswork.sources import PRODUCT_TOL, Pmf",
+            "Pmf(np.full(2 ** 24, 2.0 ** -24), tol=PRODUCT_TOL)",
+        ])
+        package_root = str(Path(guesswork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def per_model_loops(model, n: int) -> np.ndarray:
