@@ -114,9 +114,9 @@ def build_group_xor_cipher(p: Pmf, k: int, n: int = 1) -> Cipher:
     """
     if k < 0:
         raise ValidationError("key bits must be nonnegative")
-    m = 2 ** k
+    m = 2 ** min(k, DEFAULT_MATERIALIZE_CAP.bit_length())
     if m * (-(-p.size // m) * m) > DEFAULT_MATERIALIZE_CAP:
-        raise CapExceededError(f"a {m}-key table over {p.size} messages exceeds the cap")
+        raise CapExceededError(f"a 2^{k}-key table over {p.size} messages exceeds the cap")
     padded = sorted_padded_pmf(p, m)
     n_msgs = padded.size
     idx = np.arange(n_msgs)
@@ -228,7 +228,7 @@ def group_xor_moment_closed(law, k: int, rho: float) -> float:
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
     spec = Spectrum.of(law)
-    m = min(2 ** k, spec.size)
+    m = min(2 ** min(k, spec.size.bit_length()), spec.size)
     blocks, offsets = np.divmod(spec.ends, m)
     sums = _power_sums(rho, np.append(offsets, m))
     with np.errstate(invalid="ignore"):
@@ -391,11 +391,15 @@ class AchievedExponent:
 def keys_for_rate(n: int, key_rate: float) -> int:
     """Smallest key-bit count whose rate covers ``key_rate``: ceil(nR / ln 2).
 
-    The tiny slack absorbs rounding when nR/ln2 is an exact integer.
+    The tiny slack absorbs rounding when nR/ln2 is an exact integer.  From
+    1024 bits on, 2^k keys are past the float range: :class:`NumericError`.
     """
     if key_rate <= 0.0:
         raise ValidationError("key rate must be positive")
-    return int(math.ceil(n * key_rate / LN2 - 1e-12))
+    bits = n * key_rate / LN2 - 1e-12  # inf where nR overflows
+    if not bits <= 1023.0:
+        raise NumericError(f"key rate {key_rate:g} at n={n} needs 2^1024 keys or more")
+    return int(math.ceil(bits))
 
 
 def guessing_exponent_achieved(p_n, n: int, rho: float,
@@ -409,7 +413,7 @@ def guessing_exponent_achieved(p_n, n: int, rho: float,
     constant 1/((2 H_N)^rho (2 + rho)) ties it to the saturated-cost
     compression optimum, with H_N the harmonic number of the padded
     message count.  A moment or constant beyond the float range raises
-    :class:`NumericError`.
+    :class:`NumericError`, and so does a key of 1024 bits or more.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")

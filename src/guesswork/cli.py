@@ -229,21 +229,17 @@ def _out_paths(cfg: RunConfig, command: str) -> list:
 
 def cmd_exponent(cfg: RunConfig) -> int:
     _require(cfg, model=True, rhos=True, rates=True)
-    model = so.load_model(cfg.model_path)
-
-    def one_curve(rho: float):
-        curve = ex.build_curve(model, rho, cfg.rates)
+    # every curve comes from one batched solve, whatever the thread count
+    curves = ex.build_curve(so.load_model(cfg.model_path), cfg.rhos, cfg.rates)
+    for curve, out in zip(curves, _out_paths(cfg, "exponent")):
+        header = ["R", "E", "branch"] + (["grid_check"] if curve.lower is not None else [])
         columns = [curve.rates.tolist(), curve.values.tolist(), curve.branches]
         # a chain's curve carries its twisted-chain witness, a certified lower bound on E
         if curve.lower is not None:
             columns.append(curve.lower.tolist())
-        return curve, [list(row) for row in zip(*columns)]
-
-    results = _map_cells(cfg.rhos, one_curve, cfg.threads)
-    for rho, (curve, rows), out in zip(cfg.rhos, results, _out_paths(cfg, "exponent")):
-        header = ["R", "E", "branch"] + (["grid_check"] if curve.lower is not None else [])
+        rows = [list(row) for row in zip(*columns)]
         preamble = [
-            f"rho={_fmt(rho)}",
+            f"rho={_fmt(curve.rho)}",
             f"H_P={_fmt(curve.h_source)}",
             f"H_prime={_fmt(curve.h_saturation)}",
             f"E_max={_fmt(curve.e_max)}",
@@ -252,7 +248,7 @@ def cmd_exponent(cfg: RunConfig) -> int:
             text = _csv(header, rows, preamble)
         else:
             text = json.dumps({
-                "rho": rho,
+                "rho": curve.rho,
                 "H_P": curve.h_source,
                 "H_prime": curve.h_saturation,
                 "E_max": curve.e_max,

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+import scipy
 
 from .errors import CapExceededError, NumericError, ValidationError
 from .cipher import _multisets
@@ -95,20 +95,21 @@ def _pressure_roots(form, rates, lo, hi) -> np.ndarray:
 
 
 def _twisted_chain(form, betas: np.ndarray) -> tuple:
-    """(H, D, ln CW) per tilt exponent beta, read off M = M(beta).
+    """(H, D, ln CW, ln lambda) per tilt exponent beta, read off M = M(beta).
 
     With u, v the Perron vectors of M, the twisted chain gives letter x in
     state s the law w(s, x)^beta v_next(s, x) / (M v)_s, each letter
     counted by its scatter count; its stationary law is pi_s ~ u_s v_s.  H
     and D are its conditional entropy and divergence from the source, and
     ln CW = ln max_s (M v)_s / v_s + beta shift >= ln lambda for any v > 0
-    (Collatz-Wielandt).  Sums run in a fixed order: no batch dependence.
+    (Collatz-Wielandt); ln lambda takes the shift back as :func:`pressure`
+    does.  Sums run in a fixed order: no batch dependence.
     """
     counts, nxt = form.scatter.sum(axis=2), form.scatter.argmax(axis=2)
-    h, d, log_cw = [], [], []
+    h, d, log_cw, log_lam = [], [], [], []
     for beta, shift, logs, w in form.powers(betas):
         m = form.matrix(w)
-        _, u, v = perron_vectors(m)
+        lam, u, v = perron_vectors(m)
         u, v = np.abs(u), np.abs(v)
         mv = _dot(m, v[:, None, :])
         log_q = beta[:, None, None] * logs + np.log(v[:, nxt]) - np.log(mv)[:, :, None]
@@ -117,7 +118,8 @@ def _twisted_chain(form, betas: np.ndarray) -> tuple:
         h.append(-_dot(weight, _dot(mass, log_q)) / total)
         d.append(_dot(weight, _dot(mass, log_q - form.log_weights)) / total)
         log_cw.append(np.log((mv / v).max(axis=1)) + beta * shift)
-    return np.concatenate(h), np.concatenate(d), np.concatenate(log_cw)
+        log_lam.append(np.log(lam) + beta * shift)
+    return tuple(np.concatenate(out) for out in (h, d, log_cw, log_lam))
 
 
 def _dual_root(model, rho, key_rate) -> tuple:
@@ -152,16 +154,16 @@ def model_exponent_dual(model, rho, key_rate):
 
 def certified_exponent(model, rho, key_rate) -> tuple:
     """(lower, E, upper): E = :func:`model_exponent_dual`, bit for bit, and two
-    bounds on it read at the same root theta* (:func:`_twisted_chain`).
+    bounds on it, all from one Perron pass at the root theta* (:func:`_twisted_chain`).
 
     lower = rho min(H, R) - D is a feasible chain's primal value; upper =
     (rho - theta*) R + (1 + theta*) ln CW bounds the dual by weak duality.
     Same arguments, broadcasting and shapes as the dual.
     """
     shape, form, flat_rho, flat, theta, linear = _dual_root(model, rho, key_rate)
-    h, d, log_cw = _twisted_chain(form, 1.0 / (1.0 + theta))
+    h, d, log_cw, log_lam = _twisted_chain(form, 1.0 / (1.0 + theta))
     return tuple(_shaped(shape, out) for out in (
-        flat_rho * np.minimum(h, flat) - d, pressure(form, theta) + linear,
+        flat_rho * np.minimum(h, flat) - d, (1.0 + theta) * log_lam + linear,
         linear + (1.0 + theta) * log_cw))
 
 
@@ -230,8 +232,9 @@ def iid_exponent_grid(p1: Pmf, rho: float, key_rate: float, resolution: float = 
         return -_objective_on_simplex(q, p, rho, key_rate)
 
     start = grid[best_i][:-1]
-    result = minimize(neg_obj, start, method="Nelder-Mead",
-                      options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
+    # scipy loads its optimize module on this first attribute access
+    result = scipy.optimize.minimize(neg_obj, start, method="Nelder-Mead",
+                                     options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
     return max(best_val, float(-result.fun))
 
 
@@ -278,7 +281,7 @@ def iid_correct_term(p1: Pmf, rho: float, key_rate):
     out = (1.0 + rho) * flat + math.log(p1.probs.max())
     free = v > _V_TIE_FLOOR
     # the clamp at theta = rho reads the tilt at beta = 1/(1+rho) exactly
-    h, d, _ = _twisted_chain(form, np.where(v == top, 1.0 / (1.0 + rho), np.exp(-v))[free])
+    h, d, _, _ = _twisted_chain(form, np.where(v == top, 1.0 / (1.0 + rho), np.exp(-v))[free])
     if np.any((np.abs(h - flat[free]) > 1e-9) & (v[free] < top)):
         raise NumericError("the correct-decoding tilt misses its entropy constraint by over 1e-9")
     out[free] = rho * h - d
@@ -417,14 +420,21 @@ class ExponentCurve:
         return out
 
 
-def build_curve(model: SourceModel, rho: float, rates) -> ExponentCurve:
-    """Evaluate the dual exponent on a rate grid and locate its thresholds;
-    a Markov or unifilar curve takes E and its witness from one root."""
-    rates = np.asarray(rates, dtype=float)
-    lower = None
+def build_curve(model: SourceModel, rhos, rates) -> tuple:
+    """One :class:`ExponentCurve` per rho of ``rhos`` over the rate grid ``rates``.
+
+    One power form serves one dual solve over the rho x R cells (for a Markov
+    or unifilar source :func:`certified_exponent`, with each value's witness),
+    one slope call for H_P and every H' and one pressure call for every E_max.
+    """
+    rhos, rates = np.ravel(np.asarray(rhos, dtype=float)), np.asarray(rates, dtype=float)
+    form = power_form(model)
+    lower = [None] * rhos.size
     if isinstance(model, (MarkovSource, UnifilarSource)):
-        lower, values, _ = certified_exponent(model, rho, rates)
+        lower, values, _ = certified_exponent(form, rhos[:, None], rates)
     else:
-        values = model_exponent_dual(model, rho, rates)
-    h_source, h_sat = pressure_slope(model, [0.0, rho]).tolist()
-    return ExponentCurve(rho, rates, values, h_source, h_sat, float(pressure(model, rho)), lower)
+        values = model_exponent_dual(form, rhos[:, None], rates)
+    h_source, *h_sat = pressure_slope(form, np.append(0.0, rhos)).tolist()
+    cells = zip(rhos.tolist(), values, h_sat, pressure(form, rhos).tolist(), lower)
+    return tuple(ExponentCurve(rho, rates, row, h_source, h_prime, e_max, witness)
+                 for rho, row, h_prime, e_max, witness in cells)

@@ -19,9 +19,6 @@ from .sources import Pmf
 LN2 = math.log(2.0)
 KRAFT_TOL = 1e-12
 
-# Switch saturated-cost accumulation to the log domain beyond this exponent.
-_LOG_DOMAIN_THRESHOLD = 500.0
-
 
 @dataclass(frozen=True, eq=False)
 class LengthFunction:
@@ -91,13 +88,16 @@ def harmonic_number(n_strings: int) -> float:
     """H_N = sum of 1/i for i = 1..N, the order-to-length conversion constant.
 
     Exact compensated summation up to 2^20 terms, Euler-Maclaurin beyond
-    (absolute error < 1e-12 there).
+    (absolute error < 1e-12 there); from N = 2^255 on, where N^4 nears the
+    float range, its corrections are below an ulp and H_N = ln N + gamma.
     """
     if n_strings < 1:
         raise ValidationError("need at least one string")
     if n_strings <= 2 ** 20:
         return float(np.add.reduce(1.0 / np.arange(n_strings, 0, -1.0)))
     euler_gamma = 0.5772156649015328606
+    if n_strings >= 2 ** 255:
+        return math.log(n_strings) + euler_gamma
     n = float(n_strings)
     return (math.log(n) + euler_gamma + 1.0 / (2 * n)
             - 1.0 / (12 * n ** 2) + 1.0 / (120 * n ** 4))
@@ -196,15 +196,10 @@ def log_saturated_moment(lf: LengthFunction, p: Pmf, rho: float, n: int, key_rat
 
 
 def saturated_moment(lf: LengthFunction, p: Pmf, rho: float, n: int, key_rate: float) -> float:
-    """E[exp(rho * min(L(x) ln 2, n * key_rate))], the key-capped exponential cost.
+    """E[exp(rho * min(L(x) ln 2, n * key_rate))], the key-capped exponential cost:
+    the exponential of :func:`log_saturated_moment`.
 
     Costs grow exponentially in the bit length but saturate at
     exp(rho * n * key_rate), the price of exhausting the key space.
     """
-    cap = rho * n * key_rate
-    if cap > _LOG_DOMAIN_THRESHOLD:
-        return math.exp(log_saturated_moment(lf, p, rho, n, key_rate))
-    exponents = rho * np.minimum(lf.lengths * LN2, n * key_rate)
-    return math.fsum(
-        (px * math.exp(e) for px, e in zip(p.probs.tolist(), exponents.tolist()))
-    )
+    return math.exp(log_saturated_moment(lf, p, rho, n, key_rate))

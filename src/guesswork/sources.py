@@ -440,27 +440,23 @@ def is_irreducible(transition: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def stationary(transition, tol: float = STATIONARY_TOL) -> Pmf:
+def stationary(transition) -> Pmf:
     """Stationary distribution q with q pi = q for an irreducible chain.
 
-    Solves the balance equations directly, with the last replaced by the
-    normalization; q must be nonnegative up to 1e-12 round-off and leave an
-    L1 residual |q pi - q| of at most ``tol``.
+    q is the left Perron vector of pi (:func:`perron_vectors`) divided by
+    its sum; it must be nonnegative up to 1e-12 round-off and leave an L1
+    residual |q pi - q| of at most STATIONARY_TOL.
     """
     pi = np.asarray(transition, dtype=float)
     if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
         raise ValidationError("transition matrix must be square")
-    if not is_irreducible(pi):
-        raise ValidationError("transition matrix is reducible")
-    m = pi.T - np.eye(len(pi))
-    m[-1, :] = 1.0
-    # an exactly zero LU pivot is the only way the solve can fail
-    singular = np.linalg.slogdet(m)[0] == 0.0
-    q = np.full(len(pi), np.nan) if singular else np.linalg.solve(m, np.eye(len(pi))[-1])
-    if not (np.all(q >= -1e-12) and np.abs(q @ pi - q).sum() <= tol):
+    if not (np.all(np.isfinite(pi)) and is_irreducible(pi)):
+        raise ValidationError("transition matrix is not finite or is reducible")
+    u = perron_vectors(pi[None])[1][0]
+    q = u / u.sum()
+    if not (np.all(q >= -1e-12) and np.abs(q @ pi - q).sum() <= STATIONARY_TOL):
         raise NumericError(
-            f"stationary solve is singular or leaves a residual above {tol:g}"
-        )
+            f"the stationary law is negative or leaves a residual above {STATIONARY_TOL:g}")
     q = np.maximum(q, 0.0)
     return Pmf(q / q.sum(), tol=PRODUCT_TOL)
 

@@ -39,20 +39,19 @@ def _random_pmf(rng: np.random.Generator, size: int, concentration: float = 1.0)
     return so.Pmf(rng.dirichlet(np.full(size, concentration)), tol=1e-9)
 
 
-def check_tilted_identity(seed: int = 0, instances: int = 1000, max_support: int = 64,
-                          num_random: int = 1000) -> CheckResult:
+def check_tilted_identity(seed: int = 0) -> CheckResult:
     """Tilted-maximizer identity on random (p, B, theta), plus random probes."""
     rng = _rng(seed, 1)
     worst_gap = 0.0
     worst_excess = -math.inf
-    for i in range(instances):
-        size = int(rng.integers(2, max_support + 1))
+    for i in range(1000):
+        size = int(rng.integers(2, 65))
         p = _random_pmf(rng, size)
         b_size = int(rng.integers(1, size + 1))
         support = rng.choice(size, size=b_size, replace=False)
         theta = float(rng.uniform(0.0, 4.0)) if i % 5 else 0.0
         gap, excess = ex.variational_identity_check(
-            p, theta, support=support, num_random=num_random, seed=int(rng.integers(2 ** 32))
+            p, theta, support=support, num_random=1000, seed=int(rng.integers(2 ** 32))
         )
         worst_gap = max(worst_gap, gap)
         worst_excess = max(worst_excess, excess)
@@ -64,11 +63,11 @@ def check_tilted_identity(seed: int = 0, instances: int = 1000, max_support: int
     )
 
 
-def check_renyi_variational(seed: int = 0, instances: int = 200) -> CheckResult:
+def check_renyi_variational(seed: int = 0) -> CheckResult:
     """Full-support specialization: theta H(tilt) - D equals theta H_{1/(1+theta)}."""
     rng = _rng(seed, 2)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(200):
         size = int(rng.integers(2, 33))
         p = _random_pmf(rng, size)
         theta = float(rng.uniform(0.05, 4.0))
@@ -82,7 +81,7 @@ def check_renyi_variational(seed: int = 0, instances: int = 200) -> CheckResult:
     return CheckResult("renyi-variational", worst <= 1e-9, f"max gap {worst:.3e} (tol 1e-9)")
 
 
-def check_decomposition(tol: float = 1e-9) -> CheckResult:
+def check_decomposition() -> CheckResult:
     """Error/correct split equals the theta dual on a (rho, R) sweep.
 
     (0.45, 0.45, 0.1) has tied maxima, so its low rates take the tie
@@ -96,7 +95,7 @@ def check_decomposition(tol: float = 1e-9) -> CheckResult:
         for rho in (0.5, 1.0, 2.0):
             _, _, gaps = ex.decomposition_check(p, rho, np.linspace(0.05, top + 0.1, 20))
             worst = max(worst, float(gaps.max()))
-    return CheckResult("decomposition", worst <= tol, f"max gap {worst:.3e} (tol {tol:g})")
+    return CheckResult("decomposition", worst <= 1e-9, f"max gap {worst:.3e} (tol 1e-09)")
 
 
 def check_three_regime() -> CheckResult:
@@ -126,11 +125,11 @@ def check_three_regime() -> CheckResult:
     return CheckResult("three-regime", not problems, detail)
 
 
-def check_group_xor_closed_form(seed: int = 0, instances: int = 100) -> CheckResult:
+def check_group_xor_closed_form(seed: int = 0) -> CheckResult:
     """Closed-form group-XOR moment equals the exact posterior-attack moment."""
     rng = _rng(seed, 3)
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(100):
         size = int(rng.integers(2, 65))
         k = int(rng.integers(0, 5))
         rho = float(rng.uniform(0.2, 2.5))
@@ -209,7 +208,7 @@ def check_attack_ceiling(seed: int = 0) -> CheckResult:
                        f"{violations} violations over {cases} enumerated ciphers")
 
 
-def check_attack_floor(seed: int = 0, instances: int = 40) -> CheckResult:
+def check_attack_floor(seed: int = 0) -> CheckResult:
     """Group-XOR moment is at least the saturated cost scaled by its constant.
 
     The induced lengths come from converting the descending-probability
@@ -220,7 +219,7 @@ def check_attack_floor(seed: int = 0, instances: int = 40) -> CheckResult:
     rng = _rng(seed, 5)
     violations = 0
     worst_margin = math.inf
-    for _ in range(instances):
+    for _ in range(40):
         size = int(rng.integers(2, 33))
         rho = float(rng.uniform(0.2, 2.5))
         n = 1
@@ -243,8 +242,7 @@ def check_attack_floor(seed: int = 0, instances: int = 40) -> CheckResult:
                        f"{violations} violations; smallest margin {worst_margin:.3e}")
 
 
-def check_guessing_compression_gap(seed: int = 0, instances: int = 50,
-                                   rhos=(0.5, 1.0)) -> CheckResult:
+def check_guessing_compression_gap(seed: int = 0) -> CheckResult:
     """Compression and best-cipher exponents agree within the harmonic constant.
 
     For brute-forceable systems, both ends of the achieved-exponent bracket
@@ -254,10 +252,10 @@ def check_guessing_compression_gap(seed: int = 0, instances: int = 50,
     rng = _rng(seed, 6)
     worst_ratio = 0.0
     count = 0
-    for i in range(instances):
+    for i in range(50):
         size = int(rng.integers(2, 6))
         k = int(rng.integers(1, 3))
-        rho = float(rhos[i % len(rhos)])
+        rho = (0.5, 1.0)[i % 2]
         p = _random_pmf(rng, size)
         # any rate with ceil(R / ln2) = k, so cipher and code share the rate
         key_rate = float(rng.uniform((k - 1) * LN2 + 1e-6, k * LN2))
@@ -275,12 +273,12 @@ def check_guessing_compression_gap(seed: int = 0, instances: int = 50,
                        f"worst |gap|/bound {worst_ratio:.3f} over {count} systems")
 
 
-def check_relaxed_integer_sandwich(seed: int = 0, instances: int = 200) -> CheckResult:
+def check_relaxed_integer_sandwich(seed: int = 0) -> CheckResult:
     """relaxed <= integer <= relaxed + rho ln2 / n on enumerable instances."""
     rng = _rng(seed, 7)
     worst_low = math.inf
     worst_high = -math.inf
-    for _ in range(instances):
+    for _ in range(200):
         size = int(rng.integers(2, 11))
         rho = float(rng.uniform(0.2, 2.5))
         n = int(rng.integers(1, 4))
@@ -356,11 +354,11 @@ def check_markov_dual(seed: int = 0) -> CheckResult:
     return CheckResult("markov-dual", not problems, detail)
 
 
-def check_length_order_duality(seed: int = 0, instances: int = 200) -> CheckResult:
+def check_length_order_duality(seed: int = 0) -> CheckResult:
     """Random permutations: conversion lengths are Kraft-feasible and sandwich ranks."""
     rng = _rng(seed, 8)
     problems = 0
-    for _ in range(instances):
+    for _ in range(200):
         size = int(rng.integers(1, 1025))
         rank = rng.permutation(size) + 1
         order = gu.GuessOrder(rank)
@@ -374,14 +372,14 @@ def check_length_order_duality(seed: int = 0, instances: int = 200) -> CheckResu
         if np.any(lf.lengths - 1.0 - math.log2(c) > log_rank + 1e-9):
             problems += 1
     return CheckResult("length-order-duality", problems == 0,
-                       f"{problems} violations over {instances} permutations")
+                       f"{problems} violations over 200 permutations")
 
 
-def check_interleave_factor(seed: int = 0, instances: int = 200) -> CheckResult:
+def check_interleave_factor(seed: int = 0) -> CheckResult:
     """Merged rank never exceeds twice the better individual position."""
     rng = _rng(seed, 9)
     problems = 0
-    for _ in range(instances):
+    for _ in range(200):
         size = int(rng.integers(1, 65))
         order = gu.GuessOrder(rng.permutation(size) + 1)
         b_len = int(rng.integers(0, 2 * size))
@@ -395,7 +393,7 @@ def check_interleave_factor(seed: int = 0, instances: int = 200) -> CheckResult:
         if np.any(merged.rank > 2 * better):
             problems += 1
     return CheckResult("interleave-factor", problems == 0,
-                       f"{problems} violations over {instances} merges")
+                       f"{problems} violations over 200 merges")
 
 
 ALL_CHECKS = (

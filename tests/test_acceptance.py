@@ -38,15 +38,15 @@ def report(number: int, label: str, passed: bool, detail: str, elapsed: float, b
 
 def test_criterion_1_variational_identities():
     t0 = time.time()
-    tilted = check_tilted_identity(seed=0, instances=1000, max_support=64, num_random=1000)
-    renyi = check_renyi_variational(seed=0, instances=200)
+    tilted = check_tilted_identity(seed=0)
+    renyi = check_renyi_variational(seed=0)
     report(1, "variational identities", tilted.passed and renyi.passed,
            f"{tilted.detail}; {renyi.detail}", time.time() - t0, 10.0)
 
 
 def test_criterion_2_decomposition_identity():
     t0 = time.time()
-    result = check_decomposition(tol=1e-9)
+    result = check_decomposition()
     report(2, "decomposition identity", result.passed, result.detail,
            time.time() - t0, 30.0)
 
@@ -64,7 +64,7 @@ def test_criterion_3_three_regime_curve():
 
 def test_criterion_4_guessing_compression_equivalence():
     t0 = time.time()
-    result = check_guessing_compression_gap(seed=0, instances=50, rhos=(0.5, 1.0))
+    result = check_guessing_compression_gap(seed=0)
     report(4, "guessing-compression equivalence", result.passed, result.detail,
            time.time() - t0, 120.0)
 
@@ -72,14 +72,14 @@ def test_criterion_4_guessing_compression_equivalence():
 def test_criterion_5_attack_chains():
     t0 = time.time()
     ceiling = check_attack_ceiling(seed=0)
-    floor = check_attack_floor(seed=0, instances=40)
+    floor = check_attack_floor(seed=0)
     report(5, "attack moment chains", ceiling.passed and floor.passed,
            f"{ceiling.detail}; {floor.detail}", time.time() - t0, 120.0)
 
 
 def test_criterion_6_oracle_sandwich():
     t0 = time.time()
-    result = check_relaxed_integer_sandwich(seed=0, instances=200)
+    result = check_relaxed_integer_sandwich(seed=0)
     report(6, "oracle sandwich", result.passed, result.detail, time.time() - t0, 60.0)
 
 

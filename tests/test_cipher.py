@@ -36,7 +36,7 @@ from guesswork.cipher import (
     sorted_padded_pmf,
     validate_tables,
 )
-from guesswork.errors import ValidationError
+from guesswork.errors import NumericError, ValidationError
 from guesswork.guessing import GuessOrder
 
 LN2 = math.log(2.0)
@@ -76,7 +76,7 @@ class TestGroupXorConstruction:
 
     def test_table_size_cap(self):
         # the M x padded-count table is refused before anything is allocated
-        for k in (13, 47):
+        for k in (13, 47, 5000):
             with pytest.raises(CapExceededError):
                 build_group_xor_cipher(pmf(0.5, 0.3, 0.2), k)
 
@@ -338,7 +338,7 @@ class TestClosedForm:
         # (2^70 also overflows a 64-bit integer)
         p = pmf(0.1, 0.4, 0.2, 0.3)
         plain = math.fsum(q * i ** 1.5 for i, q in enumerate((0.4, 0.3, 0.2, 0.1), start=1))
-        for k in (47, 70):
+        for k in (47, 70, 5000):
             assert group_xor_moment_closed(p, k, 1.5) == pytest.approx(plain, abs=1e-15)
 
     def test_matches_exact_attack(self):
@@ -573,6 +573,20 @@ class TestAchievedExponent:
         assert achieved.floor_constant == pytest.approx(
             1.0 / ((2 * c) ** 1.0 * 3.0), rel=1e-14
         )
+
+    def test_key_bits_up_to_the_float_range(self):
+        # 2^1023 keys still give a finite report; 2^1024 and more are refused,
+        # also where nR itself overflows
+        p = pmf(0.5, 0.3, 0.2)
+        achieved = guessing_exponent_achieved(p, 1, 1.0, 1023 * LN2)
+        assert achieved.k == 1023 and achieved.num_messages == 2 ** 1023
+        assert achieved.moment == group_xor_moment_closed(p, 2, 1.0)
+        assert math.isfinite(achieved.harmonic) and achieved.floor_constant > 0.0
+        for n, rate in ((1, 1024 * LN2), (1, 1e300), (2, 1e308)):
+            with pytest.raises(NumericError):
+                keys_for_rate(n, rate)
+            with pytest.raises(NumericError):
+                guessing_exponent_achieved(p, n, 1.0, rate)
 
     def test_within_gap_bound_of_compression_value(self):
         # cross-module: the achieved exponent sits within

@@ -97,7 +97,7 @@ class TestExponentCommand:
                 assert abs(s["grid_check"] - s["E"]) <= 1e-9
 
     def test_one_root_per_chain_curve(self, tmp_path, monkeypatch):
-        # each curve's E and its witness come from one root solve
+        # every curve's E and its witness come from one root solve for the run
         sizes = []
 
         def spy(g, a, *args):
@@ -111,7 +111,27 @@ class TestExponentCommand:
             "R": {"min": 0.05, "max": 0.8, "step": 0.05},
         })
         assert main(["exponent", "--config", str(cfg), "--out", str(tmp_path / "curve.csv")]) == 0
-        assert len(sizes) == 2 and min(sizes) > 0
+        assert len(sizes) == 1 and min(sizes) > 0
+
+    @pytest.mark.parametrize("doc", [{"kind": "iid", "probs": [0.8, 0.2]},
+                                     {"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]]}])
+    def test_one_power_form_per_run(self, tmp_path, monkeypatch, doc):
+        # the dual, the thresholds and E_max of every rho share one power form
+        built = []
+        post_init = guesswork.sources.PowerForm.__post_init__
+
+        def spy(form):
+            built.append(form)
+            post_init(form)
+
+        monkeypatch.setattr(guesswork.sources.PowerForm, "__post_init__", spy)
+        write_model(tmp_path, doc)
+        cfg = write_config(tmp_path, {
+            "model": "model.json", "rho": [0.5, 1.0, 2.0],
+            "R": {"min": 0.05, "max": 0.8, "step": 0.05},
+        })
+        assert main(["exponent", "--config", str(cfg), "--out", str(tmp_path / "curve.csv")]) == 0
+        assert len(built) == 1
 
     def test_four_state_chain_in_bounded_memory(self, tmp_path):
         # the child's address space is capped at 512 MB; a transition-matrix
@@ -221,6 +241,30 @@ class TestSimulateCommand:
         assert row["k"] == 2
         assert row["moment"] == pytest.approx(2.0, abs=1e-12)
 
+    def test_key_bits_past_256(self, tmp_path, iid_model):
+        # 2^289 keys: H_N of the padded count stays finite
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [25.0],
+                                      "n": [8], "format": "json"})
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["k"] == 289 and row["num_keys"] == 2 ** 289
+        assert all(math.isfinite(row[key]) for key in ("moment", "exponent", "gap_bound"))
+        assert row["ok"] is True
+
+    def test_huge_rate_refused_at_once(self, tmp_path, iid_model):
+        # R = 1e300 asks for ~1.4e300 key bits; 2^k is never formed
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [1e300],
+                                      "n": [1]})
+        package_root = str(Path(guesswork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "guesswork.cli", "simulate", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numeric error")
+
 
 class TestSweepCommand:
     def test_gap_column_nonincreasing(self, tmp_path, iid_model):
@@ -293,6 +337,18 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert out.exists()
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        # only the test-facing simplex grid uses it, loaded on first use
+        package_root = str(Path(guesswork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, guesswork.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestRegressions:
@@ -515,6 +571,13 @@ FAILURES = [
     _case("simulate", _cfg(rho=[1e300]), 3, "numeric error", id="simulate-rho-1e300"),
     # the moment and the floor constant fit a float; (4 H_N)^rho does not
     _case("simulate", _cfg(rho=[500.0], n=[1]), 3, "numeric error", id="simulate-gap-bound"),
+    # 1,443 key bits: a key count past the float range is refused before 2^k is formed
+    _case("simulate", _cfg(R=[50.0], n=[20]), 3, "numeric error", id="simulate-2^1443-keys"),
+    _case("simulate", _cfg(R=[1e308]), 3, "numeric error", id="simulate-nR-overflows"),
+    # without init the stationary law is solved before the chain is checked
+    _case("exponent", _cfg(), 2, "config error",
+          model={"kind": "markov", "transition": [[math.nan, 1.0], [1.0, 0.0]]},
+          id="model-transition-nan-without-init"),
     # output paths are checked before any computation
     _case("bounds", _cfg(), 2, "config error", extra=("--out", "{tmp}"), id="out-is-a-directory"),
     _case("sweep", _cfg(out="."), 2, "config error", id="config-out-is-a-directory"),

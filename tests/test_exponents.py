@@ -963,7 +963,7 @@ class TestThresholds:
         # difference itself carries ~1e-12 of truncation and round-off
         h = 1e-3
         for rho in (0.5, 1.0, 2.0):
-            curve = build_curve(model, rho, [0.3])
+            curve, = build_curve(model, [rho], [0.3])
             p = pressure(model, rho + h * np.array([-2.0, -1.0, 1.0, 2.0]))
             slope = (p[0] - 8.0 * p[1] + 8.0 * p[2] - p[3]) / (12.0 * h)
             assert curve.h_saturation == pytest.approx(slope, abs=1e-11)
@@ -1087,7 +1087,7 @@ class TestExponentCurve:
     def test_build_and_regimes(self):
         model = IidSource(P82)
         rates = np.arange(0.05, 0.70, 0.05)
-        curve = build_curve(model, 1.0, rates)
+        curve, = build_curve(model, [1.0], rates)
         assert curve.h_source == pytest.approx(H_P82, abs=1e-12)
         assert curve.e_max == pytest.approx(EMAX_P82, abs=1e-12)
         assert np.all(np.diff(curve.values) >= -1e-10)
@@ -1100,7 +1100,7 @@ class TestExponentCurve:
     def test_markov_curve(self):
         pi = np.array([[0.9, 0.1], [0.3, 0.7]])
         model = MarkovSource(Pmf([0.75, 0.25]), pi, stationary=True)
-        curve = build_curve(model, 1.0, [0.1, 0.3, 0.5, 0.65])
+        curve, = build_curve(model, [1.0], [0.1, 0.3, 0.5, 0.65])
         assert np.all(np.diff(curve.values) >= -1e-10)
         assert curve.values[-1] <= curve.e_max + 1e-9
 
@@ -1116,10 +1116,34 @@ class TestExponentCurve:
     def test_markov_entropy_rate_threshold(self):
         pi = np.array([[0.9, 0.1], [0.3, 0.7]])
         model = MarkovSource(Pmf([0.75, 0.25]), pi, stationary=True)
-        curve = build_curve(model, 1.0, [0.3])
+        curve, = build_curve(model, [1.0], [0.3])
         q = np.array([0.75, 0.25])
         assert curve.h_source == pytest.approx(-(q[:, None] * pi * np.log(pi)).sum(), abs=1e-12)
         assert curve.h_source < curve.h_saturation
+
+    @pytest.mark.parametrize("model", [
+        IidSource(P82), IidSource(pmf(0.5, 0.3, 0.2)), IidSource(pmf(0.4, 0.3, 0.2, 0.1)),
+        *(chain_source(np.random.default_rng(k).dirichlet(np.ones(k), size=k))
+          for k in range(2, 8)),
+        UnifilarSource(Pmf([1.0, 0.0]), np.array([[0, 1], [1, 0]]),
+                       (Pmf([0.6, 0.4]), Pmf([0.25, 0.75]))),
+    ])
+    def test_curves_equal_per_rho_calls(self, model):
+        # one batched solve for every rho gives each curve the bits of its own calls
+        rhos, rates = [0.5, 1.0, 2.0, 3.7], np.arange(0.05, 2.0, 0.05)
+        curves = build_curve(model, rhos, rates)
+        assert [curve.rho for curve in curves] == rhos
+        for rho, curve in zip(rhos, curves):
+            if isinstance(model, IidSource):
+                lower, values = None, model_exponent_dual(model, rho, rates)
+                assert curve.lower is None
+            else:
+                lower, values, _ = certified_exponent(model, rho, rates)
+                assert curve.lower.tolist() == lower.tolist()
+            assert curve.values.tolist() == values.tolist()
+            assert [curve.h_source, curve.h_saturation] == pressure_slope(
+                model, [0.0, rho]).tolist()
+            assert curve.e_max == float(pressure(model, rho))
 
     def test_rate_grid_matches_pointwise(self):
         pi = np.array([[0.9, 0.1], [0.3, 0.7]])

@@ -65,6 +65,16 @@ class TestHarmonicNumber:
         direct = float(np.add.reduce(1.0 / np.arange(2 ** 20 + 5, 0, -1.0)))
         assert harmonic_number(2 ** 20 + 5) == pytest.approx(direct, abs=1e-10)
 
+    def test_finite_past_the_float_range(self):
+        # from 2^255 on the Euler-Maclaurin corrections are below an ulp of ln N
+        gamma = 0.5772156649015328606
+        for count in (2 ** 255, 2 ** 255 + 12345, 2 ** 256 - 2 ** 203):
+            n = float(count)
+            assert harmonic_number(count) == (math.log(n) + gamma + 1.0 / (2 * n)
+                                              - 1.0 / (12 * n ** 2) + 1.0 / (120 * n ** 4))
+        for count in (2 ** 256, 2 ** 1024 - 1, 2 ** 5000):
+            assert harmonic_number(count) == math.log(count) + gamma
+
 
 class TestOrderFromLengths:
     def test_sorts_by_length(self):
@@ -222,6 +232,15 @@ class TestSaturatedMoment:
         assert saturated_moment(lf, p, 1.0, 1, 0.5) == pytest.approx(
             1.6487212707001281, abs=1e-14
         )
+
+    @pytest.mark.parametrize("lengths, rho, key_rate", [
+        ([1, 1], -1.0, 0.5), ([1, 1], 0.0, 0.5), ([1, 1], 1.0, 0.0), ([1, 1], 1.0, -0.5),
+        ([1, 2, 2], 1.0, 0.5),
+    ])
+    def test_refusals_at_small_exponent(self, lengths, rho, key_rate):
+        # a small exponent rho n R gets every input check too
+        with pytest.raises(ValidationError):
+            saturated_moment(LengthFunction(lengths), Pmf([0.5, 0.5]), rho, 1, key_rate)
 
     def test_log_domain_guard(self):
         p = Pmf([0.5, 0.5])
