@@ -279,65 +279,87 @@ _TIE = 1e-12
 
 
 def _multisets(n: int, r: int) -> np.ndarray:
-    """All non-decreasing r-tuples over range(n), in lexicographic order."""
-    rows = np.zeros((1, 0), dtype=int)
+    """All non-decreasing r-tuples over range(n), in lexicographic order, in
+    the narrowest integer dtype that holds n - 1 (no wider temporary)."""
+    dtype = np.min_scalar_type(max(n - 1, 0))
+    rows = np.zeros((1, 0), dtype=dtype)
     for _ in range(r):
         # a leads the rows whose first entry is at least a: a suffix of rows
         starts = np.searchsorted(rows[:, 0], np.arange(n)) if rows.size else np.zeros(n, int)
-        sizes = len(rows) - starts
-        rest = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes - starts, sizes)
-        rows = np.column_stack([np.repeat(np.arange(n), sizes), rows[rest]])
+        rows = np.column_stack([np.repeat(np.arange(n, dtype=dtype), len(rows) - starts),
+                                np.concatenate([rows[a:] for a in starts.tolist()])])
     return rows
 
 
-# key multisets already built, by (n, r), in their narrowest integer dtype;
-# an array joins while the cache stays within _KEY_CACHE_BYTES (the largest
-# searchable set, C(122, 3) triples over 120 permutations, takes 885,720 bytes)
-_KEY_CACHE: dict = {}
-_KEY_CACHE_BYTES = 1 << 20
-_KEY_CACHE_LOCK = threading.Lock()
+def _permutations(n: int) -> np.ndarray:
+    """The n! permutations of range(n) in lexicographic order, one per row."""
+    return np.array(list(itertools.permutations(range(n))), dtype=int)
 
 
-def _key_multisets(n: int, r: int) -> np.ndarray:
-    """``_multisets(n, r)`` as a cached, read-only array of the narrowest dtype."""
-    keys = _KEY_CACHE.get((n, r))
-    if keys is None:
-        keys = _multisets(n, r).astype(np.min_scalar_type(max(n - 1, 0)))
-        keys.setflags(write=False)
-        with _KEY_CACHE_LOCK:
-            if keys.nbytes + sum(a.nbytes for a in _KEY_CACHE.values()) <= _KEY_CACHE_BYTES:
-                keys = _KEY_CACHE.setdefault((n, r), keys)
-    return keys
+# per (messages, keys): the brute force's key multisets and code index, both
+# read-only in their narrowest integer dtypes; an entry joins while the cache
+# stays within _INDEX_CACHE_BYTES (the largest searchable pair, 5 messages
+# and 4 keys, takes 885,720 + 2,952,400 bytes)
+_INDEX_CACHE: dict = {}
+_INDEX_CACHE_BYTES = 1 << 22
+_INDEX_CACHE_LOCK = threading.Lock()
 
 
-def _lookup_moments(perms: np.ndarray, probs: np.ndarray, m_keys: int, rho: float):
-    """(keys 1..M-1 as indices into ``perms``, attack moment) of every canonical table.
+def _table_index(n_msgs: int, m_keys: int) -> tuple:
+    """(keys, index) of every canonical table over ``n_msgs`` messages and ``m_keys`` keys.
+
+    Row t of ``keys`` holds keys 1..M-1 of table t as indices into
+    :func:`_permutations` (key 0 is the identity), the multisets in
+    lexicographic order.  ``index[y, t]`` encodes column y of table t, the
+    multiset of the keys' preimages of cryptogram y, as
+    sum_u (M+1)^(preimage of y under key u): the identity's code plus one
+    fixed code per free key.  Neither depends on the law or on rho, so both
+    are built once per (n_msgs, m_keys), a block of tables at a time.
+    """
+    cached = _INDEX_CACHE.get((n_msgs, m_keys))
+    if cached is not None:
+        return cached
+    keys = _multisets(math.factorial(n_msgs), m_keys - 1)
+    # code[y, i]: the code of permutation i's preimage of cryptogram y
+    code = (m_keys + 1) ** np.argsort(_permutations(n_msgs), axis=1, kind="stable").T
+    index = np.empty((n_msgs, len(keys)), dtype=np.min_scalar_type((m_keys + 1) ** n_msgs - 1))
+    for lo in range(0, len(keys), _BLOCK):
+        block = keys[lo:lo + _BLOCK].T.astype(np.intp)
+        for out, by_perm in zip(index[:, lo:lo + _BLOCK], code):
+            out[:] = by_perm[0] + sum(by_perm[col] for col in block)
+    keys.setflags(write=False)
+    index.setflags(write=False)
+    with _INDEX_CACHE_LOCK:
+        held = sum(a.nbytes + b.nbytes for a, b in _INDEX_CACHE.values())
+        if held + keys.nbytes + index.nbytes <= _INDEX_CACHE_BYTES:
+            return _INDEX_CACHE.setdefault((n_msgs, m_keys), (keys, index))
+    return keys, index
+
+
+def _lookup_moments(probs: np.ndarray, m_keys: int, rho: float):
+    """(keys 1..M-1 as indices into :func:`_permutations`, attack moment) of
+    every canonical table over the messages of ``probs``.
 
     A table's moment is the sum over cryptograms y of g(column y), where
     column y is the multiset of the keys' preimages of y; g is tabulated
-    once over all multisets of M messages with ``attack_moment``'s terms.
-    Column y is encoded as sum_u (M+1)^(preimage of y under key u), so a
-    table's codes are the identity's code vector plus one fixed vector per
-    free key.  The moments of a block of tables are accumulated one
-    cryptogram at a time, y = 0, 1, ..., which adds each table's terms in
-    the same order as a row sum over y.
+    once over all multisets of M messages with ``attack_moment``'s terms,
+    at the codes of :func:`_table_index`.  The moments of a block of tables
+    are accumulated one cryptogram at a time, y = 0, 1, ..., which adds each
+    table's terms in the same order as a row sum over y.
     """
     columns = _multisets(probs.size, m_keys)
     row, _, weight, rank = _attack_weights(columns, probs)
     terms = (weight / m_keys * rank ** rho).tolist()
     bounds = np.searchsorted(row, np.arange(len(columns) + 1)).tolist()
     g = np.zeros((m_keys + 1) ** probs.size)
-    g[((m_keys + 1) ** columns).sum(axis=1)] = [math.fsum(terms[a:b])
-                                                 for a, b in zip(bounds, bounds[1:])]
-    # code[y, i]: the code of permutation i's preimage of cryptogram y
-    code = (m_keys + 1) ** np.argsort(perms, axis=1, kind="stable").T
-    keys = _key_multisets(len(perms), m_keys - 1)
+    g[((m_keys + 1) ** columns.astype(np.intp)).sum(axis=1)] = [
+        math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+    keys, index = _table_index(probs.size, m_keys)
     moments = np.zeros(len(keys))
     for lo in range(0, len(keys), _BLOCK):
-        block = keys[lo:lo + _BLOCK].T.astype(np.intp)
         out = moments[lo:lo + _BLOCK]
-        for by_perm in code:
-            out += g[by_perm[0] + sum(by_perm[col] for col in block)]
+        for codes in index[:, lo:lo + _BLOCK]:
+            out += g[codes]
     return keys, moments
 
 
@@ -367,9 +389,9 @@ def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5
     tables = math.comb(math.factorial(n_msgs) + m_keys - 2, m_keys - 1)
     if tables * m_keys > DEFAULT_MATERIALIZE_CAP:
         raise CapExceededError(f"brute force over {tables} tables exceeds the table-list cap")
-    perms = np.array(list(itertools.permutations(range(n_msgs))), dtype=int)
-    keys, moments = _lookup_moments(perms, p.probs, m_keys, rho)
+    keys, moments = _lookup_moments(p.probs, m_keys, rho)
     best = int(np.argmax(moments >= moments.max() * (1.0 - _TIE)))
+    perms = _permutations(n_msgs)
     witness = Cipher(CipherSpec(1, k, n_msgs), np.vstack([perms[0], perms[keys[best]]]), p)
     return BruteForceResult(attack_moment(witness, p, rho), witness, len(keys))
 

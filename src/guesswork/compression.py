@@ -319,9 +319,12 @@ def upper_bound_finite(law: Law, n: int, rho, key_rate):
     achievable prefix code, made explicit rather than absorbed into O(1).
     ``rho`` and ``key_rate`` may be arrays, broadcast against each other:
     one dual call then solves every (rho, R) cell of the law together,
-    from one slope call at both ends of each cell's [0, rho].
+    from one slope call at both ends of each cell's [0, rho].  A total rate
+    nR past the float range is +inf, where the dual saturates.
     """
     rates = np.asarray(key_rate, dtype=float)
     if np.any(rates <= 0.0) or np.any(np.asarray(rho) <= 0.0) or n < 1:
         raise ValidationError("need key_rate > 0, rho > 0, n >= 1")
-    return (model_exponent_dual(law, rho, n * rates) + LN2) / n
+    with np.errstate(over="ignore"):
+        total = n * rates
+    return (model_exponent_dual(law, rho, total) + LN2) / n

@@ -39,13 +39,12 @@ from .sources import (
     UnifilarSource,
     _dot,
     _slope,
-    divergence,
+    _support_indices,
     entropy,
     perron_vectors,
     power_form,
     pressure,
     pressure_slope,
-    tilt,
 )
 
 _GRID_MAX_ALPHABET = 4
@@ -332,39 +331,78 @@ def legendre_fenchel(rhos, values, lambdas=None, convexity_tol: float = 1e-6):
 
 def variational_identity_check(p: Pmf, theta: float, support=None,
                                num_random: int = 1000, seed: int = 0) -> tuple:
-    """Gap of the tilted-maximizer identity on a support set, plus random probes.
+    """(gap, worst probe excess) of one instance: the one-row case of
+    :func:`variational_identity_checks`, on the support ``support`` (an
+    index array or boolean mask; None means the full set)."""
+    mask = np.zeros(p.size, dtype=bool)
+    mask[_support_indices(p.size, support)] = True
+    gaps, excess = variational_identity_checks(p.probs[None], mask[None], [theta], [seed],
+                                               num_random)
+    return float(gaps[0]), float(excess[0])
 
-    Left side: (1+theta) ln sum of p^(1/(1+theta)) over the support.  Right
-    side: theta H(nu) - D(nu||p) at the tilted distribution, which attains
-    the maximum.  Also returns the largest amount by which ``num_random``
-    random distributions on the support exceed the left side (analytically
-    never positive).
+
+def variational_identity_checks(probs, support, thetas, seeds,
+                                num_random: int = 1000) -> tuple:
+    """Gap of the tilted-maximizer identity and worst random-probe excess, per row.
+
+    Row i is one instance: the law ``probs[i]`` (zero-padded), the boolean
+    support mask ``support[i]``, theta_i >= 0 and the probe seed
+    ``seeds[i]``.  Left side: (1+theta) ln sum of p^(1/(1+theta)) over the
+    support.  Right side: theta H(nu) - D(nu||p) at the tilted distribution
+    nu, proportional to p^(1/(1+theta)) on the support, which attains the
+    maximum.  Both sides of every row come from one padded pass, each sum
+    carried in extended precision.  The excess is the largest amount by
+    which ``num_random`` random distributions on the row's support exceed
+    the left side (analytically never positive).
     """
-    if theta < 0.0:
-        raise ValidationError("theta must be nonnegative")
-    from .sources import _support_indices  # shared index normalization
-
-    idx = _support_indices(p.size, support)
-    sub = p.probs[idx]
-    if math.fsum(sub.tolist()) <= 0.0:
+    probs, support = np.asarray(probs, dtype=float), np.asarray(support, dtype=bool)
+    thetas = np.asarray(thetas, dtype=float)
+    masked = np.where(support, probs, 0.0)
+    if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
+        raise ValidationError("theta must be finite and nonnegative")
+    if not np.all(masked.max(axis=1) > 0.0):
         raise ValidationError("support carries no probability mass")
-    beta = 1.0 / (1.0 + theta)
-    lhs = (1.0 + theta) * math.log(math.fsum((sub[sub > 0.0] ** beta).tolist()))
-    maximizer = tilt(p, beta, support=idx)
-    rhs = theta * entropy(maximizer) - divergence(maximizer, p)
-    gap = abs(lhs - rhs)
+    beta = 1.0 / (1.0 + thetas[:, None])
+    lhs = (1.0 + thetas) * np.log(_exact_row_sums(masked ** beta))
+    weights = (masked / masked.max(axis=1, keepdims=True)) ** beta
+    nu = weights / _exact_row_sums(weights)[:, None]
+    # nu > 0 exactly where p > 0 on the support; elsewhere each term is 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu_log_nu = np.where(nu > 0.0, nu * np.log(nu), 0.0)
+        nu_log_ratio = np.where(nu > 0.0, nu * np.log(nu / probs), 0.0)
+    rhs = -thetas * _exact_row_sums(nu_log_nu) - _exact_row_sums(nu_log_ratio)
+    excess = [_probe_excess(row[on], theta, side, num_random, seed) for row, on, theta, side, seed
+              in zip(probs, support, thetas.tolist(), lhs.tolist(), seeds)]
+    return np.abs(lhs - rhs), np.array(excess)
 
-    rng = np.random.default_rng(seed)
-    nu = rng.dirichlet(np.ones(idx.size), size=num_random)
-    # theta H(nu) - D(nu||p) = nu . ln p - (1+theta) sum nu ln nu, by row dot products
-    sub_mask = sub > 0.0
-    neg_h = np.einsum("ij,ij->i", nu, np.log(np.maximum(nu, 1e-300)))
-    probes = nu @ np.log(np.where(sub_mask, sub, 1.0)) - (1.0 + theta) * neg_h
-    if not sub_mask.all():
+
+def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
+    """Row sums accumulated in extended precision, then rounded once."""
+    return terms.sum(axis=1, dtype=np.longdouble).astype(float)
+
+
+def _probe_excess(sub: np.ndarray, theta: float, lhs: float, num_random: int,
+                  seed: int) -> float:
+    """Largest of theta H(nu) - D(nu||p) - lhs over Dirichlet(1) probes nu on
+    a support where p takes the values ``sub``.
+
+    The probes are the ones ``dirichlet`` draws from ``seed``: standard
+    exponentials g normalized by S = sum g.  So nu . ln p - (1+theta)
+    sum nu ln nu is (g . ln p - (1+theta)(sum g ln g - S ln S)) / S, with
+    0 ln 0 = 0, and no normalized copy is formed.
+    """
+    g = np.random.default_rng(seed).standard_exponential((num_random, sub.size))
+    positive = sub > 0.0
+    # g . ln p and S from one product; ln g in place, finite where g is 0
+    dot, total = (g @ np.stack([np.log(np.where(positive, sub, 1.0)), np.ones(sub.size)], 1)).T
+    log_g = np.maximum(g, 1e-300)
+    np.log(log_g, out=log_g)
+    probes = (dot - (1.0 + theta) * (np.einsum("ij,ij->i", g, log_g) - total * np.log(total))
+              ) / total
+    if not positive.all():
         # a probe with mass where p has none has divergence +inf
-        probes[np.any(nu[:, ~sub_mask] > 0.0, axis=1)] = -math.inf
-    max_excess = float((probes - lhs).max())
-    return gap, max_excess
+        probes[np.any(g[:, ~positive] > 0.0, axis=1)] = -math.inf
+    return float((probes - lhs).max())
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,6 +9,7 @@ regardless of caller parallelism.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -344,10 +345,12 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
     runs (value, count) per current state take the walk's step
     (:func:`_append_letter`) and merge equal values by a stable sort and
     ``np.add.reduceat``.  A model without a single start in
-    :func:`_start_runs` takes the dense law.  The n check, the cap (checked before any work) and the
-    PRODUCT_TOL sum check, over the exact sum of value x count, raise
-    what :func:`materialize` raises.  A string count above 2^52 is refused
-    whatever the cap: run counts past it are not exact floats.
+    :func:`_start_runs` takes the dense law; a one-letter alphabet is one run
+    at every n, its value taken without the walk.  The n check, the cap
+    (checked before any work) and the PRODUCT_TOL sum check, over the exact
+    sum of value x count, raise what :func:`materialize` raises.  A string
+    count above 2^52 is refused whatever the cap: run counts past it are not
+    exact floats.
     """
     if n < 1:
         raise ValidationError("n must be a positive integer")
@@ -363,12 +366,25 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
     (values, states, steps, scale), = starts
     counts = np.ones(values.size, dtype=np.int64)
     weights, nxt = _letters(model)
+    if k == 1:
+        # one string at every n: one run, its value the walk's product
+        values = np.array([_one_string(float(values[0]), int(states[0]), steps, weights, nxt)])
+        steps = 0
     for _ in range(steps):
         values, states = _append_letter(values, states, weights, nxt)
         values, counts, states = _merge_runs(values, np.repeat(counts, k), states)
     values, counts, _ = _merge_runs(values * scale, counts, np.zeros(values.size, dtype=int))
     _require_unit_sum(_exact_products(values, counts), PRODUCT_TOL)
     return Spectrum(values[::-1].copy(), counts[::-1].copy())
+
+
+def _one_string(value: float, state: int, steps: int, weights, nxt) -> float:
+    """``value`` times the weights of ``steps`` more letters of a one-letter
+    alphabet from ``state``: the walk's product, multiplied in its order
+    (``math.prod`` multiplies floats left to right), so bit for bit the walk's."""
+    letter, to = weights[:, 0].tolist(), nxt[:, 0].tolist()
+    states = itertools.accumulate(itertools.repeat(None), lambda s, _: to[s], initial=state)
+    return math.prod(map(letter.__getitem__, itertools.islice(states, steps)), start=value)
 
 
 def _start_runs(model, n: int) -> list:

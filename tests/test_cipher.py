@@ -27,10 +27,12 @@ from guesswork import (
     optimal_attack,
 )
 from guesswork.cipher import (
+    _INDEX_CACHE_BYTES,
     _attack_weights,
-    _key_multisets,
     _lookup_moments,
     _multisets,
+    _permutations,
+    _table_index,
     attack_moment_for_orders,
     attack_moments_for_ranks,
     sorted_padded_pmf,
@@ -473,8 +475,7 @@ class TestColumnLookup:
     @pytest.mark.parametrize("probs", LOOKUP_LAWS)
     def test_every_table_matches_attack_moment(self, probs):
         for p, k, rho, tables, oracle in oracle_cases(tuple(probs)):
-            perms = np.array(list(itertools.permutations(range(p.size))))
-            keys, moments = _lookup_moments(perms, p.probs, 2 ** k, rho)
+            keys, moments = _lookup_moments(p.probs, 2 ** k, rho)
             assert keys.tolist() == [want for want, _ in tables]
             assert np.max(np.abs(moments - oracle)) <= 1e-12
 
@@ -490,18 +491,20 @@ class TestColumnLookup:
     def test_block_size_does_not_move_the_moments(self, monkeypatch):
         import guesswork.cipher as ci
 
-        perms = np.array(list(itertools.permutations(range(4))))
         probs = np.array([0.1, 0.45, 0.3, 0.15])
-        keys, moments = _lookup_moments(perms, probs, 4, 1.3)
+        keys, moments = _lookup_moments(probs, 4, 1.3)
+        # a fresh cache, so the index is built in blocks of 97 tables too
+        monkeypatch.setattr(ci, "_INDEX_CACHE", {})
         monkeypatch.setattr(ci, "_BLOCK", 97)
-        again_keys, again = _lookup_moments(perms, probs, 4, 1.3)
+        again_keys, again = _lookup_moments(probs, 4, 1.3)
         assert np.array_equal(again_keys, keys)
         assert np.array_equal(again, moments)
 
 
 def rowwise_lookup_moments(perms, probs, m_keys, rho):
-    """Column-lookup moments summed as rows: one (tables x cryptograms) gather per block."""
-    columns = _multisets(probs.size, m_keys)
+    """(code index, moments) of the column lookup built from scratch in int64
+    and summed as rows: one (tables x cryptograms) gather per block."""
+    columns = _multisets(probs.size, m_keys).astype(np.int64)
     row, _, weight, rank = _attack_weights(columns, probs)
     terms = (weight / m_keys * rank ** rho).tolist()
     bounds = np.searchsorted(row, np.arange(len(columns) + 1)).tolist()
@@ -509,12 +512,11 @@ def rowwise_lookup_moments(perms, probs, m_keys, rho):
     g[((m_keys + 1) ** columns).sum(axis=1)] = [math.fsum(terms[a:b])
                                                  for a, b in zip(bounds, bounds[1:])]
     code = (m_keys + 1) ** np.argsort(perms, axis=1, kind="stable")
-    keys = _multisets(len(perms), m_keys - 1)
+    keys = _multisets(len(perms), m_keys - 1).astype(np.int64)
     block = 1 << 16
-    return np.concatenate([
-        g[sum((code[col] for col in keys[lo:lo + block].T), code[:1])].sum(axis=1)
-        for lo in range(0, len(keys), block)
-    ])
+    index = np.concatenate([sum((code[col] for col in keys[lo:lo + block].T), code[:1])
+                            for lo in range(0, len(keys), block)])
+    return index, g[index].sum(axis=1)
 
 
 class TestColumnAccumulation:
@@ -527,19 +529,50 @@ class TestColumnAccumulation:
         for probs in laws:
             for k in (0, 1, 2):
                 rho = float(rng.uniform(0.3, 2.5))
-                _, moments = _lookup_moments(perms, probs, 2 ** k, rho)
-                assert np.array_equal(moments, rowwise_lookup_moments(perms, probs, 2 ** k, rho))
+                keys, moments = _lookup_moments(probs, 2 ** k, rho)
+                index, want = rowwise_lookup_moments(perms, probs, 2 ** k, rho)
+                # the cached index holds the from-scratch codes, and the
+                # moments and witness read off it are the row sums' bits
+                assert np.array_equal(_table_index(size, 2 ** k)[1].T, index)
+                assert np.array_equal(moments, want)
+                first = int(np.argmax(want >= want.max() * (1.0 - 1e-12)))
+                witness = brute_force_best_cipher(Pmf(probs, tol=1e-9), k, rho).witness
+                assert np.array_equal(witness.table[1:], perms[keys[first]])
 
     def test_key_multisets_are_cached_narrow_and_read_only(self):
-        keys = _key_multisets(120, 3)
-        assert keys is _key_multisets(120, 3)
-        assert keys.dtype == np.uint8 and keys.nbytes <= 1 << 20
-        assert not keys.flags.writeable
-        with pytest.raises(ValueError):
-            keys[0, 0] = 1
+        keys, index = _table_index(5, 4)
+        assert _table_index(5, 4)[0] is keys and _table_index(5, 4)[1] is index
+        assert keys.dtype == np.uint8 and index.dtype == np.uint16
+        assert keys.nbytes + index.nbytes <= _INDEX_CACHE_BYTES
+        for array in (keys, index):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
         assert np.array_equal(keys, _multisets(120, 3))
-        assert _key_multisets(24, 3).dtype == np.uint8
-        assert _key_multisets(720, 1).dtype == np.uint16
+        assert _multisets(120, 3).dtype == np.uint8
+        assert _table_index(4, 4)[0].dtype == np.uint8
+        assert _table_index(6, 2)[0].dtype == np.uint16
+        assert np.array_equal(_permutations(4), list(itertools.permutations(range(4))))
+
+    def test_largest_search_in_bounded_memory(self):
+        # a fresh child: the search over C(122, 3) tables of 5 messages and
+        # 4 keys raises the peak resident set by under 8 MB
+        code = "\n".join([
+            "import resource",
+            "from guesswork import Pmf, brute_force_best_cipher",
+            "brute_force_best_cipher(Pmf([0.5, 0.3, 0.2]), 1, 1.0)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+            "brute_force_best_cipher(Pmf([0.3, 0.25, 0.2, 0.15, 0.1]), 2, 1.0)",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
+        ])
+        package_root = str(Path(guesswork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 8 * 1024
 
 
 class TestAchievedExponent:

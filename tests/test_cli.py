@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -620,6 +621,20 @@ class TestFailureContract:
         cfg = write_config(tmp_path, {"model": "model.json", "rho": [1e300], "R": [0.3],
                                       "n": [2]})
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["bounds", "sweep"])
+    def test_saturated_total_rate_writes_nothing_to_stderr(self, tmp_path, capsys, iid_model,
+                                                           command):
+        # nR = 2e308 is +inf, where the dual saturates: the row is written and
+        # stderr stays empty, with no numpy overflow warning either
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [1e308],
+                                      "n": [2]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[1].startswith("2,1,1e+308,0.587786664902,")
 
 
 class TestDeterminism:

@@ -41,10 +41,17 @@ from guesswork import (
 )
 from guesswork.errors import NumericError
 from guesswork import sources
-from guesswork.exponents import _simplex_grid
+from guesswork.exponents import _simplex_grid, variational_identity_checks
 from guesswork.optimize import bracketed_roots
 from guesswork.sources import chain_source, power_form
-from guesswork.verify import check_markov_dual
+from guesswork.verify import (
+    _random_pmf,
+    _rng,
+    _tilted_instances,
+    check_markov_dual,
+    check_renyi_variational,
+    check_tilted_identity,
+)
 
 LN2 = math.log(2.0)
 
@@ -751,25 +758,30 @@ def recursive_simplex_grid(dim, steps):
 
 
 def loop_grid_maximum(p, rho, r):
-    """(value, point) of the first grid maximum, one grid point at a time."""
-    best_val, best_q = -math.inf, None
-    for q in recursive_simplex_grid(p.size, 500):
-        mask = q > 0.0
-        if np.any(mask & (p.probs <= 0.0)):
-            continue
-        h = float(-(q[mask] * np.log(q[mask])).sum())
-        if h > r:
-            continue
-        val = rho * h - float((q[mask] * (np.log(q[mask]) - np.log(p.probs[mask]))).sum())
-        if val > best_val:
-            best_val, best_q = val, q
-    return best_val, best_q
+    """(value, point) of the first grid maximum of rho H(Q) - D(Q||P) over the
+    step-1/500 points with H(Q) <= r and no mass off P's support.
+
+    The points come in the recursion's order, from ``np.indices`` rather than
+    ``_simplex_grid``, and every point's H and D in one array pass.
+    """
+    lead = np.indices((501,) * (p.size - 1)).reshape(p.size - 1, -1).T
+    lead = lead[lead.sum(axis=1) <= 500]
+    grid = np.column_stack([lead, 500 - lead.sum(axis=1)]) / 500
+    mask = grid > 0.0
+    with np.errstate(divide="ignore"):
+        log_q = np.where(mask, np.log(grid), 0.0)
+        log_p = np.where(mask, np.log(p.probs), 0.0)
+    h = -(grid * log_q).sum(axis=1)
+    values = rho * h - (grid * (log_q - log_p)).sum(axis=1)
+    candidates = np.flatnonzero(~np.any(mask & (p.probs <= 0.0), axis=1) & (h <= r))
+    best = candidates[np.argmax(values[candidates])]
+    return float(values[best]), grid[best]
 
 
 class TestGridFallback:
     @pytest.mark.parametrize("dim,steps", [(1, 5), (2, 1), (2, 7), (3, 10), (4, 6), (3, 500)])
     def test_simplex_grid_matches_recursion(self, dim, steps):
-        from guesswork.exponents import _simplex_grid
+        from guesswork.exponents import _simplex_grid, variational_identity_checks
 
         assert np.array_equal(_simplex_grid(dim, steps), recursive_simplex_grid(dim, steps))
 
@@ -1044,6 +1056,104 @@ class TestVariationalIdentity:
             theta = float(rng.uniform(0.0, 3.0))
             gap, _ = variational_identity_check(p, theta, support=b, num_random=2, seed=3)
             assert gap <= 1e-10
+
+
+def per_instance_identity(p, theta, support=None, num_random=1000, seed=0) -> tuple:
+    """(gap, worst probe excess, left side) of one instance, one Pmf at a time:
+    the tilt, H and D of the library, fsum sides and normalized Dirichlet probes."""
+    idx = sources._support_indices(p.size, support)
+    sub = p.probs[idx]
+    beta = 1.0 / (1.0 + theta)
+    lhs = (1.0 + theta) * math.log(math.fsum((sub[sub > 0.0] ** beta).tolist()))
+    maximizer = tilt(p, beta, support=idx)
+    rhs = theta * entropy(maximizer) - divergence(maximizer, p)
+    nu = np.random.default_rng(seed).dirichlet(np.ones(idx.size), size=num_random)
+    sub_mask = sub > 0.0
+    neg_h = np.einsum("ij,ij->i", nu, np.log(np.maximum(nu, 1e-300)))
+    probes = nu @ np.log(np.where(sub_mask, sub, 1.0)) - (1.0 + theta) * neg_h
+    if not sub_mask.all():
+        probes[np.any(nu[:, ~sub_mask] > 0.0, axis=1)] = -math.inf
+    return abs(lhs - rhs), float((probes - lhs).max()), lhs
+
+
+def per_instance_tilted_check(seed: int) -> np.ndarray:
+    """(gap, excess, lhs) rows of the tilted-identity check, drawn and solved
+    one instance at a time in the check's stream order."""
+    rng = _rng(seed, 1)
+    rows = []
+    for i in range(1000):
+        size = int(rng.integers(2, 65))
+        p = _random_pmf(rng, size)
+        b_size = int(rng.integers(1, size + 1))
+        support = rng.choice(size, size=b_size, replace=False)
+        theta = float(rng.uniform(0.0, 4.0)) if i % 5 else 0.0
+        rows.append(per_instance_identity(p, theta, support=support, num_random=1000,
+                                          seed=int(rng.integers(2 ** 32))))
+    return np.array(rows).T
+
+
+class TestBatchedVariationalIdentity:
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_matches_per_instance_loop(self, seed):
+        want_gap, want_excess, lhs = per_instance_tilted_check(seed)
+        probs, mask, thetas, seeds = _tilted_instances(seed)
+        gap, excess = variational_identity_checks(probs, mask, thetas, seeds, 1000)
+        assert abs(gap.max() - want_gap.max()) <= 1e-14
+        assert abs(excess.max() - want_excess.max()) <= 1e-14
+        # row by row too: gaps to 1e-14, probes at the rounding of their sides
+        assert np.abs(gap - want_gap).max() <= 1e-14
+        assert np.all(np.abs(excess - want_excess) <= 1e-14 * np.maximum(1.0, np.abs(lhs)))
+        passed = want_gap.max() <= 1e-9 and want_excess.max() <= 1e-12
+        assert check_tilted_identity(seed).passed == passed
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_renyi_check_matches_per_instance_loop(self, seed):
+        rng = _rng(seed, 2)
+        worst = 0.0
+        for _ in range(200):
+            p = _random_pmf(rng, int(rng.integers(2, 33)))
+            theta = float(rng.uniform(0.05, 4.0))
+            gap, _, lhs = per_instance_identity(p, theta, num_random=2,
+                                                seed=int(rng.integers(2 ** 32)))
+            worst = max(worst, gap, abs(theta * renyi_entropy(p, 1.0 / (1.0 + theta)) - lhs))
+        result = check_renyi_variational(seed)
+        assert result.passed == (worst <= 1e-9)
+        assert abs(float(result.detail.split()[2]) - worst) <= 1e-14
+
+    def test_one_row_is_the_scalar_check(self):
+        rng = np.random.default_rng(17)
+        probs = np.zeros((6, 9))
+        mask = np.zeros(probs.shape, dtype=bool)
+        thetas = rng.uniform(0.0, 3.0, size=6)
+        for i, size in enumerate((2, 5, 9, 4, 7, 3)):
+            probs[i, :size] = rng.dirichlet(np.ones(size))
+            mask[i, rng.choice(size, size=int(rng.integers(1, size + 1)), replace=False)] = True
+        probs[4, 1] = 0.0  # zero mass inside a support: every probe reads -inf
+        probs[4] /= probs[4].sum()
+        mask[4, :2] = True
+        gaps, excess = variational_identity_checks(probs, mask, thetas, range(6), 50)
+        for i in range(6):
+            p = Pmf(probs[i], tol=1e-9)
+            assert (gaps[i], excess[i]) == variational_identity_check(
+                p, float(thetas[i]), support=mask[i], num_random=50, seed=i)
+            gap, want_excess, _ = per_instance_identity(p, float(thetas[i]), mask[i], 50, i)
+            assert abs(gaps[i] - gap) <= 1e-14
+            if i == 4:
+                assert excess[i] == want_excess == -math.inf
+            else:
+                assert abs(excess[i] - want_excess) <= 1e-14
+
+    @pytest.mark.parametrize("theta", [-0.1, math.nan, math.inf])
+    def test_theta_refused(self, theta):
+        with pytest.raises(ValidationError):
+            variational_identity_checks([[0.5, 0.5], [0.3, 0.7]], [[True, True]] * 2,
+                                        [1.0, theta], [0, 1], 2)
+
+    def test_support_without_mass_refused(self):
+        with pytest.raises(ValidationError):
+            variational_identity_check(pmf(0.5, 0.5, 0.0), 1.0, support=[2])
+        with pytest.raises(ValidationError):
+            variational_identity_check(pmf(0.5, 0.5), 1.0, support=[])
 
 
 class TestPerfectSecrecy:

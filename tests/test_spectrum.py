@@ -329,6 +329,29 @@ class TestNLetterSpectrum:
             assert math.fsum(_exact_products(spec.values, spec.counts)) == math.fsum(
                 materialize(model, n).probs.tolist())
 
+    def test_one_letter_alphabet_is_one_run(self, monkeypatch):
+        # K^n = 1 at every n, so no cap bounds a letter walk: none is taken
+        def no_walk(*args):
+            raise AssertionError("a letter was appended to a one-letter walk")
+
+        certain = IidSource(Pmf([1.0]))
+        w = 1.0 - 2.0 ** -45
+        models = [IidSource(Pmf([w])), MarkovSource(Pmf([w]), np.array([[w]])),
+                  UnifilarSource(Pmf([1.0, 0.0]), np.array([[1], [0]]),
+                                 (Pmf([w]), Pmf([1.0 - 2.0 ** -44])))]
+        oracles = [[spectrum(materialize(m, n, cap=16)) for n in (1, 2, 7, 10 ** 4)]
+                   for m in models]
+        monkeypatch.setattr(sources, "_append_letter", no_walk)
+        spec = n_letter_spectrum(certain, 10 ** 5, cap=16)
+        assert spec.values.tolist() == [1.0] and spec.counts.tolist() == [1]
+        assert spec.counts.dtype == np.int64
+        # the product is the dense walk's, bit for bit
+        for model, laws in zip(models, oracles):
+            for n, oracle in zip((1, 2, 7, 10 ** 4), laws):
+                built = n_letter_spectrum(model, n, cap=16)
+                assert built.values.tolist() == oracle.values.tolist()
+                assert built.counts.tolist() == oracle.counts.tolist() == [1]
+
     def test_exact_products_of_large_counts(self):
         values = np.array([1.0 / 3.0, 0.1, 2.0 ** -40])
         counts = np.array([2 ** 51 + 12345, 3, 2 ** 40 - 1])
