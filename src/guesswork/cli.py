@@ -3,9 +3,10 @@
 Subcommands: ``exponent`` (single-letter curves), ``bounds`` (finite-n
 sandwich), ``simulate`` (cipher attack report), ``sweep`` (finite-n vs
 single-letter convergence), ``verify`` (registered identity checks).
-Identical config and seed produce byte-identical output regardless of the
-thread count: cells are computed independently and emitted in config
-order.
+Identical config and seed produce byte-identical output: every command
+computes its cells in one thread, in config order.  ``--threads`` and the
+``threads`` config key are still accepted and checked (at least 1), but
+change nothing.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 numeric error, 4 cap exceeded.
@@ -17,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -183,13 +183,6 @@ def _emit(text: str, out_path: str):
         raise ConfigError(f"cannot write the output file: {exc}") from None
 
 
-def _map_cells(cells, worker, threads: int) -> list:
-    if threads <= 1:
-        return [worker(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, cells))
-
-
 def _require(cfg: RunConfig, *, model=False, rhos=False, rates=False, ns=False):
     if model and not cfg.model_path:
         raise ConfigError("this command needs a 'model' entry in the config")
@@ -229,7 +222,7 @@ def _out_paths(cfg: RunConfig, command: str) -> list:
 
 def cmd_exponent(cfg: RunConfig) -> int:
     _require(cfg, model=True, rhos=True, rates=True)
-    # every curve comes from one batched solve, whatever the thread count
+    # every curve comes from one batched solve
     curves = ex.build_curve(so.load_model(cfg.model_path), cfg.rhos, cfg.rates)
     for curve, out in zip(curves, _out_paths(cfg, "exponent")):
         header = ["R", "E", "branch"] + (["grid_check"] if curve.lower is not None else [])
@@ -263,8 +256,7 @@ def _law_rows(cfg: RunConfig, model, n: int, row, per_n) -> list:
     law = so.n_letter_spectrum(model, n, cap=cfg.materialize_cap)
     extra = per_n(model, law, n, np.array(cfg.rhos)[:, None], np.array(cfg.rates))
     cells = [(rho, r) for rho in cfg.rhos for r in cfg.rates]
-    cells = [cell + tuple(more) for cell, more in zip(cells, extra)]
-    return _map_cells(cells, lambda cell: row(model, law, n, *cell), cfg.threads)
+    return [row(model, law, n, rho, r, *more) for (rho, r), more in zip(cells, extra)]
 
 
 def _run_finite(cfg: RunConfig, header: list, row, per_n, to_json=None) -> int:
@@ -409,7 +401,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON run configuration", default="")
     parser.add_argument("--out", help="output path (default: stdout)", default="")
     parser.add_argument("--format", choices=["csv", "json"], default="")
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=None,
+                        help="accepted and checked (at least 1); has no effect")
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -46,16 +46,13 @@ class TopSetSummary:
 
     M = floor(exp(nR)); F is the mass of the top set, F_c the mass of its
     complement (the chance a rate-R fixed-length code errs), and tilted_sum
-    the sum of P^(1/(1+rho)) over the top set.  ``top_indices`` lists the
-    top strings in probability order for a dense law and is None for a
-    :class:`Spectrum`.
+    the sum of P^(1/(1+rho)) over the top set.
     """
 
     n: int
     key_rate: float
     rho: float
     num_top: int
-    top_indices: Optional[np.ndarray]
     mass: float
     mass_complement: float
     tilted_sum: float
@@ -78,22 +75,19 @@ def top_set(law: Law, n: int, key_rate: float, rho: float) -> TopSetSummary:
     mass_c = float(spec.after[j]) + int(spec.counts[j] - inside) * v
     beta = 1.0 / (1.0 + rho)
     tilted = float(np.sum(spec.counts[:j] * spec.values[:j] ** beta)) + inside * v ** beta
-    top = sort_desc(law)[:m] if isinstance(law, Pmf) else None
-    return TopSetSummary(n, key_rate, rho, m, top, mass, mass_c, tilted)
+    return TopSetSummary(n, key_rate, rho, m, mass, mass_c, tilted)
 
 
 @dataclass(frozen=True, eq=False)
 class SaturatedOptimum:
-    """Relaxed saturated-cost optimum: value, real lengths (nats), active set.
+    """Relaxed saturated-cost optimum: value, active set size and rounding slack.
 
-    ``lengths`` holds the tilted length of each active string and +inf for
-    saturated strings (so the exp-Kraft sum over the active set is exactly
-    1); it is filled for a dense law and None for a :class:`Spectrum`.
+    The active set is the first ``active_set_size`` strings in probability
+    order; each gets its tilted length and every other string saturates.
     ``slack`` is the certified one-bit rounding gap to the integer optimum.
     """
 
     value: float
-    lengths: Optional[np.ndarray]
     active_set_size: int
     slack: float
 
@@ -152,19 +146,11 @@ def relaxed_optimum(law: Law, n: int, rho: float, key_rate: float) -> SaturatedO
     best = int(np.argmin(candidates))
     best_log = float(candidates[best])
 
-    active, lengths = 0, None
+    active = 0
     if best > 0:
-        j = best - 1
-        active = int(spec.ends[j] - c[j]) + int(inside[j])
-        z = float(z_ahead[j] + inside[j] * tilted[j])
-    if isinstance(law, Pmf):
-        lengths = np.full(law.size, math.inf)
-        if active:
-            top = sort_desc(law)[:active]
-            lengths[top] = math.log(z) - beta * np.log(law.probs[top])
+        active = int(spec.ends[best - 1] - c[best - 1]) + int(inside[best - 1])
     return SaturatedOptimum(
         value=best_log / n,
-        lengths=lengths,
         active_set_size=active,
         slack=rho * LN2 / n,
     )
@@ -288,7 +274,7 @@ def lower_bound_finite(law: Law, n: int, rho: float, key_rate: float) -> BoundVa
     the certified statement is relaxed optimum >= value - slack with
     slack = rho (ln2 + ln(1+ln N))/n.
     """
-    split = top_set(Spectrum.of(law), n, key_rate, rho)
+    split = top_set(law, n, key_rate, rho)
     err = _error_term(split)
     correct = _correct_decoding_term(split)
     first = rho * key_rate + err if err > -math.inf else -math.inf
@@ -303,7 +289,7 @@ def saturation_split_value(law: Law, n: int, rho: float, key_rate: float) -> flo
     splits mass between the top set (coded) and its complement
     (saturated); a direct grid over the split probability reproduces it.
     """
-    summary = top_set(Spectrum.of(law), n, key_rate, rho)
+    summary = top_set(law, n, key_rate, rho)
     log_campbell = (1.0 + rho) * math.log(summary.tilted_sum)
     if summary.mass_complement > 0.0:
         log_sat = math.log(summary.mass_complement) + rho * n * key_rate

@@ -345,8 +345,8 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
     runs (value, count) per current state take the walk's step
     (:func:`_append_letter`) and merge equal values by a stable sort and
     ``np.add.reduceat``.  A model without a single start in
-    :func:`_start_runs` takes the dense law; a one-letter alphabet is one run
-    at every n, its value taken without the walk.  The n check, the cap
+    :func:`_start_runs` takes the dense law; a one-letter alphabet's start
+    comes back from it already walked, one run at every n.  The n check, the cap
     (checked before any work) and the PRODUCT_TOL sum check, over the exact
     sum of value x count, raise what :func:`materialize` raises.  A string
     count above 2^52 is refused whatever the cap: run counts past it are not
@@ -366,10 +366,6 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
     (values, states, steps, scale), = starts
     counts = np.ones(values.size, dtype=np.int64)
     weights, nxt = _letters(model)
-    if k == 1:
-        # one string at every n: one run, its value the walk's product
-        values = np.array([_one_string(float(values[0]), int(states[0]), steps, weights, nxt)])
-        steps = 0
     for _ in range(steps):
         values, states = _append_letter(values, states, weights, nxt)
         values, counts, states = _merge_runs(values, np.repeat(counts, k), states)
@@ -378,27 +374,36 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
     return Spectrum(values[::-1].copy(), counts[::-1].copy())
 
 
-def _one_string(value: float, state: int, steps: int, weights, nxt) -> float:
-    """``value`` times the weights of ``steps`` more letters of a one-letter
-    alphabet from ``state``: the walk's product, multiplied in its order
-    (``math.prod`` multiplies floats left to right), so bit for bit the walk's."""
+def _one_string(model, run) -> tuple:
+    """A start ``run`` of a one-letter alphabet walked to its end, with 0 letters
+    to go: its one value times the weights of the letters left, multiplied in
+    the walk's order (``math.prod`` multiplies floats left to right), so bit
+    for bit the walk's, and the state the walk ends in."""
+    values, states, steps, scale = run
+    weights, nxt = _letters(model)
     letter, to = weights[:, 0].tolist(), nxt[:, 0].tolist()
-    states = itertools.accumulate(itertools.repeat(None), lambda s, _: to[s], initial=state)
-    return math.prod(map(letter.__getitem__, itertools.islice(states, steps)), start=value)
+    path = itertools.accumulate(itertools.repeat(None), lambda s, _: to[s], initial=int(states[0]))
+    value = math.prod(map(letter.__getitem__, itertools.islice(path, steps)),
+                      start=float(values[0]))
+    return np.array([value]), np.array([next(path)]), 0, scale
 
 
 def _start_runs(model, n: int) -> list:
     """(values, states, letters still to multiply, final scale) per start of the
     n-letter walk, in state order, with fresh values; none for an explicit source.
-    A unifilar source has one start per start state of positive weight."""
+    A unifilar source has one start per start state of positive weight.  On a
+    one-letter alphabet every start is one string, returned already walked
+    (:func:`_one_string`)."""
     if isinstance(model, IidSource):
-        return [(np.ones(1), np.zeros(1, dtype=int), n, 1.0)]
-    if isinstance(model, MarkovSource):
-        return [(model.init.probs.copy(), np.arange(model.alphabet_size), n - 1, 1.0)]
-    if isinstance(model, UnifilarSource):
-        return [(np.ones(1), np.array([s]), n, w)
+        runs = [(np.ones(1), np.zeros(1, dtype=int), n, 1.0)]
+    elif isinstance(model, MarkovSource):
+        runs = [(model.init.probs.copy(), np.arange(model.alphabet_size), n - 1, 1.0)]
+    elif isinstance(model, UnifilarSource):
+        runs = [(np.ones(1), np.array([s]), n, w)
                 for s, w in enumerate(model.init_states.probs.tolist()) if w > 0.0]
-    return []
+    else:
+        return []
+    return runs if model.alphabet_size > 1 else [_one_string(model, run) for run in runs]
 
 
 def _append_letter(values, states, weights, nxt) -> tuple:
@@ -576,14 +581,25 @@ def pressure(model, thetas) -> np.ndarray:
     one-state form it is the power sum itself.  P(theta) is theta times
     the order-1/(1+theta) entropy rate, and P(0) = 0.  For theta < 0 the root is that of the
     shifted powers (:meth:`PowerForm.powers`), with beta shift added back
-    to its log.  A reducible state chain is refused.
+    to its log.  A reducible state chain is refused, and a value that is
+    not finite (a multi-state root underflows near theta = -1) raises
+    :class:`NumericError`.
     """
     form = power_form(model)
     thetas = np.asarray(thetas, dtype=float)
-    betas = 1.0 / (1.0 + thetas.ravel())
-    log_lam = [np.log(perron_vectors(form.matrix(w))[0]) + beta * shift
-               for beta, shift, _, w in form.powers(betas)]
-    return ((1.0 + thetas.ravel()) * np.concatenate(log_lam)).reshape(thetas.shape)
+    with np.errstate(all="ignore"):
+        betas = 1.0 / (1.0 + thetas.ravel())
+        log_lam = [np.log(perron_vectors(form.matrix(w))[0]) + beta * shift
+                   for beta, shift, _, w in form.powers(betas)]
+        out = (1.0 + thetas.ravel()) * np.concatenate(log_lam)
+    return _finite(out, "pressure").reshape(thetas.shape)
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise NumericError(f"the {what} is not finite at some theta (a multi-state "
+                           "Perron root can underflow near theta = -1)")
+    return values
 
 
 def perron_vectors(m: np.ndarray) -> tuple:
@@ -621,10 +637,13 @@ def pressure_slope(model, thetas) -> np.ndarray:
     theta = 0, the saturation threshold H' at theta = rho, and ln(#peak
     letters) as theta falls to -1 for iid.  The shift of
     :meth:`PowerForm.powers` cancels in it.  A reducible state chain is
-    refused when its form is built.
+    refused when its form is built, and a slope that is not finite raises
+    :class:`NumericError`, as in :func:`pressure`.
     """
     thetas = np.asarray(thetas, dtype=float)
-    return _slope(power_form(model), 1.0 / (1.0 + thetas.ravel())).reshape(thetas.shape)
+    with np.errstate(all="ignore"):
+        out = _slope(power_form(model), 1.0 / (1.0 + thetas.ravel()))
+    return _finite(out, "pressure slope").reshape(thetas.shape)
 
 
 def _slope(form: PowerForm, betas: np.ndarray) -> np.ndarray:

@@ -339,13 +339,15 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert out.exists()
 
-    def test_cli_import_leaves_out_scipy_optimize(self):
-        # only the test-facing simplex grid uses it, loaded on first use
+    @pytest.mark.parametrize("module", ["scipy.optimize", "concurrent.futures"])
+    def test_cli_import_leaves_out(self, module):
+        # scipy.optimize serves only the test-facing simplex grid, loaded on
+        # first use; every command computes its cells in one thread, with no pool
         package_root = str(Path(guesswork.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, guesswork.cli; print('scipy.optimize' in sys.modules)"],
+             f"import sys, guesswork.cli; print({module!r} in sys.modules)"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr

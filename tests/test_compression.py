@@ -15,6 +15,7 @@ from guesswork import (
     materialize,
     relaxed_optimum,
     renyi_entropy,
+    sort_desc,
     top_set,
     upper_bound_finite,
 )
@@ -29,6 +30,24 @@ def pmf(*probs):
 
 def random_pmf(rng, size, concentration=1.0):
     return Pmf(rng.dirichlet(np.full(size, concentration)), tol=1e-9)
+
+
+def active_lengths(p, result, n, rho, key_rate):
+    """(lengths, value) rebuilt from a relaxed optimum's active set.
+
+    The active set is the first ``active_set_size`` strings of ``sort_desc(p)``;
+    each gets its tilted length ln Z - beta ln p, with Z the tilted sum of the
+    set, and every other string +inf.  value = ln(Z^(1+rho) + F_c e^(rho n R))/n,
+    F_c the mass outside the set, is what those lengths cost.
+    """
+    beta = 1.0 / (1.0 + rho)
+    top = sort_desc(p)[:result.active_set_size]
+    log_z = math.log(math.fsum((p.probs[top] ** beta).tolist())) if top.size else -math.inf
+    lengths = np.full(p.size, math.inf)
+    lengths[top] = log_z - beta * np.log(p.probs[top])
+    mass_c = math.fsum(np.delete(p.probs, top).tolist())
+    log_sat = math.log(mass_c) + rho * n * key_rate if mass_c > 0.0 else -math.inf
+    return lengths, float(np.logaddexp((1.0 + rho) * log_z, log_sat)) / n
 
 
 class TestTopSet:
@@ -86,12 +105,14 @@ class TestRelaxedOptimum:
         rng = np.random.default_rng(4)
         for _ in range(30):
             p = random_pmf(rng, int(rng.integers(2, 30)))
-            result = relaxed_optimum(p, 1, float(rng.uniform(0.3, 2.0)),
-                                     float(rng.uniform(0.1, 1.5)))
-            finite = np.isfinite(result.lengths)
+            rho, key_rate = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.1, 1.5))
+            result = relaxed_optimum(p, 1, rho, key_rate)
+            lengths, value = active_lengths(p, result, 1, rho, key_rate)
+            assert result.value == pytest.approx(value, abs=1e-12)
+            finite = np.isfinite(lengths)
             assert int(finite.sum()) == result.active_set_size
             if result.active_set_size:
-                assert math.fsum(np.exp(-result.lengths[finite]).tolist()) == pytest.approx(
+                assert math.fsum(np.exp(-lengths[finite]).tolist()) == pytest.approx(
                     1.0, abs=1e-9
                 )
 
@@ -102,9 +123,10 @@ class TestRelaxedOptimum:
             n = int(rng.integers(1, 4))
             key_rate = float(rng.uniform(0.05, 1.0))
             result = relaxed_optimum(p, n, 1.0, key_rate)
-            finite = np.isfinite(result.lengths)
+            lengths, _ = active_lengths(p, result, n, 1.0, key_rate)
+            finite = np.isfinite(lengths)
             if finite.any():
-                assert result.lengths[finite].max() <= n * key_rate + 1e-9
+                assert lengths[finite].max() <= n * key_rate + 1e-9
 
     def test_free_size_beats_fixed_top_set_kernel(self):
         rng = np.random.default_rng(6)
@@ -289,7 +311,7 @@ class TestSaturationSplitIdentity:
             summary = top_set(p, n, key_rate, rho)
             if summary.mass_complement <= 1e-12 or summary.mass <= 1e-12:
                 continue
-            top = p.probs[summary.top_indices] / summary.mass
+            top = p.probs[sort_desc(p)[:summary.num_top]] / summary.mass
             h_top = rho * (1.0 + rho) / rho * math.log(
                 math.fsum((top ** (1.0 / (1.0 + rho))).tolist())
             )

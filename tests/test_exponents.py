@@ -781,8 +781,6 @@ def loop_grid_maximum(p, rho, r):
 class TestGridFallback:
     @pytest.mark.parametrize("dim,steps", [(1, 5), (2, 1), (2, 7), (3, 10), (4, 6), (3, 500)])
     def test_simplex_grid_matches_recursion(self, dim, steps):
-        from guesswork.exponents import _simplex_grid, variational_identity_checks
-
         assert np.array_equal(_simplex_grid(dim, steps), recursive_simplex_grid(dim, steps))
 
     @pytest.mark.parametrize("probs,rho,r", [

@@ -14,6 +14,7 @@ from guesswork import (
     ExplicitSource,
     IidSource,
     MarkovSource,
+    NumericError,
     Pmf,
     UnifilarSource,
     ValidationError,
@@ -30,6 +31,7 @@ from guesswork import (
     stationary,
     tilt,
 )
+from guesswork.sources import chain_source
 
 LN2 = math.log(2.0)
 
@@ -556,6 +558,39 @@ class TestPressure:
         assert abs(batched[0]) <= 1e-12
         single = np.array([float(pressure(p, t)) for t in thetas[::97].tolist()])
         assert np.abs(batched[::97] - single).max() <= 1e-13
+
+
+class TestPressureNearMinusOne:
+    """Near theta = -1 a multi-state Perron root can underflow; the public
+    pressure and its slope raise NumericError there, never -inf, NaN or a
+    numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_seeded_chains_are_finite_or_refused(self):
+        # the first chain, with 5 states, read -inf and NaN at theta = -0.9999
+        rng, refused = np.random.default_rng(0), []
+        for i in range(100):
+            k = int(rng.integers(2, 6))
+            model = chain_source(rng.dirichlet(np.ones(k), size=k))
+            for read in (pressure, pressure_slope):
+                assert np.isfinite(read(model, np.array([-0.5, 0.0, 1.0]))).all()
+                try:
+                    assert np.isfinite(read(model, np.array([0.5, -0.9999]))).all()
+                except NumericError as exc:
+                    assert "not finite" in str(exc)
+                    refused.append(i)
+        assert refused[:2] == [0, 0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_state_forms_stay_finite_at_the_tie_floor(self):
+        # beta = 2^53, where the correct term reads its tie floor: P is ln p_max
+        # and P' is ln(#peak letters), up to the 2^-53 ln(#peaks) of (1+theta)
+        theta = 2.0 ** -53 - 1.0
+        for law, p_max, peaks in ((IidSource(pmf(0.5, 0.3, 0.2)), 0.5, 1),
+                                  (IidSource(pmf(0.4, 0.4, 0.2)), 0.4, 2),
+                                  (materialize(IidSource(pmf(0.6, 0.3, 0.1)), 3), 0.216, 1)):
+            assert float(pressure(law, theta)) == pytest.approx(math.log(p_max), abs=1e-12)
+            assert float(pressure_slope(law, theta)) == pytest.approx(math.log(peaks), abs=1e-12)
 
 
 class TestPressureSlope:

@@ -8,6 +8,7 @@ stay here as the reference.  The spectrum builder that forms no dense law,
 bit for bit.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -138,13 +139,17 @@ class TestSpectrum:
         spec = spectrum(Pmf([0.5, 0.5]))
         assert Spectrum.of(spec) is spec
 
-    def test_per_string_outputs_for_dense_laws_only(self):
-        p = Pmf([0.1, 0.6, 0.3])
-        assert relaxed_optimum(spectrum(p), 1, 1.0, 0.8).lengths is None
-        assert top_set(spectrum(p), 1, 0.8, 1.0).top_indices is None
-        assert top_set(p, 1, 0.8, 1.0).top_indices.tolist() == [1, 2]
-        assert np.isfinite(relaxed_optimum(p, 1, 1.0, 0.8).lengths).sum() == (
-            relaxed_optimum(p, 1, 1.0, 0.8).active_set_size)
+    def test_dense_law_and_its_spectrum_give_identical_outputs(self):
+        # a dense law is read through its spectrum: one path, the same fields
+        laws = [Pmf([0.1, 0.6, 0.3]), Pmf([0.25, 0.0, 0.125, 0.25, 0.125, 0.25]),
+                materialize(IidSource(Pmf([0.7, 0.2, 0.1])), 4)]
+        for p in laws:
+            for n, rho, key_rate in ((1, 1.0, 0.8), (2, 0.5, 0.4), (3, 2.0, 0.05)):
+                pairs = [(top_set(law, n, key_rate, rho), relaxed_optimum(law, n, rho, key_rate))
+                         for law in (p, spectrum(p))]
+                for dense, spec in zip(*pairs):
+                    for f in dataclasses.fields(dense):
+                        assert getattr(dense, f.name) == getattr(spec, f.name), f.name
 
 
 class TestDenseOracle:
@@ -228,6 +233,30 @@ def _lengths(model):
     k = model.alphabet_size
     top = len(model.pmfs) if isinstance(model, ExplicitSource) else 16
     return [n for n in range(1, top + 1) if k ** n <= 2 ** 16]
+
+
+def one_letter_walk(model, n):
+    """The one n-letter value of a one-letter iid, Markov or unifilar source,
+    walked a letter at a time in Python floats: each start's product in walk
+    order, times its start weight, summed over the starts in state order."""
+    if isinstance(model, IidSource):
+        letter, to, starts = [float(model.marginal.probs[0])], [0], [(0, 1.0, 1.0, n)]
+    elif isinstance(model, MarkovSource):
+        letter, to = [float(model.transition[0, 0])], [0]
+        starts = [(0, float(model.init.probs[0]), 1.0, n - 1)]
+    else:
+        letter = [float(e.probs[0]) for e in model.emission]
+        to = model.next_state[:, 0].tolist()
+        starts = [(s, 1.0, w, n) for s, w in enumerate(model.init_states.probs.tolist())
+                  if w > 0.0]
+    total = None
+    for state, value, scale, steps in starts:
+        for _ in range(steps):
+            value *= letter[state]
+            state = to[state]
+        value *= scale
+        total = value if total is None else total + value
+    return total
 
 
 class TestNLetterSpectrum:
@@ -339,18 +368,31 @@ class TestNLetterSpectrum:
         models = [IidSource(Pmf([w])), MarkovSource(Pmf([w]), np.array([[w]])),
                   UnifilarSource(Pmf([1.0, 0.0]), np.array([[1], [0]]),
                                  (Pmf([w]), Pmf([1.0 - 2.0 ** -44])))]
-        oracles = [[spectrum(materialize(m, n, cap=16)) for n in (1, 2, 7, 10 ** 4)]
-                   for m in models]
         monkeypatch.setattr(sources, "_append_letter", no_walk)
         spec = n_letter_spectrum(certain, 10 ** 5, cap=16)
         assert spec.values.tolist() == [1.0] and spec.counts.tolist() == [1]
         assert spec.counts.dtype == np.int64
-        # the product is the dense walk's, bit for bit
-        for model, laws in zip(models, oracles):
-            for n, oracle in zip((1, 2, 7, 10 ** 4), laws):
+        # the product is the letter walk's, bit for bit, and so is the dense law
+        for model in models:
+            for n in (1, 2, 7, 10 ** 4):
                 built = n_letter_spectrum(model, n, cap=16)
-                assert built.values.tolist() == oracle.values.tolist()
-                assert built.counts.tolist() == oracle.counts.tolist() == [1]
+                assert built.values.tolist() == [one_letter_walk(model, n)]
+                assert built.counts.tolist() == [1]
+                assert materialize(model, n, cap=16).probs.tolist() == built.values.tolist()
+
+    def test_one_letter_mixed_start_is_one_run(self, monkeypatch):
+        # two start states of positive weight take the dense fallback, whose
+        # walk is as short as the single-start one
+        def no_walk(*args):
+            raise AssertionError("a letter was appended to a one-letter walk")
+
+        model = UnifilarSource(Pmf([0.5, 0.5]), np.array([[1], [0]]),
+                               (Pmf([1.0 - 3 * 2.0 ** -50]), Pmf([1.0 - 5 * 2.0 ** -51])))
+        monkeypatch.setattr(sources, "_append_letter", no_walk)
+        for n in (1, 2, 7, 10 ** 5):
+            spec = n_letter_spectrum(model, n, cap=16)
+            assert spec.values.tolist() == [one_letter_walk(model, n)]
+            assert spec.counts.tolist() == [1]
 
     def test_exact_products_of_large_counts(self):
         values = np.array([1.0 / 3.0, 0.1, 2.0 ** -40])
