@@ -254,19 +254,20 @@ def cmd_exponent(cfg: RunConfig) -> int:
 def _law_rows(cfg: RunConfig, model, n: int, row, per_n) -> list:
     # the spectrum lives only in this frame, so one law is held at a time
     law = so.n_letter_spectrum(model, n, cap=cfg.materialize_cap)
-    extra = per_n(model, law, n, np.array(cfg.rhos)[:, None], np.array(cfg.rates))
     cells = [(rho, r) for rho in cfg.rhos for r in cfg.rates]
+    extra = (per_n(model, law, n, np.array(cfg.rhos)[:, None], np.array(cfg.rates))
+             if per_n else [()] * len(cells))
     return [row(model, law, n, rho, r, *more) for (rho, r), more in zip(cells, extra)]
 
 
-def _run_finite(cfg: RunConfig, header: list, row, per_n, to_json=None) -> int:
+def _run_finite(cfg: RunConfig, header: list, row, per_n=None, to_json=None) -> int:
     """Rows ``row(model, law, n, rho, R, *extra)`` of every (n, rho, R) cell, in config order.
 
     Each n builds the spectrum ``law`` of its n-letter law once, with
     :func:`sources.n_letter_spectrum`, which forms no dense law, and maps
-    its (rho, R) cells.  ``per_n(model, law, n, rhos, rates)`` computes
-    what the cells of one n share in one batch, such as the dual over
-    every (rho, R) cell (``rhos`` is a column, ``rates`` a row), and
+    its (rho, R) cells.  ``per_n(model, law, n, rhos, rates)``, if given,
+    computes what the cells of one n share in one batch, such as the dual
+    over every (rho, R) cell (``rhos`` is a column, ``rates`` a row), and
     returns one ``extra`` tuple per cell, rho-major.  JSON is
     ``{"rows": [...]}`` unless ``to_json`` builds the document from the
     rows.
@@ -307,13 +308,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    def per_n(model, law, n, rhos, rates):
-        # the brute-force bracket needs the dense law, built only when it is that small
-        small = law.size <= cfg.brute_force_messages
-        p_n = so.materialize(model, n, cap=cfg.materialize_cap) if small else None
-        return [(p_n,)] * (rhos.size * rates.size)
-
-    def row(model, law, n, rho, r, p_n):
+    def row(model, law, n, rho, r):
         achieved = ci.guessing_exponent_achieved(law, n, rho, r)
         relaxed = co.relaxed_optimum(law, n, rho, r)
         try:
@@ -325,7 +320,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
         ok = gap <= bound + relaxed.slack + 1e-12
         out = [n, rho, r, achieved.k, achieved.num_keys, achieved.num_messages,
                achieved.moment, achieved.exponent, relaxed.value, bound, gap, ok]
-        if p_n is not None and achieved.k <= cfg.brute_force_keys:
+        if law.size <= cfg.brute_force_messages and achieved.k <= cfg.brute_force_keys:
+            # the attack moment does not depend on message labels: the
+            # strings in descending order stand for the n-letter law
+            p_n = so.Pmf(np.repeat(law.values, law.counts), tol=so.PRODUCT_TOL)
             result = ci.brute_force_best_cipher(
                 p_n, achieved.k, rho,
                 max_messages=cfg.brute_force_messages,
@@ -341,7 +339,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return _run_finite(cfg, ["n", "rho", "R", "k", "num_keys", "num_messages", "moment",
                              "exponent", "compression", "gap_bound", "gap", "ok",
                              "bf_max_moment", "bf_exponent", "bracket_lo", "bracket_hi",
-                             "bracket_width"], row, per_n)
+                             "bracket_width"], row)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:

@@ -48,6 +48,7 @@ from .sources import (
 )
 
 _GRID_MAX_ALPHABET = 4
+_GRID_STEPS = 100
 # v = -ln beta ends: the correct term reads its tie floor at beta ~ 2^53, the
 # float above theta = -1, and the error exponent's tilt stops at beta = 1e-9
 _V_TIE_FLOOR = math.log(2.0 ** -53)
@@ -181,60 +182,45 @@ def _simplex_grid(dim: int, steps: int) -> np.ndarray:
     return np.diff(_multisets(steps + 1, dim - 1), axis=1, prepend=0, append=steps) / steps
 
 
-def _masked_logs(grid: np.ndarray, p: np.ndarray) -> tuple:
-    """ln of the grid entries (0 where an entry is 0) and each point's
-    feasibility: no mass outside the support of ``p``."""
+def _simplex_objective(q: np.ndarray, p: np.ndarray, rho: float, key_rate: float):
+    """rho min(H(Q), R) - D(Q||P) per row Q of ``q`` (a scalar for one
+    vector): -inf for a row with mass off the support of ``p``."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.where(grid > 0.0, np.log(np.maximum(grid, 1e-300)), 0.0)
-    return logs, ~np.any((grid > 0.0) & (p[None, :] <= 0.0), axis=1)
+        log_q = np.log(q)
+        mass = q > 0.0
+        h = -np.where(mass, q * log_q, 0.0).sum(axis=-1)
+        d = np.where(mass, q * (log_q - np.log(p)), 0.0).sum(axis=-1)
+    return rho * np.minimum(h, key_rate) - d
 
 
-def _objective_on_simplex(q: np.ndarray, p: np.ndarray, rho: float, key_rate: float) -> float:
-    mask = q > 0.0
-    if np.any(mask & (p <= 0.0)):
-        return -math.inf
-    h = float(-(q[mask] * np.log(q[mask])).sum())
-    d = float((q[mask] * (np.log(q[mask]) - np.log(p[mask]))).sum())
-    return rho * min(h, key_rate) - d
+def iid_exponent_grid(p1: Pmf, rho: float, key_rate: float) -> float:
+    """Direct maximum of rho min(H(Q), R) - D(Q||P) over the simplex.
 
-
-def iid_exponent_grid(p1: Pmf, rho: float, key_rate: float, resolution: float = 0.01) -> float:
-    """Direct maximum of rho min(H(Q), R) - D(Q||P) over a simplex grid.
-
-    A barycentric grid with the given step is refined by Nelder-Mead from
-    the best grid point.  Alphabets above 4 are refused; use the dual.
+    The best point of the barycentric grid of step 1/100 is refined by
+    Nelder-Mead; both score points with :func:`_simplex_objective`.
+    Alphabets above 4 are refused; use the dual.
     """
     if p1.size > _GRID_MAX_ALPHABET:
         raise CapExceededError("grid search supports alphabets up to 4; use the dual")
-    if not 0.0 < resolution <= 0.5:
-        raise ValidationError("resolution must lie in (0, 0.5]")
     if p1.size == 1:
         return 0.0
-    steps = max(2, int(round(1.0 / resolution)))
-    grid = _simplex_grid(p1.size, steps)
     p = p1.probs
-    log_p = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), -np.inf)
-    logs, feasible = _masked_logs(grid, p)
-    h = -(grid * logs).sum(axis=1)
-    with np.errstate(invalid="ignore"):
-        cross = np.where(grid > 0.0, grid * log_p[None, :], 0.0).sum(axis=1)
-    d = -h - cross
-    objective = np.where(feasible, rho * np.minimum(h, key_rate) - d, -np.inf)
+    grid = _simplex_grid(p1.size, _GRID_STEPS)
+    objective = _simplex_objective(grid, p, rho, key_rate)
     best_i = int(np.argmax(objective))
-    best_val = float(objective[best_i])
 
     def neg_obj(x: np.ndarray) -> float:
         tail = 1.0 - x.sum()
         if np.any(x < -1e-12) or tail < -1e-12:
             return 1e6
         q = np.append(np.maximum(x, 0.0), max(tail, 0.0))
-        return -_objective_on_simplex(q, p, rho, key_rate)
+        return -float(_simplex_objective(q, p, rho, key_rate))
 
     start = grid[best_i][:-1]
     # scipy loads its optimize module on this first attribute access
     result = scipy.optimize.minimize(neg_obj, start, method="Nelder-Mead",
                                      options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000})
-    return max(best_val, float(-result.fun))
+    return max(float(objective[best_i]), float(-result.fun))
 
 
 def iid_error_exponent(p1: Pmf, key_rate):
@@ -260,7 +246,7 @@ def iid_error_exponent(p1: Pmf, key_rate):
     return _shaped(shape, out)
 
 
-def iid_correct_term(p1: Pmf, rho: float, key_rate):
+def iid_correct_term(p1: Pmf, rho, key_rate):
     """max of rho H(Q) - D(Q||P) over distributions with entropy at most R.
 
     At the tie floor, R <= P'(-1+) = ln(#letters equal to p_max), read at
@@ -271,36 +257,38 @@ def iid_correct_term(p1: Pmf, rho: float, key_rate):
     (:func:`_pressure_roots`): free (P'(rho) <= R), rho times the
     order-1/(1+rho) entropy.  A letter a hair below p_max puts the root at
     a huge beta, which v resolves as well as any other; a tilt whose
-    entropy still misses R by 1e-9 raises :class:`NumericError`.
-    ``key_rate`` may be an array.
+    entropy still misses R by 1e-9 raises :class:`NumericError`.  ``rho``
+    and ``key_rate`` broadcast as in :func:`model_exponent_dual`, and all
+    the (rho, R) cells take one root solve.
     """
-    shape, _, flat = _cells(rho, key_rate)
-    top, form = math.log1p(rho), power_form(IidSource(p1))
+    shape, flat_rho, flat = _cells(rho, key_rate)
+    top, form = np.log1p(flat_rho), power_form(IidSource(p1))
     v = _pressure_roots(form, flat, _V_TIE_FLOOR, top)
-    out = (1.0 + rho) * flat + math.log(p1.probs.max())
-    free = v > _V_TIE_FLOOR
+    out = (1.0 + flat_rho) * flat + math.log(p1.probs.max())
+    free, clamped = v > _V_TIE_FLOOR, v == top
     # the clamp at theta = rho reads the tilt at beta = 1/(1+rho) exactly
-    h, d, _, _ = _twisted_chain(form, np.where(v == top, 1.0 / (1.0 + rho), np.exp(-v))[free])
-    if np.any((np.abs(h - flat[free]) > 1e-9) & (v[free] < top)):
+    h, d, _, _ = _twisted_chain(form, np.where(clamped, 1.0 / (1.0 + flat_rho), np.exp(-v))[free])
+    if np.any((np.abs(h - flat[free]) > 1e-9) & ~clamped[free]):
         raise NumericError("the correct-decoding tilt misses its entropy constraint by over 1e-9")
-    out[free] = rho * h - d
+    out[free] = flat_rho[free] * h - d
     return _shaped(shape, out)
 
 
-def decomposition_check(p1: Pmf, rho: float, key_rate) -> tuple:
+def decomposition_check(p1: Pmf, rho, key_rate) -> tuple:
     """Compare max(rho R - error exponent, correct term) with the theta dual.
 
-    Returns (lhs, rhs, |gap|), arrays when ``key_rate`` is an array; the
-    two sides agree analytically, so the gap measures only the
-    optimizers' numerical error.
+    ``rho`` and ``key_rate`` broadcast as in :func:`model_exponent_dual`;
+    the error exponent, which has no rho, is solved once per distinct
+    rate.  Returns (lhs, rhs, |gap|), floats for a scalar cell; the two
+    sides agree analytically, so the gap measures only the optimizers'
+    numerical error.
     """
-    lhs = np.maximum(rho * np.asarray(key_rate, dtype=float) - iid_error_exponent(p1, key_rate),
-                     iid_correct_term(p1, rho, key_rate))
-    rhs = model_exponent_dual(IidSource(p1), rho, key_rate)
-    gap = np.abs(lhs - rhs)
-    if np.ndim(key_rate) == 0:
-        return float(lhs), float(rhs), float(gap)
-    return lhs, rhs, gap
+    shape, flat_rho, flat = _cells(rho, key_rate)
+    rates, index = np.unique(flat, return_inverse=True)
+    lhs = np.maximum(flat_rho * flat - iid_error_exponent(p1, rates)[index],
+                     iid_correct_term(p1, flat_rho, flat))
+    rhs = model_exponent_dual(IidSource(p1), flat_rho, flat)
+    return tuple(_shaped(shape, out) for out in (lhs, rhs, np.abs(lhs - rhs)))
 
 
 def legendre_fenchel(rhos, values, lambdas=None, convexity_tol: float = 1e-6):

@@ -514,6 +514,9 @@ class PowerForm:
         logs = ln weight - shift.  The shift is 0 for beta <= 1 and, for
         beta > 1, the peak log weight of a counted letter (zero weights are
         stored as log 1 and keep it), whose power stays 1 at any beta.
+        Leaving beta <= 1 unshifted is what makes P(0) = ln sum p read
+        exactly 0 and the linear regime read rho R exactly; shifting every
+        beta reads 0.30000000000000004 for the linear value 0.3.
         """
         s, k = self.log_weights.shape
         step = max(1, PRESSURE_CHUNK // (s * k * s))

@@ -105,13 +105,11 @@ def check_decomposition() -> CheckResult:
     floor's closed form; (0.4, 0.399, 0.201) puts the correct term's root
     near theta = -1 (beta about 1,900).
     """
-    worst = 0.0
+    worst, rhos = 0.0, np.array([[0.5], [1.0], [2.0]])
     for probs in ([0.8, 0.2], [0.6, 0.3, 0.1], [0.45, 0.45, 0.1], [0.4, 0.399, 0.201]):
         p = so.Pmf(probs)
-        top = math.log(p.size)
-        for rho in (0.5, 1.0, 2.0):
-            _, _, gaps = ex.decomposition_check(p, rho, np.linspace(0.05, top + 0.1, 20))
-            worst = max(worst, float(gaps.max()))
+        rates = np.linspace(0.05, math.log(p.size) + 0.1, 20)
+        worst = max(worst, float(ex.decomposition_check(p, rhos, rates)[2].max()))
     return CheckResult("decomposition", worst <= 1e-9, f"max gap {worst:.3e} (tol 1e-09)")
 
 

@@ -460,9 +460,9 @@ class TestFiniteRunner:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.csv"),
                      "--threads", str(threads)]) == 0
         assert built == [2, 4, 3]
-        # no dense law, bar simulate's brute-force bracket at the one n with
-        # N <= brute_force_messages (5); no np.unique and no sort of a dense law
-        assert dense == ([2] if command == "simulate" else [])
+        # no dense law, not even for simulate's brute-force bracket, which
+        # reads the spectrum; no np.unique and no sort of a dense law
+        assert dense == []
         assert spectra == []
         assert sorts == []
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 2 * 2

@@ -413,16 +413,27 @@ class TestIidGrid:
     def test_uniform(self):
         u = pmf(1.0 / 3, 1.0 / 3, 1.0 / 3)
         for r in (0.4, 1.3):
-            assert iid_exponent_grid(u, 1.0, r, resolution=0.01) == pytest.approx(
+            assert iid_exponent_grid(u, 1.0, r) == pytest.approx(
                 min(r, math.log(3.0)), abs=2e-3
             )
 
     def test_cross_validates_dual(self):
         for r in (0.55, 0.6, 0.65):
-            grid = iid_exponent_grid(P82, 1.0, r, resolution=0.01)
+            grid = iid_exponent_grid(P82, 1.0, r)
             dual = model_exponent_dual(IidSource(P82), 1.0, r)
             assert grid <= dual + 1e-6  # weak duality is exact here
             assert grid >= dual - 2e-3
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_seeded_laws_within_dual(self, size):
+        rng = _rng(20, size)
+        for _ in range(2):
+            p = _random_pmf(rng, size)
+            for rho in (0.5, 1.0, 2.0):
+                for r in (0.1, 0.4, 0.8, 1.2):
+                    grid = iid_exponent_grid(p, rho, r)
+                    dual = model_exponent_dual(IidSource(p), rho, r)
+                    assert dual - 2e-3 <= grid <= dual + 1e-6
 
     def test_refuses_large_alphabets(self):
         with pytest.raises(CapExceededError):
@@ -672,17 +683,32 @@ class TestDecompositionArrays:
 
     @pytest.mark.parametrize("p", [P82, pmf(0.6, 0.3, 0.1), pmf(0.5, 0.5), pmf(0.7, 0.3, 0.0)])
     def test_array_equals_scalar(self, p):
-        rho = 1.0
+        rhos = np.array([[0.5], [1.0], [2.0]])
         err = iid_error_exponent(p, self.RATES)
-        correct = iid_correct_term(p, rho, self.RATES)
-        lhs, rhs, gap = decomposition_check(p, rho, self.RATES)
+        correct = iid_correct_term(p, rhos, self.RATES)
+        lhs, rhs, gap = decomposition_check(p, rhos, self.RATES)
+        assert correct.shape == gap.shape == (3, self.RATES.size)
         for i, r in enumerate(self.RATES.tolist()):
             assert err[i] == iid_error_exponent(p, r)
-            assert correct[i] == iid_correct_term(p, rho, r)
-            assert (lhs[i], rhs[i], gap[i]) == decomposition_check(p, rho, r)
+            for j, rho in enumerate(rhos.ravel().tolist()):
+                assert correct[j, i] == iid_correct_term(p, rho, r)
+                assert (lhs[j, i], rhs[j, i], gap[j, i]) == decomposition_check(p, rho, r)
         assert isinstance(iid_error_exponent(p, 0.3), float)
-        assert isinstance(iid_correct_term(p, rho, 0.3), float)
-        assert all(isinstance(v, float) for v in decomposition_check(p, rho, 0.3))
+        assert isinstance(iid_correct_term(p, 1.0, 0.3), float)
+        assert all(isinstance(v, float) for v in decomposition_check(p, 1.0, 0.3))
+
+    def test_one_root_solve_per_term(self, monkeypatch):
+        # the error exponent, the correct term and the dual each solve every
+        # (rho, R) cell of the call in one root solve
+        calls = []
+
+        def spy(g, a, *args):
+            calls.append(np.size(a))
+            return bracketed_roots(g, a, *args)
+
+        monkeypatch.setattr(guesswork.exponents, "bracketed_roots", spy)
+        decomposition_check(pmf(0.6, 0.3, 0.1), np.array([[0.5], [1.0], [2.0]]), self.RATES)
+        assert len(calls) == 3
 
     def test_matches_scalar_bisection(self):
         # the per-rate 200-step bisections on the tilt exponent that the
@@ -778,7 +804,7 @@ def loop_grid_maximum(p, rho, r):
     return float(values[best]), grid[best]
 
 
-class TestGridFallback:
+class TestTieFloorAgainstSimplexOracle:
     @pytest.mark.parametrize("dim,steps", [(1, 5), (2, 1), (2, 7), (3, 10), (4, 6), (3, 500)])
     def test_simplex_grid_matches_recursion(self, dim, steps):
         assert np.array_equal(_simplex_grid(dim, steps), recursive_simplex_grid(dim, steps))
