@@ -17,14 +17,11 @@ from .cipher import (
     group_xor_moment_closed,
     guessing_exponent_achieved,
     keys_for_rate,
-    optimal_attack,
 )
 from .compression import (
     BoundValue,
     SaturatedOptimum,
     TopSetSummary,
-    correct_decoding_term,
-    error_term,
     integer_bruteforce,
     lower_bound_finite,
     relaxed_optimum,
@@ -34,17 +31,13 @@ from .compression import (
 from .errors import CapExceededError, GuessworkError, NumericError, ValidationError
 from .exponents import (
     ExponentCurve,
-    PerfectSecrecyResult,
     build_curve,
     certified_exponent,
     decomposition_check,
     iid_correct_term,
     iid_error_exponent,
     iid_exponent_grid,
-    legendre_fenchel,
     model_exponent_dual,
-    perfect_secrecy_exponent,
-    variational_identity_check,
 )
 from .guessing import (
     GuessOrder,
@@ -65,21 +58,17 @@ from .sources import (
     SourceModel,
     Spectrum,
     UnifilarSource,
-    divergence,
     entropy,
     load_model,
-    markov_renyi_rate,
     materialize,
     model_from_dict,
     n_letter_spectrum,
     pressure,
     pressure_slope,
     renyi_entropy,
-    renyi_entropy_rate,
     sort_desc,
     spectrum,
     stationary,
-    tilt,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, NumericError, ValidationError
-from .guessing import GuessOrder, harmonic_number
+from .guessing import harmonic_number
 from .sources import DEFAULT_MATERIALIZE_CAP, Pmf, Spectrum, sort_desc
 
 LN2 = math.log(2.0)
@@ -128,25 +128,6 @@ def build_group_xor_cipher(p: Pmf, k: int, n: int = 1) -> Cipher:
     return Cipher(CipherSpec(n, k, n_msgs), table, padded)
 
 
-def optimal_attack(cipher: Cipher, p: Pmf, y: int) -> GuessOrder:
-    """Guess in decreasing posterior order given cryptogram ``y``.
-
-    The posterior of message m is proportional to p(m) times the number of
-    keys sending m to y.  Ties break by ascending index, which also places
-    all zero-posterior messages last in ascending order.
-    """
-    if p.size != cipher.spec.num_messages:
-        raise ValidationError("distribution must cover the cipher's message set")
-    if not 0 <= y < cipher.spec.num_messages:
-        raise ValidationError("cryptogram index out of range")
-    counts = (cipher.table == y).sum(axis=0)
-    posterior = p.probs * counts
-    order = np.argsort(-posterior, kind="stable")
-    rank = np.empty(p.size, dtype=int)
-    rank[order] = np.arange(1, p.size + 1)
-    return GuessOrder(rank)
-
-
 def _attack_weights(cols: np.ndarray, probs: np.ndarray):
     """Each cryptogram's distinct preimages of positive weight, in attack order.
 
@@ -180,15 +161,6 @@ def attack_moment(cipher: Cipher, p: Pmf, rho: float) -> float:
     m_keys = cipher.spec.num_keys
     _, _, weight, rank = _attack_weights(np.argsort(cipher.table, axis=1, kind="stable").T, p.probs)
     return math.fsum((weight / m_keys * rank ** rho).tolist())
-
-
-def attack_moment_for_orders(cipher: Cipher, p: Pmf, rho: float, orders) -> float:
-    """Moment when the attacker uses a caller-supplied order per cryptogram.
-
-    The one-table case of :func:`attack_moments_for_ranks`.
-    """
-    ranks = np.array([order.rank for order in orders])
-    return float(attack_moments_for_ranks(cipher.table, p, rho, ranks))
 
 
 def attack_moments_for_ranks(tables: np.ndarray, p: Pmf, rho: float, ranks: np.ndarray):

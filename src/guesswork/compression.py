@@ -234,30 +234,6 @@ def integer_bruteforce(p: Pmf, rho: float, key_rate: float, n: int):
     return math.log(cost) / n, lengths
 
 
-def error_term(law: Law, n: int, key_rate: float) -> float:
-    """(1/n) ln of the top-set complement mass; -inf when the code never errs."""
-    return _error_term(top_set(law, n, key_rate, rho=1.0))
-
-
-def _error_term(split: TopSetSummary) -> float:
-    if split.mass_complement == 0.0:
-        return -math.inf
-    return math.log(split.mass_complement) / split.n
-
-
-def correct_decoding_term(law: Law, n: int, rho: float, key_rate: float) -> float:
-    """(1+rho)/n times the log tilted mass of the top set.
-
-    Generalizes the correct-decoding exponent of a rate-R code; as rho
-    tends to 0 it recovers (1/n) ln of the top-set probability.
-    """
-    return _correct_decoding_term(top_set(law, n, key_rate, rho))
-
-
-def _correct_decoding_term(split: TopSetSummary) -> float:
-    return (1.0 + split.rho) * math.log(split.tilted_sum) / split.n
-
-
 @dataclass(frozen=True, eq=False)
 class BoundValue:
     """A bound plus the additive slack its finite-n derivation inserts."""
@@ -275,26 +251,12 @@ def lower_bound_finite(law: Law, n: int, rho: float, key_rate: float) -> BoundVa
     slack = rho (ln2 + ln(1+ln N))/n.
     """
     split = top_set(law, n, key_rate, rho)
-    err = _error_term(split)
-    correct = _correct_decoding_term(split)
-    first = rho * key_rate + err if err > -math.inf else -math.inf
+    first = -math.inf
+    if split.mass_complement > 0.0:
+        first = rho * key_rate + math.log(split.mass_complement) / n
+    correct = (1.0 + rho) * math.log(split.tilted_sum) / n
     slack = rho * (LN2 + math.log(1.0 + math.log(law.size))) / n
     return BoundValue(value=max(first, correct), slack=slack)
-
-
-def saturation_split_value(law: Law, n: int, rho: float, key_rate: float) -> float:
-    """ln of F_c e^(rho n R) + (top-set tilted sum)^(1+rho), in the log domain.
-
-    This is the exact value of the two-block variational problem that
-    splits mass between the top set (coded) and its complement
-    (saturated); a direct grid over the split probability reproduces it.
-    """
-    summary = top_set(law, n, key_rate, rho)
-    log_campbell = (1.0 + rho) * math.log(summary.tilted_sum)
-    if summary.mass_complement > 0.0:
-        log_sat = math.log(summary.mass_complement) + rho * n * key_rate
-        return float(np.logaddexp(log_campbell, log_sat))
-    return log_campbell
 
 
 def upper_bound_finite(law: Law, n: int, rho, key_rate):

@@ -31,7 +31,6 @@ from .cipher import _multisets
 from .optimize import bracketed_roots
 from .sources import (
     DEFAULT_MATERIALIZE_CAP,
-    ExplicitSource,
     IidSource,
     MarkovSource,
     Pmf,
@@ -39,7 +38,6 @@ from .sources import (
     UnifilarSource,
     _dot,
     _slope,
-    _support_indices,
     entropy,
     perron_vectors,
     power_form,
@@ -291,44 +289,6 @@ def decomposition_check(p1: Pmf, rho, key_rate) -> tuple:
     return tuple(_shaped(shape, out) for out in (lhs, rhs, np.abs(lhs - rhs)))
 
 
-def legendre_fenchel(rhos, values, lambdas=None, convexity_tol: float = 1e-6):
-    """Discrete convex conjugate sup over rho of (lambda rho - E(rho)).
-
-    The input must be convex in rho within ``convexity_tol`` (checked via
-    slope monotonicity); the default lambda grid spans the data slopes.
-    Returns (lambdas, transform values).
-    """
-    rhos = np.asarray(rhos, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if rhos.size < 64:
-        raise ValidationError("need at least 64 grid points")
-    if rhos.size != values.size or np.any(np.diff(rhos) <= 0.0):
-        raise ValidationError("grids must match and be strictly increasing")
-    slopes = np.diff(values) / np.diff(rhos)
-    if np.any(np.diff(slopes) < -convexity_tol):
-        raise ValidationError("input is not convex within tolerance")
-    if lambdas is None:
-        lo, hi = float(slopes.min()), float(slopes.max())
-        pad = 0.05 * max(hi - lo, 1e-6)
-        lambdas = np.linspace(lo - pad, hi + pad, 512)
-    else:
-        lambdas = np.asarray(lambdas, dtype=float)
-    transform = (lambdas[:, None] * rhos[None, :] - values[None, :]).max(axis=1)
-    return lambdas, transform
-
-
-def variational_identity_check(p: Pmf, theta: float, support=None,
-                               num_random: int = 1000, seed: int = 0) -> tuple:
-    """(gap, worst probe excess) of one instance: the one-row case of
-    :func:`variational_identity_checks`, on the support ``support`` (an
-    index array or boolean mask; None means the full set)."""
-    mask = np.zeros(p.size, dtype=bool)
-    mask[_support_indices(p.size, support)] = True
-    gaps, excess = variational_identity_checks(p.probs[None], mask[None], [theta], [seed],
-                                               num_random)
-    return float(gaps[0]), float(excess[0])
-
-
 def variational_identity_checks(probs, support, thetas, seeds,
                                 num_random: int = 1000) -> tuple:
     """Gap of the tilted-maximizer identity and worst random-probe excess, per row.
@@ -394,33 +354,12 @@ def _probe_excess(sub: np.ndarray, theta: float, lhs: float, num_random: int,
 
 
 @dataclass(frozen=True, eq=False)
-class PerfectSecrecyResult:
-    value: float
-    asymptotic: bool
-    n: int = 0
-
-
-def perfect_secrecy_exponent(model: SourceModel, rho: float) -> PerfectSecrecyResult:
-    """rho times the order-1/(1+rho) entropy rate, the exponent once the key
-    rate is large enough that the cryptogram carries no usable information.
-
-    Explicit models have no closed rate; the value at the largest available
-    n is returned and flagged as non-asymptotic.
-    """
-    if rho <= 0.0:
-        raise ValidationError("rho must be positive")
-    if isinstance(model, ExplicitSource):
-        n = len(model.pmfs)
-        value = float(pressure(model.pmfs[-1], rho)) / n
-        return PerfectSecrecyResult(value=value, asymptotic=False, n=n)
-    return PerfectSecrecyResult(value=float(pressure(model, rho)), asymptotic=True)
-
-
-@dataclass(frozen=True, eq=False)
 class ExponentCurve:
     """Sampled exponent curve with its regime thresholds H_P = P'(0) and H' = P'(rho).
 
-    ``branch`` labels each sample linear / interior / saturated by
+    ``e_max`` = P(rho), rho times the order-1/(1+rho) entropy rate, is the
+    perfect-secrecy exponent: the plateau once the key rate no longer
+    binds.  ``branch`` labels each sample linear / interior / saturated by
     comparing R against the thresholds.  ``lower`` holds each value's
     twisted-chain witness for a Markov or unifilar curve, None for iid.
     """

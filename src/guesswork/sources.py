@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -236,56 +236,6 @@ def renyi_entropy(p: Pmf, alpha: float) -> float:
         raise ValidationError("order must be positive and different from 1")
     total = math.fsum((x ** alpha for x in p.probs.tolist() if x > 0.0))
     return math.log(total) / (1.0 - alpha)
-
-
-def divergence(q: Pmf, p: Pmf) -> float:
-    """Relative entropy D(q||p) in nats; +inf when q is not dominated by p."""
-    if q.size != p.size:
-        raise ValidationError("distributions must share one index set")
-    terms = []
-    for qx, px in zip(q.probs.tolist(), p.probs.tolist()):
-        if qx == 0.0:
-            continue
-        if px == 0.0:
-            return math.inf
-        terms.append(qx * math.log(qx / px))
-    return math.fsum(terms)
-
-
-def tilt(p: Pmf, beta: float, support=None) -> Pmf:
-    """Exponentiate-and-normalize: p^beta / Z on ``support``, zero elsewhere.
-
-    ``support`` is an index array or boolean mask; None means the full set.
-    ``beta`` is any finite positive number; powers of p over its largest
-    value on the support neither overflow nor underflow Z.
-    """
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise ValidationError("tilt exponent must be finite and positive")
-    idx = _support_indices(p.size, support)
-    if idx.size == 0:
-        raise ValidationError("support is empty")
-    sub = p.probs[idx]
-    if sub.max() <= 0.0:
-        raise ValidationError("support carries no probability mass")
-    weights = (sub / sub.max()) ** beta
-    z = math.fsum(weights.tolist())
-    out = np.zeros(p.size)
-    out[idx] = weights / z
-    return Pmf(out, tol=PRODUCT_TOL)
-
-
-def _support_indices(size: int, support) -> np.ndarray:
-    if support is None:
-        return np.arange(size)
-    arr = np.asarray(support)
-    if arr.dtype == bool:
-        if arr.size != size:
-            raise ValidationError("boolean support mask must match the index set")
-        return np.flatnonzero(arr)
-    arr = arr.astype(int)
-    if arr.size and (arr.min() < 0 or arr.max() >= size):
-        raise ValidationError("support indices out of range")
-    return np.unique(arr)
 
 
 def sort_desc(p: Pmf) -> np.ndarray:
@@ -665,28 +615,10 @@ def chain_source(transition) -> MarkovSource:
     """The chain with these transitions from the uniform initial law.
 
     Rates, pressures and exponents of a chain do not depend on its
-    initial law, so functions that take a bare transition matrix use this.
+    initial law, so a bare transition matrix (as verify draws them) is enough.
     """
     pi = np.asarray(transition, dtype=float)
     return MarkovSource(Pmf(np.full(len(pi), 1.0 / len(pi))), pi)
-
-
-def markov_renyi_rate(transition, alpha: float) -> float:
-    """Order-``alpha`` entropy rate of an irreducible chain, alpha in (0, 1)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("order must lie in (0, 1)")
-    return renyi_entropy_rate(chain_source(transition), alpha)
-
-
-def renyi_entropy_rate(model: SourceModel, alpha: float) -> float:
-    """Per-letter order-``alpha`` entropy rate, alpha > 0 and != 1.
-
-    Equals P(theta)/theta at theta = 1/alpha - 1, P the pressure.
-    """
-    if alpha <= 0.0 or alpha == 1.0:
-        raise ValidationError("order must be positive and different from 1")
-    theta = 1.0 / alpha - 1.0
-    return float(pressure(model, theta)) / theta
 
 
 def _as_floats(values) -> list:

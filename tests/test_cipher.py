@@ -24,7 +24,6 @@ from guesswork import (
     harmonic_number,
     keys_for_rate,
     materialize,
-    optimal_attack,
 )
 from guesswork.cipher import (
     _INDEX_CACHE_BYTES,
@@ -33,13 +32,13 @@ from guesswork.cipher import (
     _multisets,
     _permutations,
     _table_index,
-    attack_moment_for_orders,
     attack_moments_for_ranks,
     sorted_padded_pmf,
     validate_tables,
 )
 from guesswork.errors import NumericError, ValidationError
 from guesswork.guessing import GuessOrder
+from oracles import attack_moment_for_orders, optimal_attack
 
 LN2 = math.log(2.0)
 

@@ -8,8 +8,6 @@ from guesswork import (
     CapExceededError,
     IidSource,
     Pmf,
-    correct_decoding_term,
-    error_term,
     integer_bruteforce,
     lower_bound_finite,
     materialize,
@@ -19,7 +17,7 @@ from guesswork import (
     top_set,
     upper_bound_finite,
 )
-from guesswork.compression import saturation_split_value
+from oracles import correct_decoding_term, error_term, saturation_split_value
 
 LN2 = math.log(2.0)
 

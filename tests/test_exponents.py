@@ -21,23 +21,16 @@ from guesswork import (
     ValidationError,
     build_curve,
     decomposition_check,
-    divergence,
     entropy,
     certified_exponent,
     iid_correct_term,
     iid_error_exponent,
     iid_exponent_grid,
-    legendre_fenchel,
-    markov_renyi_rate,
     materialize,
     model_exponent_dual,
-    perfect_secrecy_exponent,
     pressure,
     pressure_slope,
     renyi_entropy,
-    renyi_entropy_rate,
-    tilt,
-    variational_identity_check,
 )
 from guesswork.errors import NumericError
 from guesswork import sources
@@ -51,6 +44,15 @@ from guesswork.verify import (
     check_markov_dual,
     check_renyi_variational,
     check_tilted_identity,
+)
+from oracles import (
+    divergence,
+    legendre_fenchel,
+    markov_renyi_rate,
+    renyi_entropy_rate,
+    support_indices,
+    tilt,
+    variational_identity_check,
 )
 
 LN2 = math.log(2.0)
@@ -274,7 +276,7 @@ class TestLockStepDual:
         model = UnifilarSource(Pmf([1.0, 0.0]), np.array([[0, 0], [1, 1]]),
                                (pmf(0.99, 0.01), pmf(0.5, 0.5)))
         for read in (lambda: pressure(model, 1.0), lambda: renyi_entropy_rate(model, 0.5),
-                     lambda: perfect_secrecy_exponent(model, 1.0)):
+                     lambda: build_curve(model, [1.0], [0.3])):
             with pytest.raises(ValidationError, match="reducible"):
                 read()
 
@@ -1085,7 +1087,7 @@ class TestVariationalIdentity:
 def per_instance_identity(p, theta, support=None, num_random=1000, seed=0) -> tuple:
     """(gap, worst probe excess, left side) of one instance, one Pmf at a time:
     the tilt, H and D of the library, fsum sides and normalized Dirichlet probes."""
-    idx = sources._support_indices(p.size, support)
+    idx = support_indices(p.size, support)
     sub = p.probs[idx]
     beta = 1.0 / (1.0 + theta)
     lhs = (1.0 + theta) * math.log(math.fsum((sub[sub > 0.0] ** beta).tolist()))
@@ -1180,41 +1182,39 @@ class TestBatchedVariationalIdentity:
             variational_identity_check(pmf(0.5, 0.5), 1.0, support=[])
 
 
+def e_max(model, rho: float = 1.0) -> float:
+    """The perfect-secrecy exponent rho H_{1/(1+rho)}: E_max of the curve."""
+    curve, = build_curve(model, [rho], [0.3])
+    return curve.e_max
+
+
 class TestPerfectSecrecy:
     def test_uniform(self):
         model = IidSource(pmf(0.25, 0.25, 0.25, 0.25))
-        assert perfect_secrecy_exponent(model, 1.0).value == pytest.approx(
-            math.log(4.0), abs=1e-12
-        )
+        assert e_max(model) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_iid_closed_form(self):
-        result = perfect_secrecy_exponent(IidSource(P82), 1.0)
-        assert result.value == pytest.approx(EMAX_P82, abs=1e-12)
-        assert result.asymptotic
+        assert e_max(IidSource(P82)) == pytest.approx(EMAX_P82, abs=1e-12)
 
     def test_markov_matches_finite_n_slope(self):
         pi = np.array([[0.9, 0.1], [0.3, 0.7]])
         model = MarkovSource(Pmf([0.75, 0.25]), pi, stationary=True)
-        result = perfect_secrecy_exponent(model, 1.0)
-        assert result.value == pytest.approx(markov_renyi_rate(pi, 0.5), abs=1e-12)
+        value = e_max(model)
+        assert value == pytest.approx(markov_renyi_rate(pi, 0.5), abs=1e-12)
         p_14 = materialize(model, 14)
         finite = renyi_entropy(p_14, 0.5) / 14
-        assert abs(result.value - finite) <= 0.05
+        assert abs(value - finite) <= 0.05
 
     def test_unifilar_routed_through_state_chain(self):
         pi = np.array([[0.9, 0.1], [0.3, 0.7]])
         nxt = np.array([[0, 1], [0, 1]])
         model = UnifilarSource(Pmf([1.0, 0.0]), nxt, (Pmf(pi[0]), Pmf(pi[1])))
-        assert perfect_secrecy_exponent(model, 1.0).value == pytest.approx(
-            markov_renyi_rate(pi, 0.5), abs=1e-12
-        )
+        assert e_max(model) == pytest.approx(markov_renyi_rate(pi, 0.5), abs=1e-12)
 
-    def test_explicit_tagged_non_asymptotic(self):
+    def test_explicit_reads_its_longest_law(self):
+        # an explicit model has no rate: its longest law, per letter
         model = ExplicitSource((P82, materialize(IidSource(P82), 2)))
-        result = perfect_secrecy_exponent(model, 1.0)
-        assert not result.asymptotic
-        assert result.n == 2
-        assert result.value == pytest.approx(EMAX_P82, abs=1e-12)
+        assert float(pressure(model.pmfs[-1], 1.0)) / 2 == pytest.approx(EMAX_P82, abs=1e-12)
 
 
 class TestExponentCurve:

@@ -18,20 +18,17 @@ from guesswork import (
     Pmf,
     UnifilarSource,
     ValidationError,
-    divergence,
     entropy,
     materialize,
-    markov_renyi_rate,
     model_from_dict,
     pressure,
     pressure_slope,
     renyi_entropy,
-    renyi_entropy_rate,
     sort_desc,
     stationary,
-    tilt,
 )
 from guesswork.sources import chain_source
+from oracles import divergence, markov_renyi_rate, renyi_entropy_rate, tilt
 
 LN2 = math.log(2.0)
 
