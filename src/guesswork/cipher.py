@@ -243,7 +243,8 @@ class BruteForceResult:
     tables_searched: int
 
 
-# tables scored per numpy pass, and the relative gap below the best lookup
+# tables a search scores in one numpy pass at most (a larger one with more
+# than two keys is scored one first key at a time), and the relative gap below the best lookup
 # moment inside which tables count as tied (lookup and exact moments differ
 # by ~1e-15, so mathematically tied tables can land an ulp apart)
 _BLOCK = 1 << 16
@@ -268,57 +269,66 @@ def _permutations(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=int)
 
 
-# per (messages, keys): the brute force's key multisets and code index, both
-# read-only in their narrowest integer dtypes; an entry joins while the cache
-# stays within _INDEX_CACHE_BYTES (the largest searchable pair, 5 messages
-# and 4 keys, takes 885,720 + 2,952,400 bytes)
+# per (messages, keys): the brute force's table index, read-only in its
+# narrowest integer dtypes; an entry joins while the cache stays within
+# _INDEX_CACHE_BYTES (the largest searchable pair, 5 messages and 4 keys,
+# takes 120 + 1,200 + 14,520 + 72,600 + 960 bytes)
 _INDEX_CACHE: dict = {}
 _INDEX_CACHE_BYTES = 1 << 22
 _INDEX_CACHE_LOCK = threading.Lock()
 
 
 def _table_index(n_msgs: int, m_keys: int) -> tuple:
-    """(keys, index) of every canonical table over ``n_msgs`` messages and ``m_keys`` keys.
+    """(heads, lead, suffixes, suffix_code, starts): the canonical tables
+    over ``n_msgs`` messages and ``m_keys`` keys, in runs that share a head.
 
-    Row t of ``keys`` holds keys 1..M-1 of table t as indices into
-    :func:`_permutations` (key 0 is the identity), the multisets in
-    lexicographic order.  ``index[y, t]`` encodes column y of table t, the
-    multiset of the keys' preimages of cryptogram y, as
-    sum_u (M+1)^(preimage of y under key u): the identity's code plus one
-    fixed code per free key.  Neither depends on the law or on rho, so both
-    are built once per (n_msgs, m_keys), a block of tables at a time.
+    A table is key 0, the identity, and keys 1..M-1, a non-decreasing tuple
+    of indices into :func:`_permutations`.  Its column y, the multiset of
+    the keys' preimages of cryptogram y, is encoded as
+    sum_u (M+1)^(preimage of y under key u).  A search of more than _BLOCK
+    tables with M > 2 splits the free keys into a head, the first key, and
+    a suffix, the other M-2; a smaller search has the empty head and all
+    M-1 keys in the suffix.  ``heads`` and ``suffixes`` list these
+    multisets in lexicographic order, and ``lead[y, h]`` (the identity's
+    share of the code plus head h's) and ``suffix_code[y, s]`` are their
+    shares of the code.  The tables with head h are (h, suffixes[s]) for
+    s >= starts[h], one contiguous run, so run h has the codes
+    ``suffix_code[:, starts[h]:] + lead[:, h]`` and the runs in order of h
+    list every table in lexicographic order.  Nothing depends on the law
+    or on rho, so the index is built once per (n_msgs, m_keys); it holds at
+    most _BLOCK tables' codes, or the (M-2)-key suffixes.
     """
     cached = _INDEX_CACHE.get((n_msgs, m_keys))
     if cached is not None:
         return cached
-    keys = _multisets(math.factorial(n_msgs), m_keys - 1)
+    n_perms = math.factorial(n_msgs)
+    tables = math.comb(n_perms + m_keys - 2, m_keys - 1)
+    n_head = int(m_keys > 2 and tables > _BLOCK)
+    dtype = np.min_scalar_type((m_keys + 1) ** n_msgs - 1)
     # code[y, i]: the code of permutation i's preimage of cryptogram y
-    code = (m_keys + 1) ** np.argsort(_permutations(n_msgs), axis=1, kind="stable").T
-    index = np.empty((n_msgs, len(keys)), dtype=np.min_scalar_type((m_keys + 1) ** n_msgs - 1))
-    for lo in range(0, len(keys), _BLOCK):
-        block = keys[lo:lo + _BLOCK].T.astype(np.intp)
-        for out, by_perm in zip(index[:, lo:lo + _BLOCK], code):
-            out[:] = by_perm[0] + sum(by_perm[col] for col in block)
-    keys.setflags(write=False)
-    index.setflags(write=False)
+    code = ((m_keys + 1) ** np.argsort(_permutations(n_msgs), axis=1, kind="stable").T
+            ).astype(dtype)
+    heads = _multisets(n_perms, n_head)
+    suffixes = _multisets(n_perms, m_keys - 1 - n_head)
+    lead = np.repeat(code[:, :1], len(heads), axis=1)
+    suffix_code = np.zeros((n_msgs, len(suffixes)), dtype=dtype)
+    for out, keys in ((lead, heads), (suffix_code, suffixes)):
+        for col in keys.T:
+            out += code[:, col]
+    starts = np.searchsorted(suffixes[:, 0], heads[:, 0]) if n_head else np.zeros(1, np.intp)
+    index = (heads, lead, suffixes, suffix_code, starts)
+    for array in index:
+        array.setflags(write=False)
     with _INDEX_CACHE_LOCK:
-        held = sum(a.nbytes + b.nbytes for a, b in _INDEX_CACHE.values())
-        if held + keys.nbytes + index.nbytes <= _INDEX_CACHE_BYTES:
-            return _INDEX_CACHE.setdefault((n_msgs, m_keys), (keys, index))
-    return keys, index
+        held = sum(a.nbytes for entry in _INDEX_CACHE.values() for a in entry)
+        if held + sum(a.nbytes for a in index) <= _INDEX_CACHE_BYTES:
+            return _INDEX_CACHE.setdefault((n_msgs, m_keys), index)
+    return index
 
 
-def _lookup_moments(probs: np.ndarray, m_keys: int, rho: float):
-    """(keys 1..M-1 as indices into :func:`_permutations`, attack moment) of
-    every canonical table over the messages of ``probs``.
-
-    A table's moment is the sum over cryptograms y of g(column y), where
-    column y is the multiset of the keys' preimages of y; g is tabulated
-    once over all multisets of M messages with ``attack_moment``'s terms,
-    at the codes of :func:`_table_index`.  The moments of a block of tables
-    are accumulated one cryptogram at a time, y = 0, 1, ..., which adds each
-    table's terms in the same order as a row sum over y.
-    """
+def _column_moments(probs: np.ndarray, m_keys: int, rho: float) -> np.ndarray:
+    """g[code]: ``attack_moment``'s terms of a column summed by fsum, at the
+    code (see :func:`_table_index`) of each multiset of M messages."""
     columns = _multisets(probs.size, m_keys)
     row, _, weight, rank = _attack_weights(columns, probs)
     terms = (weight / m_keys * rank ** rho).tolist()
@@ -326,13 +336,23 @@ def _lookup_moments(probs: np.ndarray, m_keys: int, rho: float):
     g = np.zeros((m_keys + 1) ** probs.size)
     g[((m_keys + 1) ** columns.astype(np.intp)).sum(axis=1)] = [
         math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
-    keys, index = _table_index(probs.size, m_keys)
-    moments = np.zeros(len(keys))
-    for lo in range(0, len(keys), _BLOCK):
-        out = moments[lo:lo + _BLOCK]
-        for codes in index[:, lo:lo + _BLOCK]:
-            out += g[codes]
-    return keys, moments
+    return g
+
+
+def _lookup_moments(g: np.ndarray, index: tuple, head: int) -> np.ndarray:
+    """Attack moment of each table in the run of ``head``, in lexicographic order.
+
+    A table's moment is the sum over cryptograms y of g(column y).  The
+    moments are accumulated one cryptogram at a time, y = 0, 1, ..., which
+    adds each table's terms in the same order as a row sum over y, however
+    the tables are split into runs.
+    """
+    _, lead, _, suffix_code, starts = index
+    codes = suffix_code[:, starts[head]:] + lead[:, head, None]
+    moments = np.zeros(codes.shape[1])
+    for terms in g.take(codes):
+        moments += terms
+    return moments
 
 
 def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5,
@@ -348,7 +368,11 @@ def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5
     permutations.  Tie rule: the witness is the first table in this order
     whose column-lookup moment is within a relative 1e-12 of the largest,
     so mathematical ties go to the earliest table whatever their rounding;
-    ``max_moment`` is the witness's exact ``attack_moment``.
+    ``max_moment`` is the witness's exact ``attack_moment``.  The tables
+    are scored one run of :func:`_table_index` at a time, keeping only each
+    run's maximum, and the first run that reaches the tie bound is scored
+    again for the witness, so memory follows the longest run, not the
+    table count.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
@@ -361,11 +385,22 @@ def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5
     tables = math.comb(math.factorial(n_msgs) + m_keys - 2, m_keys - 1)
     if tables * m_keys > DEFAULT_MATERIALIZE_CAP:
         raise CapExceededError(f"brute force over {tables} tables exceeds the table-list cap")
-    keys, moments = _lookup_moments(p.probs, m_keys, rho)
-    best = int(np.argmax(moments >= moments.max() * (1.0 - _TIE)))
+    index = _table_index(n_msgs, m_keys)
+    heads, _, suffixes, _, starts = index
+    g = _column_moments(p.probs, m_keys, rho)
+    peaks = []
+    for head in range(len(heads)):
+        moments = _lookup_moments(g, index, head)
+        peaks.append(moments.max())
+    bound = max(peaks) * (1.0 - _TIE)
+    head = next(h for h, peak in enumerate(peaks) if peak >= bound)
+    if head != len(heads) - 1:
+        moments = _lookup_moments(g, index, head)
+    best = starts[head] + int(np.argmax(moments >= bound))
+    keys = np.concatenate((heads[head], suffixes[best]))
     perms = _permutations(n_msgs)
-    witness = Cipher(CipherSpec(1, k, n_msgs), np.vstack([perms[0], perms[keys[best]]]), p)
-    return BruteForceResult(attack_moment(witness, p, rho), witness, len(keys))
+    witness = Cipher(CipherSpec(1, k, n_msgs), np.vstack([perms[0], perms[keys]]), p)
+    return BruteForceResult(attack_moment(witness, p, rho), witness, tables)
 
 
 @dataclass(frozen=True, eq=False)

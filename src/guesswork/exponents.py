@@ -289,6 +289,10 @@ def decomposition_check(p1: Pmf, rho, key_rate) -> tuple:
     return tuple(_shaped(shape, out) for out in (lhs, rhs, np.abs(lhs - rhs)))
 
 
+# instances per padded pass of the tilted-maximizer identity
+_IDENTITY_ROWS = 64
+
+
 def variational_identity_checks(probs, support, thetas, seeds,
                                 num_random: int = 1000) -> tuple:
     """Gap of the tilted-maximizer identity and worst random-probe excess, per row.
@@ -298,30 +302,47 @@ def variational_identity_checks(probs, support, thetas, seeds,
     ``seeds[i]``.  Left side: (1+theta) ln sum of p^(1/(1+theta)) over the
     support.  Right side: theta H(nu) - D(nu||p) at the tilted distribution
     nu, proportional to p^(1/(1+theta)) on the support, which attains the
-    maximum.  Both sides of every row come from one padded pass, each sum
-    carried in extended precision.  The excess is the largest amount by
-    which ``num_random`` random distributions on the row's support exceed
-    the left side (analytically never positive).
+    maximum.  Both sides come from padded passes over blocks of
+    _IDENTITY_ROWS rows, each sum carried in extended precision.  The
+    excess is the largest amount by which ``num_random`` random
+    distributions on the row's support exceed the left side (analytically
+    never positive).  Every row's probes are drawn into one reused buffer,
+    so memory does not grow with the number of rows.
     """
     probs, support = np.asarray(probs, dtype=float), np.asarray(support, dtype=bool)
     thetas = np.asarray(thetas, dtype=float)
-    masked = np.where(support, probs, 0.0)
     if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
         raise ValidationError("theta must be finite and nonnegative")
-    if not np.all(masked.max(axis=1) > 0.0):
+    gaps, excess = np.empty(len(probs)), np.empty(len(probs))
+    draws, logs = np.empty((2, num_random * probs.shape[1]))
+    for lo in range(0, len(probs), _IDENTITY_ROWS):
+        rows = slice(lo, lo + _IDENTITY_ROWS)
+        gaps[rows], lhs = _tilted_gaps(probs[rows], support[rows], thetas[rows])
+        for i, side in enumerate(lhs.tolist(), lo):
+            sub = probs[i][support[i]]
+            g = draws[:num_random * sub.size].reshape(num_random, sub.size)
+            log_g = logs[:g.size].reshape(g.shape)
+            np.random.default_rng(seeds[i]).standard_exponential(out=g)
+            excess[i] = _probe_excess(sub, float(thetas[i]), side, g, log_g)
+    return gaps, excess
+
+
+def _tilted_gaps(probs: np.ndarray, support: np.ndarray, thetas: np.ndarray) -> tuple:
+    """(|lhs - rhs|, lhs) of the tilted-maximizer identity, per padded row."""
+    masked = np.where(support, probs, 0.0)
+    peaks = masked.max(axis=1, keepdims=True)
+    if not np.all(peaks > 0.0):
         raise ValidationError("support carries no probability mass")
     beta = 1.0 / (1.0 + thetas[:, None])
     lhs = (1.0 + thetas) * np.log(_exact_row_sums(masked ** beta))
-    weights = (masked / masked.max(axis=1, keepdims=True)) ** beta
+    weights = (masked / peaks) ** beta
     nu = weights / _exact_row_sums(weights)[:, None]
     # nu > 0 exactly where p > 0 on the support; elsewhere each term is 0
     with np.errstate(divide="ignore", invalid="ignore"):
         nu_log_nu = np.where(nu > 0.0, nu * np.log(nu), 0.0)
         nu_log_ratio = np.where(nu > 0.0, nu * np.log(nu / probs), 0.0)
     rhs = -thetas * _exact_row_sums(nu_log_nu) - _exact_row_sums(nu_log_ratio)
-    excess = [_probe_excess(row[on], theta, side, num_random, seed) for row, on, theta, side, seed
-              in zip(probs, support, thetas.tolist(), lhs.tolist(), seeds)]
-    return np.abs(lhs - rhs), np.array(excess)
+    return np.abs(lhs - rhs), lhs
 
 
 def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
@@ -329,21 +350,21 @@ def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1, dtype=np.longdouble).astype(float)
 
 
-def _probe_excess(sub: np.ndarray, theta: float, lhs: float, num_random: int,
-                  seed: int) -> float:
+def _probe_excess(sub: np.ndarray, theta: float, lhs: float, g: np.ndarray,
+                  log_g: np.ndarray) -> float:
     """Largest of theta H(nu) - D(nu||p) - lhs over Dirichlet(1) probes nu on
     a support where p takes the values ``sub``.
 
-    The probes are the ones ``dirichlet`` draws from ``seed``: standard
-    exponentials g normalized by S = sum g.  So nu . ln p - (1+theta)
-    sum nu ln nu is (g . ln p - (1+theta)(sum g ln g - S ln S)) / S, with
-    0 ln 0 = 0, and no normalized copy is formed.
+    The probes are the ones ``dirichlet`` draws from the row's seed: the
+    standard exponentials ``g``, one probe per row, normalized by
+    S = sum g.  So nu . ln p - (1+theta) sum nu ln nu is
+    (g . ln p - (1+theta)(sum g ln g - S ln S)) / S, with 0 ln 0 = 0, and
+    no normalized copy is formed.  ``log_g`` is a work buffer of g's shape.
     """
-    g = np.random.default_rng(seed).standard_exponential((num_random, sub.size))
     positive = sub > 0.0
     # g . ln p and S from one product; ln g in place, finite where g is 0
     dot, total = (g @ np.stack([np.log(np.where(positive, sub, 1.0)), np.ones(sub.size)], 1)).T
-    log_g = np.maximum(g, 1e-300)
+    np.maximum(g, 1e-300, out=log_g)
     np.log(log_g, out=log_g)
     probes = (dot - (1.0 + theta) * (np.einsum("ij,ij->i", g, log_g) - total * np.log(total))
               ) / total

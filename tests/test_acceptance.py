@@ -8,10 +8,7 @@ import json
 import math
 import time
 
-import numpy as np
-import pytest
-
-from guesswork import IidSource, Pmf, model_exponent_dual, renyi_entropy
+from guesswork import IidSource, Pmf, model_exponent_dual
 from guesswork.cli import main
 from guesswork.verify import (
     check_attack_ceiling,

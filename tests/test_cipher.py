@@ -28,12 +28,12 @@ from guesswork import (
 from guesswork.cipher import (
     _INDEX_CACHE_BYTES,
     _attack_weights,
+    _column_moments,
     _lookup_moments,
     _multisets,
     _permutations,
     _table_index,
     attack_moments_for_ranks,
-    sorted_padded_pmf,
     validate_tables,
 )
 from guesswork.errors import NumericError, ValidationError
@@ -362,6 +362,9 @@ class TestBruteForce:
         p = pmf(0.5, 0.3, 0.2)
         result = brute_force_best_cipher(p, 0, 1.0)
         assert result.max_moment == pytest.approx(1.0, abs=1e-14)
+        # one key leaves one table, the identity
+        assert result.tables_searched == 1
+        assert np.array_equal(result.witness.table, [[0, 1, 2]])
 
     def test_uniform_all_ciphers_equal(self):
         p = pmf(0.25, 0.25, 0.25, 0.25)
@@ -438,8 +441,8 @@ def canonical_tables(size, k):
         yield list(keys), np.array([perms[0]] + [perms[i] for i in keys])
 
 
-# tied laws (uniform, repeated values, zero mass) and untied ones; k = 2 up to
-# four messages, k = 1 at five
+# tied laws (uniform, repeated values, zero mass) and untied ones; k = 0 and 1
+# up to five messages, k = 2 up to four (and sampled at five)
 LOOKUP_LAWS = [
     [0.5, 0.5], [0.7, 0.3],
     [1 / 3] * 3, [0.25, 0.25, 0.5], [0.5, 0.5, 0.0], [0.6, 0.3, 0.1],
@@ -454,7 +457,7 @@ def oracle_cases(probs):
     """(p, k, rho, canonical tables, attack_moment of each) per case of a law."""
     p = Pmf(probs, tol=1e-9)
     cases = []
-    for k in ((1, 2) if p.size <= 4 else (1,)):
+    for k in ((0, 1, 2) if p.size <= 4 else (0, 1)):
         for rho in (0.5, 1.0, 1.7):
             tables = list(canonical_tables(p.size, k))
             oracle = np.array([
@@ -463,6 +466,21 @@ def oracle_cases(probs):
             ])
             cases.append((p, k, rho, tables, oracle))
     return cases
+
+
+def lookup_tables(probs, m_keys, rho):
+    """(keys 1..M-1, codes, moments) of every canonical table: the runs the
+    search scores one at a time, concatenated in lexicographic table order."""
+    index = _table_index(probs.size, m_keys)
+    heads, lead, suffixes, suffix_code, starts = index
+    g = _column_moments(probs, m_keys, rho)
+    keys, codes, moments = [], [], []
+    for head, start in enumerate(starts.tolist()):
+        keys.append(np.column_stack([np.repeat(heads[head:head + 1], len(suffixes) - start, axis=0),
+                                     suffixes[start:]]))
+        codes.append(suffix_code[:, start:] + lead[:, head, None])
+        moments.append(_lookup_moments(g, index, head))
+    return np.concatenate(keys), np.concatenate(codes, axis=1), np.concatenate(moments)
 
 
 class TestColumnLookup:
@@ -474,9 +492,22 @@ class TestColumnLookup:
     @pytest.mark.parametrize("probs", LOOKUP_LAWS)
     def test_every_table_matches_attack_moment(self, probs):
         for p, k, rho, tables, oracle in oracle_cases(tuple(probs)):
-            keys, moments = _lookup_moments(p.probs, 2 ** k, rho)
+            keys, _, moments = lookup_tables(p.probs, 2 ** k, rho)
             assert keys.tolist() == [want for want, _ in tables]
             assert np.max(np.abs(moments - oracle)) <= 1e-12
+        if len(probs) == 5:
+            # 295,240 tables in 120 runs of one first key: every run's first
+            # and last table, and 100 more drawn at random
+            p = Pmf(probs, tol=1e-9)
+            keys, _, moments = lookup_tables(p.probs, 4, 1.3)
+            ends = np.cumsum(len(_table_index(5, 4)[2]) - _table_index(5, 4)[4])
+            picks = np.concatenate([ends - 1, ends[:-1], np.random.default_rng(5).integers(
+                0, len(keys), 100), [0]])
+            perms = _permutations(5)
+            for t in picks.tolist():
+                table = np.vstack([perms[0], perms[keys[t]]])
+                want = attack_moment(Cipher(CipherSpec(1, 2, 5), table, p), p, 1.3)
+                assert abs(moments[t] - want) <= 1e-12
 
     @pytest.mark.parametrize("probs", LOOKUP_LAWS)
     def test_witness_is_first_maximal_table(self, probs):
@@ -491,13 +522,22 @@ class TestColumnLookup:
         import guesswork.cipher as ci
 
         probs = np.array([0.1, 0.45, 0.3, 0.15])
-        keys, moments = _lookup_moments(probs, 4, 1.3)
-        # a fresh cache, so the index is built in blocks of 97 tables too
+        p = Pmf(probs)
+        # 2,600 tables fit one block: a single run
+        assert len(_table_index(4, 4)[0]) == 1
+        whole = lookup_tables(probs, 4, 1.3)
+        results = [brute_force_best_cipher(p, 2, rho) for rho in (0.5, 1.3)]
+        # a fresh cache and 97-table blocks: one run per first key
         monkeypatch.setattr(ci, "_INDEX_CACHE", {})
         monkeypatch.setattr(ci, "_BLOCK", 97)
-        again_keys, again = _lookup_moments(probs, 4, 1.3)
-        assert np.array_equal(again_keys, keys)
-        assert np.array_equal(again, moments)
+        assert len(_table_index(4, 4)[0]) == 24
+        for want, got in zip(whole, lookup_tables(probs, 4, 1.3)):
+            assert np.array_equal(got, want)
+        for rho, want in zip((0.5, 1.3), results):
+            got = brute_force_best_cipher(p, 2, rho)
+            assert got.max_moment == want.max_moment
+            assert np.array_equal(got.witness.table, want.witness.table)
+            assert got.tables_searched == want.tables_searched == 2600
 
 
 def rowwise_lookup_moments(perms, probs, m_keys, rho):
@@ -528,50 +568,85 @@ class TestColumnAccumulation:
         for probs in laws:
             for k in (0, 1, 2):
                 rho = float(rng.uniform(0.3, 2.5))
-                keys, moments = _lookup_moments(probs, 2 ** k, rho)
+                keys, codes, moments = lookup_tables(probs, 2 ** k, rho)
                 index, want = rowwise_lookup_moments(perms, probs, 2 ** k, rho)
-                # the cached index holds the from-scratch codes, and the
-                # moments and witness read off it are the row sums' bits
-                assert np.array_equal(_table_index(size, 2 ** k)[1].T, index)
+                # the runs hold the independently built codes in lexicographic
+                # order, and the moments and witness read off them are the
+                # row sums' bits
+                assert np.array_equal(keys, _multisets(len(perms), 2 ** k - 1))
+                assert np.array_equal(codes.T, index)
                 assert np.array_equal(moments, want)
                 first = int(np.argmax(want >= want.max() * (1.0 - 1e-12)))
                 witness = brute_force_best_cipher(Pmf(probs, tol=1e-9), k, rho).witness
                 assert np.array_equal(witness.table[1:], perms[keys[first]])
 
     def test_key_multisets_are_cached_narrow_and_read_only(self):
-        keys, index = _table_index(5, 4)
-        assert _table_index(5, 4)[0] is keys and _table_index(5, 4)[1] is index
-        assert keys.dtype == np.uint8 and index.dtype == np.uint16
-        assert keys.nbytes + index.nbytes <= _INDEX_CACHE_BYTES
-        for array in (keys, index):
+        index = _table_index(5, 4)
+        assert all(again is array for again, array in zip(_table_index(5, 4), index))
+        heads, lead, suffixes, suffix_code, starts = index
+        assert heads.dtype == suffixes.dtype == np.uint8
+        assert lead.dtype == suffix_code.dtype == np.uint16
+        # 120 first keys and 7,260 two-key suffixes for 295,240 tables
+        assert np.array_equal(heads, _multisets(120, 1))
+        assert np.array_equal(suffixes, _multisets(120, 2))
+        assert sum(array.nbytes for array in index) <= 100_000 <= _INDEX_CACHE_BYTES
+        for array in index:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
-                array[0, 0] = 1
-        assert np.array_equal(keys, _multisets(120, 3))
+                array[0] = 1
+        # the codes built independently in int64: the identity's plus the
+        # first key's, and the two suffix keys'
+        code = 5 ** np.argsort(_permutations(5), axis=1, kind="stable").T.astype(np.int64)
+        assert np.array_equal(lead, code[:, :1] + code)
+        assert np.array_equal(suffix_code, code[:, suffixes[:, 0]] + code[:, suffixes[:, 1]])
+        assert starts.tolist() == [sum(range(121 - head, 121)) for head in range(120)]
+        # a search of at most 2^16 tables is one run with every key in the suffix
+        heads, _, suffixes, _, starts = _table_index(4, 4)
+        assert heads.shape == (1, 0) and starts.tolist() == [0]
+        assert np.array_equal(suffixes, _multisets(24, 3)) and suffixes.dtype == np.uint8
         assert _multisets(120, 3).dtype == np.uint8
-        assert _table_index(4, 4)[0].dtype == np.uint8
-        assert _table_index(6, 2)[0].dtype == np.uint16
+        assert _table_index(6, 2)[2].dtype == np.uint16
         assert np.array_equal(_permutations(4), list(itertools.permutations(range(4))))
 
     def test_largest_search_in_bounded_memory(self):
-        # a fresh child: the search over C(122, 3) tables of 5 messages and
-        # 4 keys raises the peak resident set by under 8 MB
-        code = "\n".join([
-            "import resource",
-            "from guesswork import Pmf, brute_force_best_cipher",
-            "brute_force_best_cipher(Pmf([0.5, 0.3, 0.2]), 1, 1.0)",
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
-            "brute_force_best_cipher(Pmf([0.3, 0.25, 0.2, 0.15, 0.1]), 2, 1.0)",
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
-        ])
-        package_root = str(Path(guesswork.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) < 8 * 1024
+        # the search over C(122, 3) tables of 5 messages and 4 keys raises
+        # the peak resident set by under 2 MB: it holds one run of 7,260
+        # tables at a time, not an index of all 295,240
+        growth = child_peak_growth_kb(
+            ["from guesswork import Pmf, brute_force_best_cipher",
+             "brute_force_best_cipher(Pmf([0.5, 0.3, 0.2]), 1, 1.0)"],
+            "brute_force_best_cipher(Pmf([0.3, 0.25, 0.2, 0.15, 0.1]), 2, 1.0)")
+        assert growth < 2 * 1024
+
+    def test_tilted_identity_in_bounded_memory(self):
+        # after the Renyi check, whose instances are of the same kind, the
+        # 1,000 tilted-identity instances with 1,000 probes each raise the
+        # peak resident set by under 2.5 MB: rows go in blocks of 64 and
+        # the probes into one reused buffer
+        growth = child_peak_growth_kb(
+            ["from guesswork.verify import check_renyi_variational, check_tilted_identity",
+             "check_renyi_variational(0)"],
+            "check_tilted_identity(0)")
+        assert growth < 2.5 * 1024
+
+
+def child_peak_growth_kb(setup, measured):
+    """Peak resident set growth, in KB, of the statement ``measured`` in a
+    fresh interpreter that has run the ``setup`` lines first."""
+    code = "\n".join([
+        "import resource", *setup,
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        measured,
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)",
+    ])
+    package_root = str(Path(guesswork.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
 
 
 class TestAchievedExponent:
