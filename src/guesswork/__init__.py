@@ -60,7 +60,6 @@ from .sources import (
     UnifilarSource,
     entropy,
     load_model,
-    materialize,
     model_from_dict,
     n_letter_spectrum,
     pressure,

@@ -70,20 +70,6 @@ class Cipher:
         tbl.setflags(write=False)
         object.__setattr__(self, "table", tbl)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.spec.n,
-            "k": self.spec.k,
-            "num_messages": self.spec.num_messages,
-            "probs": self.pmf.probs.tolist(),
-            "table": self.table.tolist(),
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "Cipher":
-        spec = CipherSpec(doc["n"], doc["k"], doc["num_messages"])
-        return Cipher(spec, np.array(doc["table"], dtype=int), Pmf(doc["probs"]))
-
 
 def validate_tables(tables: np.ndarray) -> None:
     """Require every key row of a (keys x messages) table, or of a stack of
@@ -184,8 +170,8 @@ def attack_moments_for_ranks(tables: np.ndarray, p: Pmf, rho: float, ranks: np.n
     return float(moments[0]) if np.ndim(tables) == 2 else moments
 
 
-def group_xor_moment_closed(law, k: int, rho: float) -> float:
-    """Closed form of the group-XOR attack moment of a law (Spectrum or Pmf).
+def group_xor_moment_closed(spec: Spectrum, k: int, rho: float) -> float:
+    """Closed form of the group-XOR attack moment of the law of ``spec``.
 
     With probabilities sorted descending, the attacker needs i+1 guesses
     whenever the message sits at offset i inside its block of M = 2^k,
@@ -199,7 +185,6 @@ def group_xor_moment_closed(law, k: int, rho: float) -> float:
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
-    spec = Spectrum.of(law)
     m = min(2 ** min(k, spec.size.bit_length()), spec.size)
     blocks, offsets = np.divmod(spec.ends, m)
     sums = _power_sums(rho, np.append(offsets, m))
@@ -431,11 +416,9 @@ def keys_for_rate(n: int, key_rate: float) -> int:
     return int(math.ceil(bits))
 
 
-def guessing_exponent_achieved(p_n, n: int, rho: float,
+def guessing_exponent_achieved(law: Spectrum, n: int, rho: float,
                                key_rate: float) -> AchievedExponent:
-    """Exponent achieved by the group-XOR cipher on the n-letter law ``p_n``.
-
-    ``p_n`` is a :class:`Spectrum` or a dense :class:`Pmf`.
+    """Exponent achieved by the group-XOR cipher on the spectrum ``law`` of an n-letter law.
 
     The key has ``keys_for_rate(n, key_rate)`` bits.  A certified lower
     bound on the best attainable finite-n exponent; the reported floor
@@ -448,8 +431,8 @@ def guessing_exponent_achieved(p_n, n: int, rho: float,
         raise ValidationError("moment exponent must be positive")
     k = keys_for_rate(n, key_rate)
     m = 2 ** k
-    n_padded = -(-p_n.size // m) * m
-    value = group_xor_moment_closed(p_n, k, rho)
+    n_padded = -(-law.size // m) * m
+    value = group_xor_moment_closed(law, k, rho)
     c = harmonic_number(n_padded)
     try:
         floor = 1.0 / ((2.0 * c) ** rho * (2.0 + rho))

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -28,9 +27,6 @@ LN2 = math.log(2.0)
 _FLOOR_GUARD = 1e-12
 
 INTEGER_ORACLE_MAX_STRINGS = 10
-
-# A finite n-letter law: its sorted spectrum, or the dense law it comes from.
-Law = Union[Spectrum, Pmf]
 
 
 def _top_count(n: int, key_rate: float, size: int) -> int:
@@ -58,7 +54,7 @@ class TopSetSummary:
     tilted_sum: float
 
 
-def top_set(law: Law, n: int, key_rate: float, rho: float) -> TopSetSummary:
+def top_set(law: Spectrum, n: int, key_rate: float, rho: float) -> TopSetSummary:
     """Split ``law`` at its first floor(exp(n*key_rate)) strings in probability order.
 
     The top set holds the spectrum's runs ahead of the cut and part of the
@@ -66,15 +62,14 @@ def top_set(law: Law, n: int, key_rate: float, rho: float) -> TopSetSummary:
     """
     if key_rate <= 0.0 or rho <= 0.0 or n < 1:
         raise ValidationError("need key_rate > 0, rho > 0, n >= 1")
-    spec = Spectrum.of(law)
-    m = _top_count(n, key_rate, spec.size)
-    j = int(np.searchsorted(spec.ends, m))
-    inside = m - int(spec.ends[j] - spec.counts[j])
-    v = float(spec.values[j])
-    mass = float(spec.before[j]) + inside * v
-    mass_c = float(spec.after[j]) + int(spec.counts[j] - inside) * v
+    m = _top_count(n, key_rate, law.size)
+    j = int(np.searchsorted(law.ends, m))
+    inside = m - int(law.ends[j] - law.counts[j])
+    v = float(law.values[j])
+    mass = float(law.before[j]) + inside * v
+    mass_c = float(law.after[j]) + int(law.counts[j] - inside) * v
     beta = 1.0 / (1.0 + rho)
-    tilted = float(np.sum(spec.counts[:j] * spec.values[:j] ** beta)) + inside * v ** beta
+    tilted = float(np.sum(law.counts[:j] * law.values[:j] ** beta)) + inside * v ** beta
     return TopSetSummary(n, key_rate, rho, m, mass, mass_c, tilted)
 
 
@@ -92,7 +87,7 @@ class SaturatedOptimum:
     slack: float
 
 
-def relaxed_optimum(law: Law, n: int, rho: float, key_rate: float) -> SaturatedOptimum:
+def relaxed_optimum(law: Spectrum, n: int, rho: float, key_rate: float) -> SaturatedOptimum:
     """Minimize the saturated cost over real-valued Kraft-feasible lengths.
 
     For a fixed active prefix of the descending-probability order the best
@@ -110,8 +105,7 @@ def relaxed_optimum(law: Law, n: int, rho: float, key_rate: float) -> SaturatedO
     """
     if key_rate <= 0.0 or rho <= 0.0 or n < 1:
         raise ValidationError("need key_rate > 0, rho > 0, n >= 1")
-    spec = Spectrum.of(law)
-    v, c = spec.values, spec.counts
+    v, c = law.values, law.counts
     beta = 1.0 / (1.0 + rho)
     tilted = v ** beta
     z_ahead = np.append(0.0, np.cumsum(c * tilted)[:-1])
@@ -126,7 +120,7 @@ def relaxed_optimum(law: Law, n: int, rho: float, key_rate: float) -> SaturatedO
             return (i >= 1) & (np.log(z_ahead + i * tilted) - log_t <= cap + 1e-12)
 
         def log_kernel(i):
-            saturated = spec.after + (c - i) * v
+            saturated = law.after + (c - i) * v
             log_sat = np.where(saturated > 0.0, np.log(saturated) + rho * cap, -np.inf)
             return np.where(fits(i), np.logaddexp((1.0 + rho) * np.log(z_ahead + i * tilted),
                                                   log_sat), np.inf)
@@ -148,7 +142,7 @@ def relaxed_optimum(law: Law, n: int, rho: float, key_rate: float) -> SaturatedO
 
     active = 0
     if best > 0:
-        active = int(spec.ends[best - 1] - c[best - 1]) + int(inside[best - 1])
+        active = int(law.ends[best - 1] - c[best - 1]) + int(inside[best - 1])
     return SaturatedOptimum(
         value=best_log / n,
         active_set_size=active,
@@ -242,7 +236,7 @@ class BoundValue:
     slack: float
 
 
-def lower_bound_finite(law: Law, n: int, rho: float, key_rate: float) -> BoundValue:
+def lower_bound_finite(law: Spectrum, n: int, rho: float, key_rate: float) -> BoundValue:
     """Larger of the error branch rho R + (1/n) ln F_c and the correct branch.
 
     Both branches come from one top-set split.  The derivation passes
@@ -259,7 +253,7 @@ def lower_bound_finite(law: Law, n: int, rho: float, key_rate: float) -> BoundVa
     return BoundValue(value=max(first, correct), slack=slack)
 
 
-def upper_bound_finite(law: Law, n: int, rho, key_rate):
+def upper_bound_finite(law: Spectrum, n: int, rho, key_rate):
     """min over t in [0, rho] of (rho-t) R + (t/n) H_{1/(1+t)}(P_n), plus ln2/n.
 
     This is the dual of the finite law at total rate nR, divided by n.

@@ -138,8 +138,8 @@ def model_exponent_dual(model, rho, key_rate):
     """min over theta in [0, rho] of (rho - theta) R + P(theta), P the pressure.
 
     ``model`` is an iid, Markov or unifilar source, with R in nats per
-    letter, or a finite law (a :class:`Pmf` or :class:`Spectrum`), with R
-    the total rate.  ``rho`` and ``key_rate`` may be arrays, broadcast
+    letter, or the :class:`Spectrum` of a finite law, with R the total
+    rate.  ``rho`` and ``key_rate`` may be arrays, broadcast
     against each other; each (rho, R) cell is one problem, solved by
     :func:`_pressure_roots` (theta = 0 is the linear regime and theta = rho
     saturation).  The values take one batched pressure call; a saturated

@@ -44,9 +44,6 @@ class LengthFunction:
     def size(self) -> int:
         return int(self.lengths.size)
 
-    def to_json_list(self) -> list:
-        return self.lengths.tolist()
-
 
 @dataclass(frozen=True, eq=False)
 class GuessOrder:
@@ -67,9 +64,6 @@ class GuessOrder:
     def size(self) -> int:
         return int(self.rank.size)
 
-    def to_json_list(self) -> list:
-        return self.rank.tolist()
-
     def sequence(self) -> np.ndarray:
         """String indices in the order they are guessed."""
         return np.argsort(self.rank, kind="stable")
@@ -87,13 +81,15 @@ def kraft_sum(lf: LengthFunction) -> float:
 def harmonic_number(n_strings: int) -> float:
     """H_N = sum of 1/i for i = 1..N, the order-to-length conversion constant.
 
-    Exact compensated summation up to 2^20 terms, Euler-Maclaurin beyond
-    (absolute error < 1e-12 there); from N = 2^255 on, where N^4 nears the
-    float range, its corrections are below an ulp and H_N = ln N + gamma.
+    Up to 2^12 terms the reciprocals are added smallest first by numpy's
+    pairwise summation; beyond, the Euler-Maclaurin expansion to 1/N^4
+    (within a few ulps, without an array of N terms).  From N = 2^255 on,
+    where N^4 nears the float range, its corrections are below an ulp and
+    H_N = ln N + gamma.
     """
     if n_strings < 1:
         raise ValidationError("need at least one string")
-    if n_strings <= 2 ** 20:
+    if n_strings <= 2 ** 12:
         return float(np.add.reduce(1.0 / np.arange(n_strings, 0, -1.0)))
     euler_gamma = 0.5772156649015328606
     if n_strings >= 2 ** 255:

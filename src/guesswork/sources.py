@@ -188,42 +188,6 @@ class ExplicitSource:
 SourceModel = Union[IidSource, MarkovSource, UnifilarSource, ExplicitSource]
 
 
-def materialize(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> Pmf:
-    """Return the n-letter distribution of ``model`` over all strings of length n.
-
-    Strings are indexed lexicographically.  Each probability is a
-    left-to-right product over the letter table (:func:`_letters`), summed
-    over the starts of :func:`_start_runs` in state order; explicit
-    sources are looked up.  Raises :class:`CapExceededError` when the
-    string count would exceed ``cap`` (default 2^24 entries).
-    """
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
-    if isinstance(model, ExplicitSource):
-        if n > len(model.pmfs):
-            raise ValidationError(f"explicit source defines lengths 1..{len(model.pmfs)}")
-        out = model.pmfs[n - 1]
-        if out.size > cap:
-            raise CapExceededError(f"{out.size} strings exceed the cap of {cap}")
-        return out
-    k = model.alphabet_size
-    if k ** n > cap:
-        raise CapExceededError(f"{k}^{n} strings exceed the cap of {cap}")
-    return Pmf(_dense_law(model, n), tol=PRODUCT_TOL)
-
-
-def _dense_law(model, n: int) -> np.ndarray:
-    """The walk of :func:`materialize`; its temporaries die before the law is checked."""
-    weights, nxt = _letters(model)
-    total = None
-    for values, states, steps, scale in _start_runs(model, n):
-        for _ in range(steps):
-            values, states = _append_letter(values, states, weights, nxt)
-        values *= scale
-        total = values if total is None else np.add(total, values, out=total)
-    return total
-
-
 def entropy(p: Pmf) -> float:
     """Shannon entropy in nats, with 0 ln 0 = 0."""
     terms = [-x * math.log(x) for x in p.probs.tolist() if x > 0.0]
@@ -275,11 +239,6 @@ class Spectrum:
     def size(self) -> int:
         return int(self.ends[-1])
 
-    @staticmethod
-    def of(law) -> "Spectrum":
-        """``law`` itself when it is a spectrum, else the spectrum of the dense law."""
-        return law if isinstance(law, Spectrum) else spectrum(law)
-
 
 def spectrum(p: Pmf) -> Spectrum:
     """The :class:`Spectrum` of a dense law: one ``np.unique`` of its entries."""
@@ -288,38 +247,54 @@ def spectrum(p: Pmf) -> Spectrum:
 
 
 def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> Spectrum:
-    """``spectrum(materialize(model, n, cap))``, bit for bit, without the K^n strings.
+    """The :class:`Spectrum` of the n-letter law of ``model``, without its K^n strings.
 
-    After one more letter the distinct values of the dense walk are the
-    distinct products of the previous values with that letter's weight, so
-    runs (value, count) per current state take the walk's step
-    (:func:`_append_letter`) and merge equal values by a stable sort and
-    ``np.add.reduceat``.  A model without a single start in
-    :func:`_start_runs` takes the dense law; a one-letter alphabet's start
-    comes back from it already walked, one run at every n.  The n check, the cap
-    (checked before any work) and the PRODUCT_TOL sum check, over the exact
-    sum of value x count, raise what :func:`materialize` raises.  A string
-    count above 2^52 is refused whatever the cap: run counts past it are not
-    exact floats.
+    A string's probability is, per start of :func:`_start_runs`, a
+    left-to-right product over the letter table (:func:`_letters`), times
+    the start's weight, and the starts are added in state order.  A run
+    holds one (state, value) pair per start and a count: one more letter
+    takes every run's step (:func:`_append_letter`), and runs whose pairs
+    are all equal merge (:func:`_merge_runs`), since their strings agree on
+    every continuation.  At the end each run's value is formed once and
+    equal values merge.  A one-start source, every iid and Markov one, has
+    one pair per run; a one-letter alphabet's starts come back already
+    walked, one run at every n.  An explicit source takes the spectrum of
+    its listed law.  The n check, the cap (checked before any work) and the
+    PRODUCT_TOL sum check, over the exact sum of value x count, raise what
+    building the dense law raises.  A string count above 2^52 is refused
+    whatever the cap: run counts past it are not exact floats.
     """
     if n < 1:
         raise ValidationError("n must be a positive integer")
-    starts = _start_runs(model, n)
-    if len(starts) != 1:
-        return spectrum(materialize(model, n, cap))
+    if isinstance(model, ExplicitSource):
+        if n > len(model.pmfs):
+            raise ValidationError(f"explicit source defines lengths 1..{len(model.pmfs)}")
+        law = model.pmfs[n - 1]
+        if law.size > cap:
+            raise CapExceededError(f"{law.size} strings exceed the cap of {cap}")
+        return spectrum(law)
     k = model.alphabet_size
     if k ** n > cap:
         raise CapExceededError(f"{k}^{n} strings exceed the cap of {cap}")
     if k ** n > _MAX_COUNT:
         raise CapExceededError(f"{k}^{n} strings exceed 2^52, past which run counts "
                                "are not exact floats")
-    (values, states, steps, scale), = starts
-    counts = np.ones(values.size, dtype=np.int64)
+    starts = _start_runs(model, n)
+    values, states, steps, _ = starts[0]
+    if len(starts) > 1:
+        # every start begins with one string: the runs are one row of pairs
+        values, states = (np.column_stack([run[i] for run in starts]) for i in (0, 1))
+    counts = np.ones(len(values), dtype=np.int64)
     weights, nxt = _letters(model)
     for _ in range(steps):
         values, states = _append_letter(values, states, weights, nxt)
         values, counts, states = _merge_runs(values, np.repeat(counts, k), states)
-    values, counts, _ = _merge_runs(values * scale, counts, np.zeros(values.size, dtype=int))
+    # each start's column times its weight, added in state order as the dense law adds them
+    columns = values.T if values.ndim > 1 else [values]
+    total = columns[0] * starts[0][3]
+    for column, run in zip(columns[1:], starts[1:]):
+        total = total + column * run[3]
+    values, counts, _ = _merge_runs(total, counts, np.zeros(total.size, dtype=int))
     _require_unit_sum(_exact_products(values, counts), PRODUCT_TOL)
     return Spectrum(values[::-1].copy(), counts[::-1].copy())
 
@@ -340,46 +315,51 @@ def _one_string(model, run) -> tuple:
 
 def _start_runs(model, n: int) -> list:
     """(values, states, letters still to multiply, final scale) per start of the
-    n-letter walk, in state order, with fresh values; none for an explicit source.
-    A unifilar source has one start per start state of positive weight.  On a
-    one-letter alphabet every start is one string, returned already walked
-    (:func:`_one_string`)."""
+    n-letter walk of an iid, Markov or unifilar source, in state order, with
+    fresh values.  A unifilar source has one start per start state of
+    positive weight, each one string long.  On a one-letter alphabet every
+    start is one string, returned already walked (:func:`_one_string`)."""
     if isinstance(model, IidSource):
         runs = [(np.ones(1), np.zeros(1, dtype=int), n, 1.0)]
     elif isinstance(model, MarkovSource):
         runs = [(model.init.probs.copy(), np.arange(model.alphabet_size), n - 1, 1.0)]
-    elif isinstance(model, UnifilarSource):
+    else:
         runs = [(np.ones(1), np.array([s]), n, w)
                 for s, w in enumerate(model.init_states.probs.tolist()) if w > 0.0]
-    else:
-        return []
     return runs if model.alphabet_size > 1 else [_one_string(model, run) for run in runs]
 
 
 def _append_letter(values, states, weights, nxt) -> tuple:
     """Every string followed by every letter, in lexicographic order: (values, states).
 
-    Filled a letter column at a time (faster than a product with a short
-    last axis).  A one-state table gathers nothing: every string is in state 0.
+    ``values`` and ``states`` hold one entry per string, or one row of
+    (value, state) pairs per string, one pair per start.  Filled a letter
+    at a time, every k-th string from the letter's index (faster than a
+    product with a short last axis).  A one-state table gathers nothing:
+    every string is in state 0.
     """
-    out = np.empty((values.size, weights.shape[1]))
+    k = weights.shape[1]
+    out = np.empty((len(values) * k,) + values.shape[1:])
     if weights.shape[0] == 1:
         for x, weight in enumerate(weights[0]):
-            np.multiply(values, weight, out=out[:, x])
-        return out.ravel(), np.zeros(out.size, dtype=nxt.dtype)
+            np.multiply(values, weight, out=out[x::k])
+        return out, np.zeros(out.shape, dtype=nxt.dtype)
     out_states = np.empty(out.shape, dtype=nxt.dtype)
-    for x in range(weights.shape[1]):
-        np.multiply(values, weights[:, x].take(states), out=out[:, x])
-        out_states[:, x] = nxt[:, x].take(states)
-    return out.ravel(), out_states.ravel()
+    for x in range(k):
+        np.multiply(values, weights[:, x].take(states), out=out[x::k])
+        out_states[x::k] = nxt[:, x].take(states)
+    return out, out_states
 
 
 def _merge_runs(values: np.ndarray, counts: np.ndarray, states: np.ndarray) -> tuple:
-    """Merge the runs of equal (state, value), sorted by state, then value."""
-    order = np.lexsort((values, states))
+    """Merge the runs of equal (state, value), or of equal rows of pairs, after
+    one ``np.lexsort`` (states as the leading keys) brings them together."""
+    keys = (values, states) if values.ndim == 1 else (*values.T, *states.T)
+    order = np.lexsort(keys)
     values, counts, states = values[order], counts[order], states[order]
-    new = np.ones(values.size, dtype=bool)
-    new[1:] = (values[1:] != values[:-1]) | (states[1:] != states[:-1])
+    new = np.ones(len(values), dtype=bool)
+    changed = (values[1:] != values[:-1]) | (states[1:] != states[:-1])
+    new[1:] = changed if changed.ndim == 1 else changed.any(axis=1)
     heads = np.flatnonzero(new)
     return values[heads], np.add.reduceat(counts, heads), states[heads]
 
@@ -504,19 +484,17 @@ def _letters(model) -> tuple:
 
 
 def power_form(model) -> PowerForm:
-    """The :class:`PowerForm` of an iid, Markov or unifilar model or a finite law.
-
-    A finite law is a :class:`Spectrum` or a dense :class:`Pmf`; a model
-    with a reducible state chain raises :class:`ValidationError`.
+    """The :class:`PowerForm` of an iid, Markov or unifilar model or of a finite
+    law's :class:`Spectrum`; a model with a reducible state chain raises
+    :class:`ValidationError`.
     """
     if isinstance(model, PowerForm):
         return model
     counts = 1
-    if isinstance(model, (Pmf, Spectrum)):
-        law = Spectrum.of(model)
+    if isinstance(model, Spectrum):
         # positive values in ascending order, the order the power sums are taken in
-        keep = law.values > 0.0
-        weights, counts = law.values[None, keep][:, ::-1], law.counts[None, keep][:, ::-1]
+        keep = model.values > 0.0
+        weights, counts = model.values[None, keep][:, ::-1], model.counts[None, keep][:, ::-1]
         nxt = np.zeros(weights.shape, dtype=int)
     else:
         weights, nxt = _letters(model)

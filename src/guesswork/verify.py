@@ -151,7 +151,7 @@ def check_group_xor_closed_form(seed: int = 0) -> CheckResult:
         p = _random_pmf(rng, size)
         cipher = ci.build_group_xor_cipher(p, k)
         exact = ci.attack_moment(cipher, cipher.pmf, rho)
-        closed = ci.group_xor_moment_closed(p, k, rho)
+        closed = ci.group_xor_moment_closed(so.spectrum(p), k, rho)
         worst = max(worst, abs(exact - closed))
     return CheckResult("group-xor-closed-form", worst <= 1e-12,
                        f"max |exact - closed| {worst:.3e} (tol 1e-12)")
@@ -244,7 +244,7 @@ def check_attack_floor(seed: int = 0) -> CheckResult:
         p = _random_pmf(rng, size)
         cipher = ci.build_group_xor_cipher(p, k, n=n)
         padded = cipher.pmf
-        moment = ci.group_xor_moment_closed(p, k, rho)
+        moment = ci.group_xor_moment_closed(so.spectrum(p), k, rho)
         desc = gu.GuessOrder(np.arange(1, padded.size + 1))
         lf = gu.lengths_from_order(desc)
         sat_cost = gu.saturated_moment(lf, padded, rho, n, key_rate)
@@ -275,7 +275,7 @@ def check_guessing_compression_gap(seed: int = 0) -> CheckResult:
         # any rate with ceil(R / ln2) = k, so cipher and code share the rate
         key_rate = float(rng.uniform((k - 1) * LN2 + 1e-6, k * LN2))
         e_s, _ = co.integer_bruteforce(p, rho, key_rate, 1)
-        lo = math.log(ci.group_xor_moment_closed(p, k, rho))
+        lo = math.log(ci.group_xor_moment_closed(so.spectrum(p), k, rho))
         result = ci.brute_force_best_cipher(p, k, rho)
         hi = math.log(result.max_moment)
         lo, hi = min(lo, hi), max(lo, hi)
@@ -299,7 +299,7 @@ def check_relaxed_integer_sandwich(seed: int = 0) -> CheckResult:
         n = int(rng.integers(1, 4))
         key_rate = float(rng.uniform(0.05, 1.2))
         p = _random_pmf(rng, size, concentration=float(rng.uniform(0.3, 3.0)))
-        relaxed = co.relaxed_optimum(p, n, rho, key_rate)
+        relaxed = co.relaxed_optimum(so.spectrum(p), n, rho, key_rate)
         integer, _ = co.integer_bruteforce(p, rho, key_rate, n)
         worst_low = min(worst_low, integer - relaxed.value)
         worst_high = max(worst_high, integer - relaxed.value - relaxed.slack)

@@ -2,24 +2,77 @@
 
 Nothing in ``guesswork`` calls these; the tests compare the package's
 paths against them.  Each is a direct, one-instance statement of its
-quantity: a tilt and a divergence for the twisted chain and the
-variational identity, the Rényi rate as P(theta)/theta, the top-set
-terms and the two-block split value read off :func:`guesswork.top_set`,
-the convex conjugate, and the posterior attack with its moment under any
-guessing orders.
+quantity: the dense n-letter law, string by string, whose spectrum
+:func:`guesswork.n_letter_spectrum` builds run by run; a tilt and a
+divergence for the twisted chain and the variational identity, the Rényi
+rate as P(theta)/theta, the top-set terms and the two-block split value
+read off :func:`guesswork.top_set`, the convex conjugate, and the
+posterior attack with its moment under any guessing orders.
 """
 
 import math
 
 import numpy as np
 
-from guesswork import GuessOrder, Pmf, ValidationError, pressure, top_set
+from guesswork import (
+    CapExceededError,
+    ExplicitSource,
+    GuessOrder,
+    Pmf,
+    ValidationError,
+    pressure,
+    top_set,
+)
 from guesswork.cipher import attack_moments_for_ranks
 from guesswork.exponents import variational_identity_checks
-from guesswork.sources import PRODUCT_TOL, chain_source
+from guesswork.sources import (
+    DEFAULT_MATERIALIZE_CAP,
+    PRODUCT_TOL,
+    _append_letter,
+    _letters,
+    _start_runs,
+    chain_source,
+)
 
 
 # -- sources ------------------------------------------------------------
+
+
+def materialize(model, n: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> Pmf:
+    """Return the n-letter distribution of ``model`` over all strings of length n.
+
+    Strings are indexed lexicographically.  Each probability is a
+    left-to-right product over the letter table, summed over the starts
+    in state order, one start at a time; explicit sources are looked up.
+    Raises :class:`CapExceededError` when the string count would exceed
+    ``cap`` (default 2^24 entries), with the message the spectrum builder
+    raises.
+    """
+    if n < 1:
+        raise ValidationError("n must be a positive integer")
+    if isinstance(model, ExplicitSource):
+        if n > len(model.pmfs):
+            raise ValidationError(f"explicit source defines lengths 1..{len(model.pmfs)}")
+        out = model.pmfs[n - 1]
+        if out.size > cap:
+            raise CapExceededError(f"{out.size} strings exceed the cap of {cap}")
+        return out
+    k = model.alphabet_size
+    if k ** n > cap:
+        raise CapExceededError(f"{k}^{n} strings exceed the cap of {cap}")
+    return Pmf(_dense_law(model, n), tol=PRODUCT_TOL)
+
+
+def _dense_law(model, n: int) -> np.ndarray:
+    """The walk of :func:`materialize`; its temporaries die before the law is checked."""
+    weights, nxt = _letters(model)
+    total = None
+    for values, states, steps, scale in _start_runs(model, n):
+        for _ in range(steps):
+            values, states = _append_letter(values, states, weights, nxt)
+        values *= scale
+        total = values if total is None else np.add(total, values, out=total)
+    return total
 
 
 def divergence(q: Pmf, p: Pmf) -> float:

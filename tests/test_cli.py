@@ -279,6 +279,20 @@ class TestSweepCommand:
         gaps = [row["gap"] for row in rows]
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
+    def test_two_start_states_past_the_default_cap(self, tmp_path):
+        # the docs unifilar structure from both start states at n = 40: 2^40
+        # strings under a raised cap, walked run by run
+        write_model(tmp_path, {"kind": "unifilar", "next_state": [[0, 1], [1, 0]],
+                               "emission": [[0.6, 0.4], [0.25, 0.75]],
+                               "init_states": [0.5, 0.5]})
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [0.5],
+                                      "n": [40], "caps": {"materialize": 2 ** 40},
+                                      "format": "json"})
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        row, = json.loads(out.read_text())["rows"]
+        assert row["n"] == 40 and math.isfinite(row["gap"])
+
 
 class TestVerifyCommand:
     def test_passes_and_prints_table(self, tmp_path, capsys):
@@ -399,7 +413,8 @@ class TestRegressions:
     def test_simulate_with_huge_key_count(self, tmp_path, iid_model):
         # k = ceil(8 * 4 / ln 2) = 47 key bits: one block of 2^47 covers the
         # 256 strings, so the attack is plain probability-order guessing
-        from guesswork import IidSource, Pmf, materialize
+        from guesswork import IidSource, Pmf
+        from oracles import materialize
 
         cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [4.0],
                                       "n": [8], "format": "json"})
@@ -424,8 +439,8 @@ class TestFiniteRunner:
     def test_one_law_per_n(self, tmp_path, iid_model, monkeypatch, command, threads):
         from guesswork import cipher, compression, sources
 
-        real_build, real_dense = sources.n_letter_spectrum, sources.materialize
-        built, laws, dense, spectra, sorts = [], [], [], [], []
+        real_build = sources.n_letter_spectrum
+        built, laws, spectra, sorts = [], [], [], []
 
         def n_letter_spectrum(model, n, *args, **kwargs):
             # the previous n's spectrum is released before the next one is built
@@ -434,10 +449,6 @@ class TestFiniteRunner:
             out = real_build(model, n, *args, **kwargs)
             laws.append(weakref.ref(out))
             return out
-
-        def materialize(model, n, *args, **kwargs):
-            dense.append(n)
-            return real_dense(model, n, *args, **kwargs)
 
         def spectrum(p):
             spectra.append(p.size)
@@ -449,7 +460,6 @@ class TestFiniteRunner:
 
         real_spectrum, real_sort = sources.spectrum, sources.sort_desc
         monkeypatch.setattr(sources, "n_letter_spectrum", n_letter_spectrum)
-        monkeypatch.setattr(sources, "materialize", materialize)
         # every module that binds these names, so no call can go around the count
         for module in (sources, compression, cipher):
             for name, fn in (("spectrum", spectrum), ("sort_desc", sort_desc)):
@@ -461,8 +471,9 @@ class TestFiniteRunner:
                      "--threads", str(threads)]) == 0
         assert built == [2, 4, 3]
         # no dense law, not even for simulate's brute-force bracket, which
-        # reads the spectrum; no np.unique and no sort of a dense law
-        assert dense == []
+        # reads the spectrum: the package has no dense builder, and makes no
+        # np.unique and no sort of a dense law
+        assert not hasattr(sources, "materialize")
         assert spectra == []
         assert sorts == []
         assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 3 * 2 * 2

@@ -10,10 +10,11 @@ from guesswork import (
     Pmf,
     integer_bruteforce,
     lower_bound_finite,
-    materialize,
     relaxed_optimum,
     renyi_entropy,
+    n_letter_spectrum,
     sort_desc,
+    spectrum,
     top_set,
     upper_bound_finite,
 )
@@ -50,18 +51,18 @@ def active_lengths(p, result, n, rho, key_rate):
 
 class TestTopSet:
     def test_everything_at_high_rate(self):
-        summary = top_set(pmf(0.7, 0.3), 1, math.log(2.0) + 0.2, 1.0)
+        summary = top_set(spectrum(pmf(0.7, 0.3)), 1, math.log(2.0) + 0.2, 1.0)
         assert summary.num_top == 2
         assert summary.mass_complement == 0.0
 
     def test_example(self):
-        summary = top_set(pmf(0.64, 0.16, 0.16, 0.04), 2, 0.3, 1.0)
+        summary = top_set(spectrum(pmf(0.64, 0.16, 0.16, 0.04)), 2, 0.3, 1.0)
         assert summary.num_top == 1
         assert summary.mass == pytest.approx(0.64, abs=1e-15)
         assert summary.mass_complement == pytest.approx(0.36, abs=1e-15)
 
     def test_uniform_floor(self):
-        summary = top_set(pmf(0.25, 0.25, 0.25, 0.25), 2, 0.6, 1.0)
+        summary = top_set(spectrum(pmf(0.25, 0.25, 0.25, 0.25)), 2, 0.6, 1.0)
         # floor(e^1.2) = 3
         assert summary.num_top == 3
         assert summary.mass == pytest.approx(0.75, abs=1e-15)
@@ -70,12 +71,12 @@ class TestTopSet:
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = random_pmf(rng, int(rng.integers(2, 40)))
-            summary = top_set(p, 1, float(rng.uniform(0.05, 2.0)), 1.0)
+            summary = top_set(spectrum(p), 1, float(rng.uniform(0.05, 2.0)), 1.0)
             assert summary.mass + summary.mass_complement == pytest.approx(1.0, abs=1e-12)
 
     def test_integer_boundary_guard(self):
         # R = 2 ln2 / n must give exactly M = 4, not 3, despite libm rounding
-        summary = top_set(pmf(*([1.0 / 8] * 8)), 2, LN2, 1.0)
+        summary = top_set(spectrum(pmf(*([1.0 / 8] * 8))), 2, LN2, 1.0)
         assert summary.num_top == 4
 
 
@@ -84,7 +85,7 @@ class TestRelaxedOptimum:
         # no saturation: the value is the per-letter scaled order-1/(1+rho) entropy
         p = pmf(0.64, 0.16, 0.16, 0.04)
         for rho in (0.5, 1.0, 2.0):
-            result = relaxed_optimum(p, 2, rho, 50.0)
+            result = relaxed_optimum(spectrum(p), 2, rho, 50.0)
             assert result.value == pytest.approx(
                 rho * renyi_entropy(p, 1.0 / (1.0 + rho)) / 2, abs=1e-12
             )
@@ -94,7 +95,7 @@ class TestRelaxedOptimum:
         # the all-saturated assignment pins the value at rho R from above;
         # a zero-length real codeword for the top string can only improve it
         p = pmf(0.64, 0.16, 0.16, 0.04)
-        result = relaxed_optimum(p, 2, 1.0, 1e-4)
+        result = relaxed_optimum(spectrum(p), 2, 1.0, 1e-4)
         assert result.value <= 1e-4 + 1e-15
         assert result.value >= 0.0
         assert result.active_set_size <= 1
@@ -104,7 +105,7 @@ class TestRelaxedOptimum:
         for _ in range(30):
             p = random_pmf(rng, int(rng.integers(2, 30)))
             rho, key_rate = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.1, 1.5))
-            result = relaxed_optimum(p, 1, rho, key_rate)
+            result = relaxed_optimum(spectrum(p), 1, rho, key_rate)
             lengths, value = active_lengths(p, result, 1, rho, key_rate)
             assert result.value == pytest.approx(value, abs=1e-12)
             finite = np.isfinite(lengths)
@@ -120,7 +121,7 @@ class TestRelaxedOptimum:
             p = random_pmf(rng, int(rng.integers(2, 30)))
             n = int(rng.integers(1, 4))
             key_rate = float(rng.uniform(0.05, 1.0))
-            result = relaxed_optimum(p, n, 1.0, key_rate)
+            result = relaxed_optimum(spectrum(p), n, 1.0, key_rate)
             lengths, _ = active_lengths(p, result, n, 1.0, key_rate)
             finite = np.isfinite(lengths)
             if finite.any():
@@ -129,18 +130,18 @@ class TestRelaxedOptimum:
     def test_free_size_beats_fixed_top_set_kernel(self):
         rng = np.random.default_rng(6)
         for _ in range(40):
-            p = random_pmf(rng, int(rng.integers(2, 30)))
+            law = spectrum(random_pmf(rng, int(rng.integers(2, 30))))
             n = int(rng.integers(1, 3))
             rho = float(rng.uniform(0.3, 2.0))
             key_rate = float(rng.uniform(0.05, 1.0))
-            fixed = saturation_split_value(p, n, rho, key_rate) / n
-            assert relaxed_optimum(p, n, rho, key_rate).value <= fixed + 1e-12
+            fixed = saturation_split_value(law, n, rho, key_rate) / n
+            assert relaxed_optimum(law, n, rho, key_rate).value <= fixed + 1e-12
 
     def test_nondecreasing_in_rate_and_rho(self):
-        p = pmf(0.5, 0.25, 0.15, 0.1)
-        values_r = [relaxed_optimum(p, 1, 1.0, r).value for r in np.arange(0.05, 1.4, 0.05)]
+        law = spectrum(pmf(0.5, 0.25, 0.15, 0.1))
+        values_r = [relaxed_optimum(law, 1, 1.0, r).value for r in np.arange(0.05, 1.4, 0.05)]
         assert all(b >= a - 1e-12 for a, b in zip(values_r, values_r[1:]))
-        values_rho = [relaxed_optimum(p, 1, rho, 0.5).value for rho in np.arange(0.2, 3.0, 0.2)]
+        values_rho = [relaxed_optimum(law, 1, rho, 0.5).value for rho in np.arange(0.2, 3.0, 0.2)]
         assert all(b >= a - 1e-12 for a, b in zip(values_rho, values_rho[1:]))
 
 
@@ -190,7 +191,7 @@ class TestIntegerBruteforce:
         p = pmf(0.7, 0.2, 0.1)
         rho, key_rate = 1.0, 0.5
         value, _ = integer_bruteforce(p, rho, key_rate, 1)
-        relaxed = relaxed_optimum(p, 1, rho, key_rate)
+        relaxed = relaxed_optimum(spectrum(p), 1, rho, key_rate)
         assert relaxed.value <= value + 1e-12
         assert value <= relaxed.value + rho * LN2 + 1e-12
 
@@ -204,7 +205,7 @@ class TestSandwich:
             n = int(rng.integers(1, 4))
             key_rate = float(rng.uniform(0.05, 1.2))
             p = random_pmf(rng, size, float(rng.uniform(0.3, 3.0)))
-            relaxed = relaxed_optimum(p, n, rho, key_rate)
+            relaxed = relaxed_optimum(spectrum(p), n, rho, key_rate)
             value, _ = integer_bruteforce(p, rho, key_rate, n)
             assert relaxed.value <= value + 1e-12
             assert value <= relaxed.value + relaxed.slack + 1e-12
@@ -212,64 +213,64 @@ class TestSandwich:
 
 class TestErrorTerm:
     def test_no_error_at_full_rate(self):
-        assert error_term(pmf(0.7, 0.3), 1, math.log(2.0)) == -math.inf
+        assert error_term(spectrum(pmf(0.7, 0.3)), 1, math.log(2.0)) == -math.inf
 
     def test_example(self):
-        assert error_term(pmf(0.8, 0.2), 1, 0.5) == pytest.approx(
+        assert error_term(spectrum(pmf(0.8, 0.2)), 1, 0.5) == pytest.approx(
             math.log(0.2), abs=1e-14
         )
 
     def test_uniform(self):
         p = pmf(*([0.125] * 8))
-        value = error_term(p, 1, 0.8)
+        value = error_term(spectrum(p), 1, 0.8)
         m = math.floor(math.exp(0.8))
         assert value == pytest.approx(math.log(1.0 - m / 8.0), abs=1e-12)
 
 
 class TestCorrectDecodingTerm:
     def test_small_rho_recovers_log_mass(self):
-        p = pmf(0.8, 0.15, 0.05)
         key_rate = 0.5
-        tiny = correct_decoding_term(p, 1, 1e-9, key_rate)
-        summary = top_set(p, 1, key_rate, 1e-9)
+        law = spectrum(pmf(0.8, 0.15, 0.05))
+        tiny = correct_decoding_term(law, 1, 1e-9, key_rate)
+        summary = top_set(law, 1, key_rate, 1e-9)
         assert tiny == pytest.approx(math.log(summary.mass), abs=1e-6)
 
     def test_full_set_is_renyi(self):
         p = pmf(0.6, 0.3, 0.1)
         rho = 1.0
-        value = correct_decoding_term(p, 1, rho, 5.0)
+        value = correct_decoding_term(spectrum(p), 1, rho, 5.0)
         assert value == pytest.approx(rho * renyi_entropy(p, 0.5), abs=1e-12)
 
     def test_example(self):
-        value = correct_decoding_term(pmf(0.64, 0.16, 0.16, 0.04), 2, 1.0, 0.3)
+        value = correct_decoding_term(spectrum(pmf(0.64, 0.16, 0.16, 0.04)), 2, 1.0, 0.3)
         assert value == pytest.approx(math.log(0.8), abs=1e-14)
 
     def test_nondecreasing_in_rate(self):
-        p = pmf(0.5, 0.25, 0.15, 0.1)
-        values = [correct_decoding_term(p, 1, 1.0, r) for r in np.arange(0.05, 1.6, 0.05)]
+        law = spectrum(pmf(0.5, 0.25, 0.15, 0.1))
+        values = [correct_decoding_term(law, 1, 1.0, r) for r in np.arange(0.05, 1.6, 0.05)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
 class TestLowerUpperBounds:
     def test_error_branch_gone_at_full_rate(self):
-        p = pmf(0.7, 0.3)
-        bound = lower_bound_finite(p, 1, 1.0, math.log(2.0))
-        assert bound.value == correct_decoding_term(p, 1, 1.0, math.log(2.0))
+        law = spectrum(pmf(0.7, 0.3))
+        bound = lower_bound_finite(law, 1, 1.0, math.log(2.0))
+        assert bound.value == correct_decoding_term(law, 1, 1.0, math.log(2.0))
 
     def test_error_branch_dominates_near_uniform_small_rate(self):
-        p = pmf(0.26, 0.25, 0.25, 0.24)
+        law = spectrum(pmf(0.26, 0.25, 0.25, 0.24))
         key_rate = 0.05
-        bound = lower_bound_finite(p, 1, 1.0, key_rate)
+        bound = lower_bound_finite(law, 1, 1.0, key_rate)
         assert bound.value == pytest.approx(
-            1.0 * key_rate + error_term(p, 1, key_rate), abs=1e-12
+            1.0 * key_rate + error_term(law, 1, key_rate), abs=1e-12
         )
 
     def test_theta_endpoints(self):
         p = pmf(0.8, 0.2)
         rho = 1.0
-        upper_sat = upper_bound_finite(p, 1, rho, 50.0)
+        upper_sat = upper_bound_finite(spectrum(p), 1, rho, 50.0)
         assert upper_sat == pytest.approx(rho * renyi_entropy(p, 0.5) + LN2, abs=1e-9)
-        upper_linear = upper_bound_finite(p, 1, rho, 1e-4)
+        upper_linear = upper_bound_finite(spectrum(p), 1, rho, 1e-4)
         assert upper_linear == pytest.approx(rho * 1e-4 + LN2, abs=1e-9)
 
     def test_sandwich_with_slack(self):
@@ -279,19 +280,19 @@ class TestLowerUpperBounds:
             rho = float(rng.uniform(0.2, 2.5))
             n = int(rng.integers(1, 4))
             key_rate = float(rng.uniform(0.05, 1.5))
-            p = random_pmf(rng, size, float(rng.uniform(0.3, 3.0)))
-            lower = lower_bound_finite(p, n, rho, key_rate)
-            mid = relaxed_optimum(p, n, rho, key_rate).value
-            upper = upper_bound_finite(p, n, rho, key_rate)
+            law = spectrum(random_pmf(rng, size, float(rng.uniform(0.3, 3.0))))
+            lower = lower_bound_finite(law, n, rho, key_rate)
+            mid = relaxed_optimum(law, n, rho, key_rate).value
+            upper = upper_bound_finite(law, n, rho, key_rate)
             assert lower.value - lower.slack <= mid + 1e-12
             assert mid <= upper + 1e-12
 
     def test_cross_check_binary_n8(self):
         model = IidSource(pmf(0.8, 0.2))
-        p_n = materialize(model, 8)
-        lower = lower_bound_finite(p_n, 8, 1.0, 0.3)
-        relaxed = relaxed_optimum(p_n, 8, 1.0, 0.3)
-        upper = upper_bound_finite(p_n, 8, 1.0, 0.3)
+        law = n_letter_spectrum(model, 8)
+        lower = lower_bound_finite(law, 8, 1.0, 0.3)
+        relaxed = relaxed_optimum(law, 8, 1.0, 0.3)
+        upper = upper_bound_finite(law, 8, 1.0, 0.3)
         assert lower.value - lower.slack <= relaxed.value <= upper + 1e-12
 
 
@@ -306,7 +307,7 @@ class TestSaturationSplitIdentity:
             n = 1
             rho = float(rng.uniform(0.3, 2.0))
             key_rate = float(rng.uniform(0.1, 1.0))
-            summary = top_set(p, n, key_rate, rho)
+            summary = top_set(spectrum(p), n, key_rate, rho)
             if summary.mass_complement <= 1e-12 or summary.mass <= 1e-12:
                 continue
             top = p.probs[sort_desc(p)[:summary.num_top]] / summary.mass
@@ -322,5 +323,5 @@ class TestSaturationSplitIdentity:
             )
             best = float((f * h_top + (1.0 - f) * rho * n * key_rate - kl).max())
             assert best == pytest.approx(
-                saturation_split_value(p, n, rho, key_rate), abs=1e-6
+                saturation_split_value(spectrum(p), n, rho, key_rate), abs=1e-6
             )

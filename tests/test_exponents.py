@@ -26,11 +26,12 @@ from guesswork import (
     iid_correct_term,
     iid_error_exponent,
     iid_exponent_grid,
-    materialize,
     model_exponent_dual,
+    n_letter_spectrum,
     pressure,
     pressure_slope,
     renyi_entropy,
+    spectrum,
 )
 from guesswork.errors import NumericError
 from guesswork import sources
@@ -49,6 +50,7 @@ from oracles import (
     divergence,
     legendre_fenchel,
     markov_renyi_rate,
+    materialize,
     renyi_entropy_rate,
     support_indices,
     tilt,
@@ -169,7 +171,7 @@ def dual_models(draw):
         emission = tuple(Pmf(_simplex(draw, 2)) for _ in range(2))
         return UnifilarSource(Pmf(_simplex(draw, 2)), np.array([[0, 1], [1, 0]]), emission), 1
     n = draw(st.integers(1, 6))
-    return materialize(IidSource(Pmf(_simplex(draw, draw(st.integers(2, 3))))), n), n
+    return n_letter_spectrum(IidSource(Pmf(_simplex(draw, draw(st.integers(2, 3))))), n), n
 
 
 def mp_iid_dual(probs, rho: float, key_rate: float) -> float:
@@ -1214,7 +1216,8 @@ class TestPerfectSecrecy:
     def test_explicit_reads_its_longest_law(self):
         # an explicit model has no rate: its longest law, per letter
         model = ExplicitSource((P82, materialize(IidSource(P82), 2)))
-        assert float(pressure(model.pmfs[-1], 1.0)) / 2 == pytest.approx(EMAX_P82, abs=1e-12)
+        assert float(pressure(spectrum(model.pmfs[-1]), 1.0)) / 2 == pytest.approx(EMAX_P82,
+                                                                             abs=1e-12)
 
 
 class TestExponentCurve:

@@ -60,7 +60,8 @@ def test_every_verify_check_wrapped_and_restored(monkeypatch):
 # Functions that a PER_LAYER metric still names but the package no longer
 # has; their metrics read 0 in every run until the benchmark drops them.
 GONE = {"optimize.minimize_scan_golden", "exponents.markov_exponent_grid",
-        "exponents.iid_exponent_dual", "exponents.thresholds", "sources.perron_root"}
+        "exponents.iid_exponent_dual", "exponents.thresholds", "sources.perron_root",
+        "sources.materialize"}
 
 
 def test_per_layer_functions_that_are_gone(monkeypatch):

@@ -19,16 +19,17 @@ from guesswork import (
     UnifilarSource,
     ValidationError,
     entropy,
-    materialize,
     model_from_dict,
+    n_letter_spectrum,
     pressure,
     pressure_slope,
     renyi_entropy,
     sort_desc,
+    spectrum,
     stationary,
 )
 from guesswork.sources import chain_source
-from oracles import divergence, markov_renyi_rate, renyi_entropy_rate, tilt
+from oracles import divergence, markov_renyi_rate, materialize, renyi_entropy_rate, tilt
 
 LN2 = math.log(2.0)
 
@@ -544,16 +545,16 @@ class TestPressure:
         for p in laws:
             oracle = [(1.0 + t) * math.log(math.fsum((p.probs ** (1.0 / (1.0 + t))).tolist()))
                       for t in thetas.tolist()]
-            assert np.abs(pressure(p, thetas) - oracle).max() <= 1e-12
+            assert np.abs(pressure(spectrum(p), thetas) - oracle).max() <= 1e-12
 
     def test_zero_at_zero_and_chunk_independent(self):
         # a law with 4096 distinct values spans many 2^16-float chunks
         rng = np.random.default_rng(59)
-        p = Pmf(rng.dirichlet(np.ones(4096)), tol=1e-9)
+        law = spectrum(Pmf(rng.dirichlet(np.ones(4096)), tol=1e-9))
         thetas = np.linspace(0.0, 3.0, 1024)
-        batched = pressure(p, thetas)
+        batched = pressure(law, thetas)
         assert abs(batched[0]) <= 1e-12
-        single = np.array([float(pressure(p, t)) for t in thetas[::97].tolist()])
+        single = np.array([float(pressure(law, t)) for t in thetas[::97].tolist()])
         assert np.abs(batched[::97] - single).max() <= 1e-13
 
 
@@ -585,7 +586,7 @@ class TestPressureNearMinusOne:
         theta = 2.0 ** -53 - 1.0
         for law, p_max, peaks in ((IidSource(pmf(0.5, 0.3, 0.2)), 0.5, 1),
                                   (IidSource(pmf(0.4, 0.4, 0.2)), 0.4, 2),
-                                  (materialize(IidSource(pmf(0.6, 0.3, 0.1)), 3), 0.216, 1)):
+                                  (n_letter_spectrum(IidSource(pmf(0.6, 0.3, 0.1)), 3), 0.216, 1)):
             assert float(pressure(law, theta)) == pytest.approx(math.log(p_max), abs=1e-12)
             assert float(pressure_slope(law, theta)) == pytest.approx(math.log(peaks), abs=1e-12)
 
@@ -600,7 +601,7 @@ class TestPressureSlope:
         # the form of docs/examples/unifilar.json
         UnifilarSource(pmf(1.0, 0.0), np.array([[0, 1], [1, 0]]),
                        (pmf(0.6, 0.4), pmf(0.25, 0.75))),
-        materialize(IidSource(pmf(0.6, 0.3, 0.1)), 6),
+        n_letter_spectrum(IidSource(pmf(0.6, 0.3, 0.1)), 6),
     ], ids=["iid", "iid-zero", "markov", "markov-3", "unifilar", "finite"])
     def test_batch_and_single_theta_bit_for_bit(self, model):
         thetas = np.random.default_rng(61).uniform(0.0, 3.0, size=150)

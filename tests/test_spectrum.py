@@ -3,13 +3,14 @@
 Every finite-n solver reads a law through its sorted spectrum (distinct
 probabilities and their multiplicities).  The oracles below work string by
 string on the dense law, the way the solvers did before the spectrum, and
-stay here as the reference.  The spectrum builder that forms no dense law,
-``n_letter_spectrum``, is checked against ``spectrum(materialize(...))``
-bit for bit.
+stay here as the reference.  The spectrum builder, ``n_letter_spectrum``,
+forms no dense law; it is checked bit for bit against the spectrum of the
+dense law of ``oracles.materialize``.
 """
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,11 +23,9 @@ from guesswork import (
     IidSource,
     MarkovSource,
     Pmf,
-    Spectrum,
     UnifilarSource,
     group_xor_moment_closed,
     lower_bound_finite,
-    materialize,
     n_letter_spectrum,
     relaxed_optimum,
     renyi_entropy,
@@ -39,6 +38,7 @@ from guesswork import (
 from guesswork import sources
 from guesswork.compression import _top_count
 from guesswork.sources import _exact_products, pressure
+from oracles import materialize
 
 TOL = 1e-12
 
@@ -135,18 +135,17 @@ class TestSpectrum:
         assert spec.before.tolist() == pytest.approx([0.0, 0.8, 1.0], abs=1e-15)
         assert spec.after.tolist() == pytest.approx([0.2, 0.0, 0.0], abs=1e-15)
 
-    def test_of_passes_a_spectrum_through(self):
-        spec = spectrum(Pmf([0.5, 0.5]))
-        assert Spectrum.of(spec) is spec
-
     def test_dense_law_and_its_spectrum_give_identical_outputs(self):
-        # a dense law is read through its spectrum: one path, the same fields
-        laws = [Pmf([0.1, 0.6, 0.3]), Pmf([0.25, 0.0, 0.125, 0.25, 0.125, 0.25]),
-                materialize(IidSource(Pmf([0.7, 0.2, 0.1])), 4)]
-        for p in laws:
+        # the solvers read the spectrum alone: a dense law in another string
+        # order, or built run by run, gives the same fields
+        model = IidSource(Pmf([0.7, 0.2, 0.1]))
+        laws = [(spectrum(p), spectrum(Pmf(p.probs[::-1])))
+                for p in (Pmf([0.1, 0.6, 0.3]), Pmf([0.25, 0.0, 0.125, 0.25, 0.125, 0.25]))]
+        laws.append((spectrum(materialize(model, 4)), n_letter_spectrum(model, 4)))
+        for pair in laws:
             for n, rho, key_rate in ((1, 1.0, 0.8), (2, 0.5, 0.4), (3, 2.0, 0.05)):
                 pairs = [(top_set(law, n, key_rate, rho), relaxed_optimum(law, n, rho, key_rate))
-                         for law in (p, spectrum(p))]
+                         for law in pair]
                 for dense, spec in zip(*pairs):
                     for f in dataclasses.fields(dense):
                         assert getattr(dense, f.name) == getattr(spec, f.name), f.name
@@ -158,31 +157,32 @@ class TestDenseOracle:
     def test_relaxed_optimum(self, law, rho, key_rate):
         p, n = law
         value, active, margin = dense_relaxed(p, n, rho, key_rate)
-        for given_law in (p, spectrum(p)):
-            result = relaxed_optimum(given_law, n, rho, key_rate)
-            assert result.value == pytest.approx(value, abs=TOL)
-            if margin > TOL:
-                assert result.active_set_size == active
+        result = relaxed_optimum(spectrum(p), n, rho, key_rate)
+        assert result.value == pytest.approx(value, abs=TOL)
+        if margin > TOL:
+            assert result.active_set_size == active
 
     @settings(max_examples=200, deadline=None)
     @given(laws(), rhos, rates)
     def test_top_set_and_bounds(self, law, rho, key_rate):
         p, n = law
         m, mass, mass_c, tilted = dense_top_set(p, n, key_rate, rho)
-        for given_law in (p, spectrum(p)):
-            summary = top_set(given_law, n, key_rate, rho)
-            assert summary.num_top == m
-            assert summary.mass == pytest.approx(mass, abs=TOL)
-            assert summary.mass_complement == pytest.approx(mass_c, abs=TOL)
-            assert summary.tilted_sum == pytest.approx(tilted, rel=TOL)
+        law = spectrum(p)
+        summary = top_set(law, n, key_rate, rho)
+        assert summary.num_top == m
+        assert summary.mass == pytest.approx(mass, abs=TOL)
+        assert summary.mass_complement == pytest.approx(mass_c, abs=TOL)
+        assert summary.tilted_sum == pytest.approx(tilted, rel=TOL)
         err = rho * key_rate + math.log(mass_c) / n if mass_c > 0.0 else -math.inf
         lower = max(err, (1.0 + rho) * math.log(tilted) / n)
-        upper = upper_bound_finite(p, n, rho, key_rate)
-        for given_law in (p, spectrum(p)):
-            assert lower_bound_finite(given_law, n, rho, key_rate).value == pytest.approx(
-                lower, abs=TOL)
-            assert upper_bound_finite(given_law, n, rho, key_rate) == pytest.approx(
-                upper, abs=TOL)
+        assert lower_bound_finite(law, n, rho, key_rate).value == pytest.approx(lower, abs=TOL)
+        # the upper bound minimizes (rho - t) nR + t H_{1/(1+t)}(P_n) over t in
+        # [0, rho], so no point of a grid over t lies below it
+        grid = [rho * n * key_rate] + [
+            (rho - t) * n * key_rate + t * renyi_entropy(p, 1.0 / (1.0 + t))
+            for t in np.linspace(0.0, rho, 101)[1:]]
+        upper = upper_bound_finite(law, n, rho, key_rate) * n - math.log(2.0)
+        assert upper <= min(grid) + 1e-9
 
     @settings(max_examples=100, deadline=None)
     @given(laws(), st.floats(0.05, 3.0))
@@ -201,13 +201,13 @@ class TestDenseOracle:
             # the smallest key with 2^k >= N: one block holds every message
             k = max(0, (p.size - 1).bit_length())
         dense = dense_group_xor(p, k, rho)
-        for given_law in (p, spectrum(p)):
-            assert group_xor_moment_closed(given_law, k, rho) == pytest.approx(dense, rel=TOL)
+        assert group_xor_moment_closed(spectrum(p), k, rho) == pytest.approx(dense, rel=TOL)
 
 
 FLIP = np.array([[0, 1], [1, 0]])
 EMISSION = (Pmf([0.6, 0.4]), Pmf([0.25, 0.75]))
-# every case of the letter-by-letter builder, and both dense fallbacks
+# every case of the builder: one start, several starts, a one-letter
+# alphabet and a listed law
 BUILDER_MODELS = {
     "iid": IidSource(Pmf([0.8, 0.2])),
     "iid-zero-letter": IidSource(Pmf([0.7, 0.0, 0.3])),
@@ -222,10 +222,12 @@ BUILDER_MODELS = {
         Pmf([1.0, 0.0, 0.0]), np.array([[1, 0], [2, 0], [2, 1]]),
         (Pmf([0.5, 0.5]), Pmf([0.9, 0.1]), Pmf([0.0, 1.0]))),
     "unifilar-mixed-start": UnifilarSource(Pmf([0.3, 0.7]), FLIP, EMISSION),
+    "unifilar-three-starts": UnifilarSource(
+        Pmf([0.2, 0.5, 0.3]), np.array([[1, 0], [2, 0], [2, 1]]),
+        (Pmf([0.5, 0.5]), Pmf([0.9, 0.1]), Pmf([0.0, 1.0]))),
     "explicit": ExplicitSource(tuple(materialize(IidSource(Pmf([0.6, 0.3, 0.1])), n)
                                      for n in range(1, 6))),
 }
-DENSE_FALLBACK = {"unifilar-mixed-start", "explicit"}
 
 
 def _lengths(model):
@@ -263,21 +265,22 @@ class TestNLetterSpectrum:
     @pytest.mark.parametrize("name", sorted(BUILDER_MODELS))
     def test_bit_identical_to_the_dense_law(self, name, monkeypatch):
         model = BUILDER_MODELS[name]
-        real, dense = sources.materialize, []
+        dense = []
 
-        def counting(model, n, *args, **kwargs):
-            dense.append(n)
-            return real(model, n, *args, **kwargs)
+        def counting(*args, **kwargs):
+            dense.append(args)
+            return Pmf(*args, **kwargs)
 
-        monkeypatch.setattr(sources, "materialize", counting)
         for n in _lengths(model):
-            oracle = spectrum(real(model, n))
+            oracle = spectrum(materialize(model, n))
+            # a dense law built in sources would be a Pmf: the builder makes none
+            monkeypatch.setattr(sources, "Pmf", counting)
             built = n_letter_spectrum(model, n)
+            monkeypatch.undo()
             assert np.array_equal(built.values, oracle.values)
             assert np.array_equal(built.counts, oracle.counts)
             assert built.counts.dtype == oracle.counts.dtype
-        # only the fallbacks build the dense law
-        assert dense == (_lengths(model) if name in DENSE_FALLBACK else [])
+        assert dense == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -293,14 +296,15 @@ class TestNLetterSpectrum:
         else:
             nxt = np.array(data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=k,
                                                        max_size=k), min_size=k, max_size=k)))
-            start = [0.0] * k
-            start[data.draw(st.integers(0, k - 1))] = 1.0
+            # a start law with 1 to k positive weights, zeros included
+            start = _simplex(data.draw, k, zeros=True)
             emission = tuple(Pmf(_simplex(data.draw, k, zeros=True)) for _ in range(k))
             model = UnifilarSource(Pmf(start), nxt, emission)
         oracle = spectrum(materialize(model, n))
         built = n_letter_spectrum(model, n)
         assert np.array_equal(built.values, oracle.values)
         assert np.array_equal(built.counts, oracle.counts)
+        assert built.counts.dtype == oracle.counts.dtype
 
     @pytest.mark.parametrize("name", sorted(BUILDER_MODELS))
     def test_cap_at_the_same_string_count(self, name):
@@ -381,8 +385,8 @@ class TestNLetterSpectrum:
                 assert materialize(model, n, cap=16).probs.tolist() == built.values.tolist()
 
     def test_one_letter_mixed_start_is_one_run(self, monkeypatch):
-        # two start states of positive weight take the dense fallback, whose
-        # walk is as short as the single-start one
+        # two start states of positive weight: each start's one string comes
+        # back already walked, as for a single start
         def no_walk(*args):
             raise AssertionError("a letter was appended to a one-letter walk")
 
@@ -393,6 +397,20 @@ class TestNLetterSpectrum:
             spec = n_letter_spectrum(model, n, cap=16)
             assert spec.values.tolist() == [one_letter_walk(model, n)]
             assert spec.counts.tolist() == [1]
+
+    def test_two_starts_without_the_strings(self):
+        # the docs unifilar structure from both start states: 2^24 strings,
+        # the default cap, in 1,400 runs and a few MB (the dense law alone
+        # is 128 MB)
+        model = UnifilarSource(Pmf([0.5, 0.5]), FLIP, EMISSION)
+        tracemalloc.start()
+        try:
+            spec = n_letter_spectrum(model, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.size == 2 ** 24 and spec.values.size == 1400
+        assert peak < 8 * 2 ** 20
 
     def test_exact_products_of_large_counts(self):
         values = np.array([1.0 / 3.0, 0.1, 2.0 ** -40])
