@@ -10,9 +10,7 @@ block in probability order.
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +37,6 @@ class CipherSpec:
     @property
     def num_keys(self) -> int:
         return 2 ** self.k
-
-    @property
-    def key_rate(self) -> float:
-        """Key bits per letter converted to nats: k ln2 / n."""
-        return self.k * LN2 / self.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,17 +216,13 @@ def _power_sums(rho: float, upto: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BruteForceResult:
+    """The best attack moment over ciphers, a table that attains it, and
+    C(N! + M - 2, M - 1), the canonical tables (key 0 the identity, the
+    other M - 1 keys a multiset of the N! permutations) the search covers."""
+
     max_moment: float
     witness: Cipher
     tables_searched: int
-
-
-# tables a search scores in one numpy pass at most (a larger one with more
-# than two keys is scored one first key at a time), and the relative gap below the best lookup
-# moment inside which tables count as tied (lookup and exact moments differ
-# by ~1e-15, so mathematically tied tables can land an ulp apart)
-_BLOCK = 1 << 16
-_TIE = 1e-12
 
 
 def _multisets(n: int, r: int) -> np.ndarray:
@@ -249,115 +238,68 @@ def _multisets(n: int, r: int) -> np.ndarray:
     return rows
 
 
-def _permutations(n: int) -> np.ndarray:
-    """The n! permutations of range(n) in lexicographic order, one per row."""
-    return np.array(list(itertools.permutations(range(n))), dtype=int)
-
-
-# per (messages, keys): the brute force's table index, read-only in its
-# narrowest integer dtypes; an entry joins while the cache stays within
-# _INDEX_CACHE_BYTES (the largest searchable pair, 5 messages and 4 keys,
-# takes 120 + 1,200 + 14,520 + 72,600 + 960 bytes)
-_INDEX_CACHE: dict = {}
-_INDEX_CACHE_BYTES = 1 << 22
-_INDEX_CACHE_LOCK = threading.Lock()
-
-
-def _table_index(n_msgs: int, m_keys: int) -> tuple:
-    """(heads, lead, suffixes, suffix_code, starts): the canonical tables
-    over ``n_msgs`` messages and ``m_keys`` keys, in runs that share a head.
-
-    A table is key 0, the identity, and keys 1..M-1, a non-decreasing tuple
-    of indices into :func:`_permutations`.  Its column y, the multiset of
-    the keys' preimages of cryptogram y, is encoded as
-    sum_u (M+1)^(preimage of y under key u).  A search of more than _BLOCK
-    tables with M > 2 splits the free keys into a head, the first key, and
-    a suffix, the other M-2; a smaller search has the empty head and all
-    M-1 keys in the suffix.  ``heads`` and ``suffixes`` list these
-    multisets in lexicographic order, and ``lead[y, h]`` (the identity's
-    share of the code plus head h's) and ``suffix_code[y, s]`` are their
-    shares of the code.  The tables with head h are (h, suffixes[s]) for
-    s >= starts[h], one contiguous run, so run h has the codes
-    ``suffix_code[:, starts[h]:] + lead[:, h]`` and the runs in order of h
-    list every table in lexicographic order.  Nothing depends on the law
-    or on rho, so the index is built once per (n_msgs, m_keys); it holds at
-    most _BLOCK tables' codes, or the (M-2)-key suffixes.
-    """
-    cached = _INDEX_CACHE.get((n_msgs, m_keys))
-    if cached is not None:
-        return cached
-    n_perms = math.factorial(n_msgs)
-    tables = math.comb(n_perms + m_keys - 2, m_keys - 1)
-    n_head = int(m_keys > 2 and tables > _BLOCK)
-    dtype = np.min_scalar_type((m_keys + 1) ** n_msgs - 1)
-    # code[y, i]: the code of permutation i's preimage of cryptogram y
-    code = ((m_keys + 1) ** np.argsort(_permutations(n_msgs), axis=1, kind="stable").T
-            ).astype(dtype)
-    heads = _multisets(n_perms, n_head)
-    suffixes = _multisets(n_perms, m_keys - 1 - n_head)
-    lead = np.repeat(code[:, :1], len(heads), axis=1)
-    suffix_code = np.zeros((n_msgs, len(suffixes)), dtype=dtype)
-    for out, keys in ((lead, heads), (suffix_code, suffixes)):
-        for col in keys.T:
-            out += code[:, col]
-    starts = np.searchsorted(suffixes[:, 0], heads[:, 0]) if n_head else np.zeros(1, np.intp)
-    index = (heads, lead, suffixes, suffix_code, starts)
-    for array in index:
-        array.setflags(write=False)
-    with _INDEX_CACHE_LOCK:
-        held = sum(a.nbytes for entry in _INDEX_CACHE.values() for a in entry)
-        if held + sum(a.nbytes for a in index) <= _INDEX_CACHE_BYTES:
-            return _INDEX_CACHE.setdefault((n_msgs, m_keys), index)
-    return index
-
-
-def _column_moments(probs: np.ndarray, m_keys: int, rho: float) -> np.ndarray:
-    """g[code]: ``attack_moment``'s terms of a column summed by fsum, at the
-    code (see :func:`_table_index`) of each multiset of M messages."""
+def _column_moments(probs: np.ndarray, m_keys: int, rho: float) -> tuple:
+    """(columns, g): every multiset of M messages, a row of :func:`_multisets`,
+    and ``attack_moment``'s terms of that cryptogram column summed by fsum."""
     columns = _multisets(probs.size, m_keys)
     row, _, weight, rank = _attack_weights(columns, probs)
     terms = (weight / m_keys * rank ** rho).tolist()
     bounds = np.searchsorted(row, np.arange(len(columns) + 1)).tolist()
-    g = np.zeros((m_keys + 1) ** probs.size)
-    g[((m_keys + 1) ** columns.astype(np.intp)).sum(axis=1)] = [
-        math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return g
+    return columns, np.array([math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
-def _lookup_moments(g: np.ndarray, index: tuple, head: int) -> np.ndarray:
-    """Attack moment of each table in the run of ``head``, in lexicographic order.
+def _perfect_matchings(graph: np.ndarray) -> np.ndarray:
+    """Split an M-regular bipartite multigraph into M perfect matchings.
 
-    A table's moment is the sum over cryptograms y of g(column y).  The
-    moments are accumulated one cryptogram at a time, y = 0, 1, ..., which
-    adds each table's terms in the same order as a row sum over y, however
-    the tables are split into runs.
+    ``graph[y, m]`` counts the edges between cryptogram y and message m;
+    row u of the result sends message m to cryptogram ``out[u, m]``.  Each
+    remainder is regular, so it has a perfect matching (Koenig), found by
+    augmenting paths from every cryptogram in turn.
     """
-    _, lead, _, suffix_code, starts = index
-    codes = suffix_code[:, starts[head]:] + lead[:, head, None]
-    moments = np.zeros(codes.shape[1])
-    for terms in g.take(codes):
-        moments += terms
-    return moments
+    edges = graph.tolist()
+    n = len(edges)
+    owner = []
+
+    def augment(y, seen):
+        for m in range(n):
+            if edges[y][m] and m not in seen:
+                seen.add(m)
+                if owner[m] < 0 or augment(owner[m], seen):
+                    owner[m] = y
+                    return True
+        return False
+
+    rows = []
+    for _ in range(sum(edges[0])):
+        owner = [-1] * n
+        for y in range(n):
+            augment(y, set())
+        for m, y in enumerate(owner):
+            edges[y][m] -= 1
+        rows.append(owner)
+    return np.array(rows)
 
 
 def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5,
                             max_keys: int = 2) -> BruteForceResult:
-    """Exhaustive maximum of the attack moment over permutation-table ciphers.
+    """Exact maximum of the attack moment over permutation-table ciphers.
 
-    The cryptogram alphabet is fixed to the message set, so the search runs
-    over per-key permutations.  Two lossless reductions keep it tractable:
-    key 0 is pinned to the identity (relabeling cryptograms never changes
-    the attack moment) and the remaining keys are enumerated as unordered
-    multisets (the key is uniform, so key order is irrelevant), in
-    lexicographic order of their indices among the lexicographic
-    permutations.  Tie rule: the witness is the first table in this order
-    whose column-lookup moment is within a relative 1e-12 of the largest,
-    so mathematical ties go to the earliest table whatever their rounding;
-    ``max_moment`` is the witness's exact ``attack_moment``.  The tables
-    are scored one run of :func:`_table_index` at a time, keeping only each
-    run's maximum, and the first run that reaches the tie bound is scored
-    again for the witness, so memory follows the longest run, not the
-    table count.
+    The cryptogram alphabet is fixed to the message set, so a cipher is M
+    per-key permutations.  Its moment is the sum over cryptograms y of
+    g(column y), column y being the multiset of the M messages the keys
+    send to y, and each message appears M times over the N columns.
+    Conversely, N columns whose message counts are all M form an M-regular
+    bipartite multigraph, which splits into M key permutations (Koenig's
+    edge-colouring theorem).  So the best moment is an unbounded knapsack
+    over count vectors: a state is the vector of remaining message counts,
+    each digit in 0..M, in radix M + 1, and best[state] is the largest
+    g(c) + best[state - c] over the columns c that fit, filled one level of
+    digit sum at a time from the empty state.  Tie rule: each state keeps
+    its first maximal column in :func:`_multisets` order, and the witness
+    walks back from the full state (M, ..., M) through these, then is
+    relabelled so that key 0 is the identity; ``max_moment`` is the
+    witness's exact ``attack_moment``.  The states times the columns are
+    bounded by the materialize cap.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
@@ -367,24 +309,39 @@ def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5
             f"brute force limited to {max_messages} messages and {max_keys} key bits"
         )
     m_keys = 2 ** k
+    base = m_keys + 1
+    n_states, n_columns = base ** n_msgs, math.comb(n_msgs + m_keys - 1, m_keys)
+    if n_states * n_columns > DEFAULT_MATERIALIZE_CAP:
+        raise CapExceededError(
+            f"brute force over {n_states} states x {n_columns} columns exceeds the cap")
+    columns, g = _column_moments(p.probs, m_keys, rho)
+    place = base ** np.arange(n_msgs)
+    counts = (columns[:, :, None] == np.arange(n_msgs)).sum(axis=1)
+    codes = counts @ place
+    digits = np.arange(n_states)[:, None] // place % base
+    level = digits.sum(axis=1)
+    best = np.zeros(n_states)
+    choice = np.zeros(n_states, dtype=np.intp)
+    for total in range(m_keys, n_msgs * m_keys + 1, m_keys):
+        states = np.flatnonzero(level == total)
+        fits = np.ones((states.size, n_columns), dtype=bool)
+        for m in range(n_msgs):
+            fits &= digits[states, m, None] >= counts[:, m]
+        # a column that does not fit leaves a code in (-n_states, n_states),
+        # an index that reads some state's value, masked out below
+        score = best[states[:, None] - codes]
+        score += g
+        score[~fits] = -np.inf
+        choice[states] = np.argmax(score, axis=1)
+        best[states] = score[np.arange(states.size), choice[states]]
+    chosen, state = [], n_states - 1
+    for _ in range(n_msgs):
+        chosen.append(choice[state])
+        state -= codes[choice[state]]
+    table = _perfect_matchings(counts[chosen])
+    table = np.argsort(table[0])[table]
+    witness = Cipher(CipherSpec(1, k, n_msgs), table, p)
     tables = math.comb(math.factorial(n_msgs) + m_keys - 2, m_keys - 1)
-    if tables * m_keys > DEFAULT_MATERIALIZE_CAP:
-        raise CapExceededError(f"brute force over {tables} tables exceeds the table-list cap")
-    index = _table_index(n_msgs, m_keys)
-    heads, _, suffixes, _, starts = index
-    g = _column_moments(p.probs, m_keys, rho)
-    peaks = []
-    for head in range(len(heads)):
-        moments = _lookup_moments(g, index, head)
-        peaks.append(moments.max())
-    bound = max(peaks) * (1.0 - _TIE)
-    head = next(h for h, peak in enumerate(peaks) if peak >= bound)
-    if head != len(heads) - 1:
-        moments = _lookup_moments(g, index, head)
-    best = starts[head] + int(np.argmax(moments >= bound))
-    keys = np.concatenate((heads[head], suffixes[best]))
-    perms = _permutations(n_msgs)
-    witness = Cipher(CipherSpec(1, k, n_msgs), np.vstack([perms[0], perms[keys]]), p)
     return BruteForceResult(attack_moment(witness, p, rho), witness, tables)
 
 

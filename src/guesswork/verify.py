@@ -9,6 +9,7 @@ evidence as a green acceptance suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -160,7 +161,7 @@ def check_group_xor_closed_form(seed: int = 0) -> CheckResult:
 def _all_tables(n_msgs: int, num_keys: int) -> np.ndarray:
     """Every (num_keys x n_msgs) table of per-key permutations, stacked in
     ``itertools.product`` order over the lexicographic permutations."""
-    perms = ci._permutations(n_msgs)
+    perms = np.array(list(itertools.permutations(range(n_msgs))))
     return perms[np.indices((len(perms),) * num_keys).reshape(num_keys, -1).T]
 
 
@@ -261,7 +262,7 @@ def check_guessing_compression_gap(seed: int = 0) -> CheckResult:
     """Compression and best-cipher exponents agree within the harmonic constant.
 
     For brute-forceable systems, both ends of the achieved-exponent bracket
-    (group-XOR and exhaustive best) and its midpoint sit within
+    (group-XOR and exact best) and its midpoint sit within
     ln((4 H_N)^rho (2+rho)) / n of the integer compression optimum.
     """
     rng = _rng(seed, 6)

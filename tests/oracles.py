@@ -6,24 +6,30 @@ quantity: the dense n-letter law, string by string, whose spectrum
 :func:`guesswork.n_letter_spectrum` builds run by run; a tilt and a
 divergence for the twisted chain and the variational identity, the Rényi
 rate as P(theta)/theta, the top-set terms and the two-block split value
-read off :func:`guesswork.top_set`, the convex conjugate, and the
-posterior attack with its moment under any guessing orders.
+read off :func:`guesswork.top_set`, the convex conjugate, the
+posterior attack with its moment under any guessing orders, and the best
+cipher by enumerating its canonical tables.
 """
 
+import itertools
 import math
 
 import numpy as np
 
 from guesswork import (
+    BruteForceResult,
     CapExceededError,
+    Cipher,
+    CipherSpec,
     ExplicitSource,
     GuessOrder,
     Pmf,
     ValidationError,
+    attack_moment,
     pressure,
     top_set,
 )
-from guesswork.cipher import attack_moments_for_ranks
+from guesswork.cipher import _column_moments, _multisets, attack_moments_for_ranks
 from guesswork.exponents import variational_identity_checks
 from guesswork.sources import (
     DEFAULT_MATERIALIZE_CAP,
@@ -250,3 +256,33 @@ def attack_moment_for_orders(cipher, p: Pmf, rho: float, orders) -> float:
     """
     ranks = np.array([order.rank for order in orders])
     return float(attack_moments_for_ranks(cipher.table, p, rho, ranks))
+
+
+def enumerated_best_cipher(p: Pmf, k: int, rho: float) -> tuple:
+    """(keys, moments, result): the best cipher by listing every canonical table.
+
+    A canonical table is key 0, the identity, and keys 1..M-1, a
+    non-decreasing tuple of indices into the lexicographic permutations,
+    C(N! + M - 2, M - 1) tables in all; ``keys`` lists them in
+    lexicographic order.  A table's moment is the sum over cryptograms y,
+    in order, of g(column y), the column moment of
+    :func:`guesswork.brute_force_best_cipher`.  ``result`` holds the first
+    table within a relative 1e-12 of the largest moment, its exact
+    ``attack_moment`` and the table count.  Memory grows with the table
+    count: meant for N <= 5 messages and k <= 2 key bits.
+    """
+    n_msgs, m_keys = p.size, 2 ** k
+    perms = np.array(list(itertools.permutations(range(n_msgs))))
+    columns, g = _column_moments(p.probs, m_keys, rho)
+    lookup = np.zeros((m_keys + 1) ** n_msgs)
+    lookup[((m_keys + 1) ** columns.astype(np.int64)).sum(axis=1)] = g
+    # code[y, i]: permutation i's preimage of cryptogram y, as one count
+    code = (m_keys + 1) ** np.argsort(perms, axis=1, kind="stable").T
+    keys = _multisets(len(perms), m_keys - 1)
+    codes = sum((code[:, col] for col in keys.T), code[:, :1])
+    moments = np.zeros(len(keys))
+    for terms in lookup[codes]:
+        moments += terms
+    first = int(np.argmax(moments >= moments.max() * (1.0 - 1e-12)))
+    witness = Cipher(CipherSpec(1, k, n_msgs), np.vstack([perms[0], perms[keys[first]]]), p)
+    return keys, moments, BruteForceResult(attack_moment(witness, p, rho), witness, len(keys))

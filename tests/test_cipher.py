@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -27,19 +28,14 @@ from guesswork import (
     spectrum,
 )
 from guesswork.cipher import (
-    _INDEX_CACHE_BYTES,
     _attack_weights,
-    _column_moments,
-    _lookup_moments,
     _multisets,
-    _permutations,
-    _table_index,
     attack_moments_for_ranks,
     validate_tables,
 )
 from guesswork.errors import NumericError, ValidationError
 from guesswork.guessing import GuessOrder
-from oracles import attack_moment_for_orders, materialize, optimal_attack
+from oracles import attack_moment_for_orders, enumerated_best_cipher, materialize, optimal_attack
 
 LN2 = math.log(2.0)
 
@@ -50,8 +46,9 @@ def pmf(*probs):
 
 class TestCipherSpec:
     def test_key_rate_exact(self):
+        # 3 ln2 / 4 nats per letter at n = 4 is exactly three key bits
+        assert keys_for_rate(4, 3 * LN2 / 4) == 3
         spec = CipherSpec(n=4, k=3, num_messages=16)
-        assert spec.key_rate == 3 * LN2 / 4
         assert spec.num_keys == 8
 
 
@@ -401,14 +398,26 @@ class TestBruteForce:
         ceiling = 2.0 ** rho * math.exp(value)
         assert result.max_moment <= ceiling + 1e-9
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        import guesswork.cipher as ci
+
         with pytest.raises(CapExceededError):
             brute_force_best_cipher(pmf(*([1.0 / 6] * 6)), 1, 1.0)
         with pytest.raises(CapExceededError):
             brute_force_best_cipher(pmf(0.5, 0.5), 3, 1.0)
-        # 6 messages and 2 key bits: C(722, 3) tables exceed the materialize cap
-        with pytest.raises(CapExceededError):
-            brute_force_best_cipher(pmf(*([1.0 / 6] * 6)), 2, 1.0, max_messages=6)
+        # 6 messages and 2 key bits: 5^6 states x 126 columns fit the cap,
+        # and the search covers C(722, 3) canonical tables
+        p = pmf(*([1.0 / 6] * 6))
+        result = brute_force_best_cipher(p, 2, 1.0, max_messages=6)
+        assert np.array_equal(result.witness.table[0], np.arange(6))
+        assert result.max_moment == attack_moment(result.witness, p, 1.0)
+        assert result.tables_searched == math.comb(722, 3)
+        # 8 messages at 2 key bits (5^8 states x 330 columns) and 12 at one
+        # (3^12 x 78) exceed 2^24 and are refused before any array is built
+        monkeypatch.setattr(ci, "_column_moments", lambda *args: pytest.fail("built"))
+        for size, k in ((8, 2), (12, 1)):
+            with pytest.raises(CapExceededError, match="states"):
+                brute_force_best_cipher(pmf(*([1.0 / size] * size)), k, 1.0, max_messages=size)
 
     def test_thread_determinism(self):
         # the search is single-threaded: repeated calls, and calls made from
@@ -426,6 +435,45 @@ class TestBruteForce:
             assert a.tables_searched == other.tables_searched == math.comb(26, 3)
 
 
+class TestPastTheOracle:
+    @pytest.mark.parametrize("size", [6, 7])
+    def test_bracket_and_witness(self, size):
+        # laws with ties and zeros (integer weights 0..3) and one without;
+        # the oracle cannot list C(6! + 2, 3) tables, so the maximum is
+        # bracketed: at least the block-XOR cipher's and 200 random tables',
+        # at most 2^rho times the saturated-cost optimum at rate k ln2
+        from guesswork import integer_bruteforce
+
+        rng = np.random.default_rng(size)
+        laws = [rng.integers(0, 4, size).astype(float) + np.eye(size)[0] for _ in range(2)]
+        laws.append(rng.dirichlet(np.ones(size)))
+        for weights in laws:
+            p = Pmf(weights / weights.sum(), tol=1e-9)
+            for k in (1, 2):
+                m_keys, rho = 2 ** k, float(rng.uniform(0.3, 2.0))
+                result = brute_force_best_cipher(p, k, rho, max_messages=size)
+                best = result.max_moment
+                assert np.array_equal(result.witness.table[0], np.arange(size))
+                assert best == attack_moment(result.witness, p, rho)
+                assert result.tables_searched == math.comb(
+                    math.factorial(size) + m_keys - 2, m_keys - 1)
+                assert best >= group_xor_moment_closed(spectrum(p), k, rho) * (1.0 - 1e-12)
+                tables = np.argsort(rng.random((200, m_keys, size)), axis=-1)
+                for table in tables:
+                    random = attack_moment(Cipher(CipherSpec(1, k, size), table, p), p, rho)
+                    assert random <= best * (1.0 + 1e-12)
+                value, _ = integer_bruteforce(p, rho, k * LN2, 1)
+                assert best <= 2.0 ** rho * math.exp(value) + 1e-9
+
+    def test_seven_messages_at_two_key_bits_within_a_second(self):
+        # C(7! + 2, 3) = 2.1e10 canonical tables, as 5^7 states x 210 columns
+        p = Pmf(np.random.default_rng(7).dirichlet(np.ones(7)))
+        start = time.perf_counter()
+        result = brute_force_best_cipher(p, 2, 1.0, max_messages=7)
+        assert time.perf_counter() - start < 1.0
+        assert result.tables_searched == math.comb(5042, 3)
+
+
 def canonical_tables(size, k):
     """(keys, table) of every canonical table: key 0 the identity, the other
     keys a non-decreasing tuple of lexicographic permutation indices."""
@@ -435,7 +483,7 @@ def canonical_tables(size, k):
 
 
 # tied laws (uniform, repeated values, zero mass) and untied ones; k = 0 and 1
-# up to five messages, k = 2 up to four (and sampled at five)
+# up to five messages, k = 2 up to four (and at five in its own test)
 LOOKUP_LAWS = [
     [0.5, 0.5], [0.7, 0.3],
     [1 / 3] * 3, [0.25, 0.25, 0.5], [0.5, 0.5, 0.0], [0.6, 0.3, 0.1],
@@ -461,19 +509,21 @@ def oracle_cases(probs):
     return cases
 
 
-def lookup_tables(probs, m_keys, rho):
-    """(keys 1..M-1, codes, moments) of every canonical table: the runs the
-    search scores one at a time, concatenated in lexicographic table order."""
-    index = _table_index(probs.size, m_keys)
-    heads, lead, suffixes, suffix_code, starts = index
-    g = _column_moments(probs, m_keys, rho)
-    keys, codes, moments = [], [], []
-    for head, start in enumerate(starts.tolist()):
-        keys.append(np.column_stack([np.repeat(heads[head:head + 1], len(suffixes) - start, axis=0),
-                                     suffixes[start:]]))
-        codes.append(suffix_code[:, start:] + lead[:, head, None])
-        moments.append(_lookup_moments(g, index, head))
-    return np.concatenate(keys), np.concatenate(codes, axis=1), np.concatenate(moments)
+def assert_matches_oracle(p, k, rho, best):
+    """The search's maximum is the oracle's ``best`` within 1e-12 relative,
+    its witness a table with key 0 the identity whose exact moment is that
+    maximum, and a second call returns the same bits."""
+    result = brute_force_best_cipher(p, k, rho)
+    table = result.witness.table
+    validate_tables(table)
+    assert np.array_equal(table[0], np.arange(p.size))
+    assert result.max_moment == attack_moment(result.witness, p, rho)
+    assert abs(result.max_moment - best) <= 1e-12 * best
+    again = brute_force_best_cipher(p, k, rho)
+    assert again.max_moment == result.max_moment
+    assert np.array_equal(again.witness.table, table)
+    assert again.tables_searched == result.tables_searched
+    return result
 
 
 class TestColumnLookup:
@@ -481,61 +531,59 @@ class TestColumnLookup:
         for n, r in ((1, 0), (3, 0), (4, 1), (5, 3), (6, 2), (3, 4)):
             expected = list(itertools.combinations_with_replacement(range(n), r))
             assert _multisets(n, r).tolist() == [list(t) for t in expected]
+        # in the narrowest dtype that holds n - 1
+        assert _multisets(120, 3).dtype == _multisets(256, 1).dtype == np.uint8
+        assert _multisets(720, 2).dtype == np.uint16
 
     @pytest.mark.parametrize("probs", LOOKUP_LAWS)
     def test_every_table_matches_attack_moment(self, probs):
+        # the oracle scores every canonical table by its columns; each score
+        # is the table's attack moment, and the search reaches the largest
         for p, k, rho, tables, oracle in oracle_cases(tuple(probs)):
-            keys, _, moments = lookup_tables(p.probs, 2 ** k, rho)
+            keys, moments, best = enumerated_best_cipher(p, k, rho)
             assert keys.tolist() == [want for want, _ in tables]
             assert np.max(np.abs(moments - oracle)) <= 1e-12
+            assert_matches_oracle(p, k, rho, best.max_moment)
         if len(probs) == 5:
-            # 295,240 tables in 120 runs of one first key: every run's first
-            # and last table, and 100 more drawn at random
+            # 295,240 tables: the first, the last and 100 drawn at random
             p = Pmf(probs, tol=1e-9)
-            keys, _, moments = lookup_tables(p.probs, 4, 1.3)
-            ends = np.cumsum(len(_table_index(5, 4)[2]) - _table_index(5, 4)[4])
-            picks = np.concatenate([ends - 1, ends[:-1], np.random.default_rng(5).integers(
-                0, len(keys), 100), [0]])
-            perms = _permutations(5)
+            keys, moments, best = enumerated_best_cipher(p, 2, 1.3)
+            picks = np.append(np.random.default_rng(5).integers(0, len(keys), 100),
+                              [0, len(keys) - 1])
+            perms = np.array(list(itertools.permutations(range(5))))
             for t in picks.tolist():
                 table = np.vstack([perms[0], perms[keys[t]]])
                 want = attack_moment(Cipher(CipherSpec(1, 2, 5), table, p), p, 1.3)
                 assert abs(moments[t] - want) <= 1e-12
+            assert_matches_oracle(p, 2, 1.3, best.max_moment)
 
     @pytest.mark.parametrize("probs", LOOKUP_LAWS)
     def test_witness_is_first_maximal_table(self, probs):
+        # the witness follows the first maximal column at each walk-back
+        # step; as a canonical table (keys 1..M-1 sorted) it is a maximal one
         for p, k, rho, tables, oracle in oracle_cases(tuple(probs)):
             first = int(np.flatnonzero(oracle >= oracle.max() * (1.0 - 1e-12))[0])
-            result = brute_force_best_cipher(p, k, rho)
-            assert np.array_equal(result.witness.table, tables[first][1])
-            assert result.max_moment == oracle[first]
+            result = assert_matches_oracle(p, k, rho, oracle[first])
             assert result.tables_searched == len(tables)
+            index = {tuple(perm): i for i, perm in enumerate(itertools.permutations(range(p.size)))}
+            keys = sorted(index[tuple(row)] for row in result.witness.table[1:].tolist())
+            position = [want for want, _ in tables].index(keys)
+            assert oracle[position] >= oracle.max() * (1.0 - 1e-12)
 
-    def test_block_size_does_not_move_the_moments(self, monkeypatch):
-        import guesswork.cipher as ci
-
-        probs = np.array([0.1, 0.45, 0.3, 0.15])
-        p = Pmf(probs)
-        # 2,600 tables fit one block: a single run
-        assert len(_table_index(4, 4)[0]) == 1
-        whole = lookup_tables(probs, 4, 1.3)
-        results = [brute_force_best_cipher(p, 2, rho) for rho in (0.5, 1.3)]
-        # a fresh cache and 97-table blocks: one run per first key
-        monkeypatch.setattr(ci, "_INDEX_CACHE", {})
-        monkeypatch.setattr(ci, "_BLOCK", 97)
-        assert len(_table_index(4, 4)[0]) == 24
-        for want, got in zip(whole, lookup_tables(probs, 4, 1.3)):
-            assert np.array_equal(got, want)
-        for rho, want in zip((0.5, 1.3), results):
-            got = brute_force_best_cipher(p, 2, rho)
-            assert got.max_moment == want.max_moment
-            assert np.array_equal(got.witness.table, want.witness.table)
-            assert got.tables_searched == want.tables_searched == 2600
+    @pytest.mark.parametrize("probs", [law for law in LOOKUP_LAWS if len(law) == 5])
+    def test_matches_oracle_at_five_messages_two_key_bits(self, probs):
+        # the largest search the oracle lists: C(122, 3) = 295,240 tables
+        p = Pmf(probs, tol=1e-9)
+        for rho in (0.5, 1.0, 1.7):
+            _, _, best = enumerated_best_cipher(p, 2, rho)
+            result = assert_matches_oracle(p, 2, rho, best.max_moment)
+            assert result.tables_searched == best.tables_searched == 295_240
 
 
 def rowwise_lookup_moments(perms, probs, m_keys, rho):
-    """(code index, moments) of the column lookup built from scratch in int64
-    and summed as rows: one (tables x cryptograms) gather per block."""
+    """Moment of every canonical table from scratch in int64, each column
+    scored by its own fsum and the columns summed as rows: one (tables x
+    cryptograms) gather per block."""
     columns = _multisets(probs.size, m_keys).astype(np.int64)
     row, _, weight, rank = _attack_weights(columns, probs)
     terms = (weight / m_keys * rank ** rho).tolist()
@@ -548,7 +596,7 @@ def rowwise_lookup_moments(perms, probs, m_keys, rho):
     block = 1 << 16
     index = np.concatenate([sum((code[col] for col in keys[lo:lo + block].T), code[:1])
                             for lo in range(0, len(keys), block)])
-    return index, g[index].sum(axis=1)
+    return g[index].sum(axis=1)
 
 
 class TestColumnAccumulation:
@@ -561,50 +609,18 @@ class TestColumnAccumulation:
         for probs in laws:
             for k in (0, 1, 2):
                 rho = float(rng.uniform(0.3, 2.5))
-                keys, codes, moments = lookup_tables(probs, 2 ** k, rho)
-                index, want = rowwise_lookup_moments(perms, probs, 2 ** k, rho)
-                # the runs hold the independently built codes in lexicographic
-                # order, and the moments and witness read off them are the
-                # row sums' bits
+                p = Pmf(probs, tol=1e-9)
+                keys, moments, best = enumerated_best_cipher(p, k, rho)
+                # the oracle lists the canonical tables in lexicographic order,
+                # and its moments are the independently built row sums' bits
                 assert np.array_equal(keys, _multisets(len(perms), 2 ** k - 1))
-                assert np.array_equal(codes.T, index)
-                assert np.array_equal(moments, want)
-                first = int(np.argmax(want >= want.max() * (1.0 - 1e-12)))
-                witness = brute_force_best_cipher(Pmf(probs, tol=1e-9), k, rho).witness
-                assert np.array_equal(witness.table[1:], perms[keys[first]])
-
-    def test_key_multisets_are_cached_narrow_and_read_only(self):
-        index = _table_index(5, 4)
-        assert all(again is array for again, array in zip(_table_index(5, 4), index))
-        heads, lead, suffixes, suffix_code, starts = index
-        assert heads.dtype == suffixes.dtype == np.uint8
-        assert lead.dtype == suffix_code.dtype == np.uint16
-        # 120 first keys and 7,260 two-key suffixes for 295,240 tables
-        assert np.array_equal(heads, _multisets(120, 1))
-        assert np.array_equal(suffixes, _multisets(120, 2))
-        assert sum(array.nbytes for array in index) <= 100_000 <= _INDEX_CACHE_BYTES
-        for array in index:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 1
-        # the codes built independently in int64: the identity's plus the
-        # first key's, and the two suffix keys'
-        code = 5 ** np.argsort(_permutations(5), axis=1, kind="stable").T.astype(np.int64)
-        assert np.array_equal(lead, code[:, :1] + code)
-        assert np.array_equal(suffix_code, code[:, suffixes[:, 0]] + code[:, suffixes[:, 1]])
-        assert starts.tolist() == [sum(range(121 - head, 121)) for head in range(120)]
-        # a search of at most 2^16 tables is one run with every key in the suffix
-        heads, _, suffixes, _, starts = _table_index(4, 4)
-        assert heads.shape == (1, 0) and starts.tolist() == [0]
-        assert np.array_equal(suffixes, _multisets(24, 3)) and suffixes.dtype == np.uint8
-        assert _multisets(120, 3).dtype == np.uint8
-        assert _table_index(6, 2)[2].dtype == np.uint16
-        assert np.array_equal(_permutations(4), list(itertools.permutations(range(4))))
+                assert np.array_equal(moments, rowwise_lookup_moments(perms, probs, 2 ** k, rho))
+                assert_matches_oracle(p, k, rho, best.max_moment)
 
     def test_largest_search_in_bounded_memory(self):
         # the search over C(122, 3) tables of 5 messages and 4 keys raises
-        # the peak resident set by under 2 MB: it holds one run of 7,260
-        # tables at a time, not an index of all 295,240
+        # the peak resident set by under 2 MB: its knapsack holds 5^5 states
+        # and 70 columns, and no table is listed
         growth = child_peak_growth_kb(
             ["from guesswork import Pmf, brute_force_best_cipher",
              "brute_force_best_cipher(Pmf([0.5, 0.3, 0.2]), 1, 1.0)"],

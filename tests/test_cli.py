@@ -588,6 +588,10 @@ FAILURES = [
     # 1,443 key bits: a key count past the float range is refused before 2^k is formed
     _case("simulate", _cfg(R=[50.0], n=[20]), 3, "numeric error", id="simulate-2^1443-keys"),
     _case("simulate", _cfg(R=[1e308]), 3, "numeric error", id="simulate-nR-overflows"),
+    # a raised message cap admits 8 strings (n = 3) at k = 2 key bits, but the
+    # knapsack's 5^8 states x 330 columns exceed 2^24
+    _case("simulate", _cfg(n=[3], R=[0.4], caps={"brute_force_messages": 8}), 4,
+          "cap exceeded", id="simulate-brute-force-8-messages"),
     # without init the stationary law is solved before the chain is checked
     _case("exponent", _cfg(), 2, "config error",
           model={"kind": "markov", "transition": [[math.nan, 1.0], [1.0, 0.0]]},

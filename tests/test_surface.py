@@ -2,7 +2,9 @@
 
 A function that no module of ``guesswork`` reads is a second path or a
 test oracle; oracles live in ``tests/oracles.py``.  The same holds for
-the public methods and static methods of an exported class.
+the public methods, properties and static methods of an exported class.
+The package runs no threads, so no module imports a thread or executor
+library.
 """
 
 import ast
@@ -41,17 +43,28 @@ def test_every_export_has_an_in_package_reader():
 
 
 def test_every_public_method_of_an_export_has_an_in_package_reader():
-    # a method is read as an attribute: ``order.sequence()``
+    # a method or property is read as an attribute: ``order.sequence()``,
+    # ``spec.num_keys``
     exports, methods, read = _exports(), set(), set()
     for tree in _modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name in exports:
                 methods |= {f"{node.name}.{item.name}" for item in node.body
                             if isinstance(item, ast.FunctionDef)
-                            and not item.name.startswith("_")
-                            and not any(isinstance(d, ast.Name) and d.id == "property"
-                                        for d in item.decorator_list)}
+                            and not item.name.startswith("_")}
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert methods, "no public method found: the scan is broken"
     assert {m for m in methods if m.split(".")[1] not in read} == set()
+
+
+def test_no_module_imports_threads():
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported, "no import found: the scan is broken"
+    assert imported & {"threading", "concurrent", "_thread"} == set()
