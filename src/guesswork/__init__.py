@@ -10,7 +10,6 @@ from .cipher import (
     AchievedExponent,
     BruteForceResult,
     Cipher,
-    CipherSpec,
     attack_moment,
     build_group_xor_cipher,
     brute_force_best_cipher,
@@ -46,7 +45,6 @@ from .guessing import (
     interleave,
     kraft_sum,
     lengths_from_order,
-    moment,
     order_from_lengths,
     saturated_moment,
 )

@@ -23,43 +23,26 @@ LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True, eq=False)
-class CipherSpec:
-    """Block parameters: message length n, key bits k, padded message count."""
-
-    n: int
-    k: int
-    num_messages: int
-
-    def __post_init__(self):
-        if self.n < 1 or self.k < 0 or self.num_messages < 1:
-            raise ValidationError("need n >= 1, k >= 0, and at least one message")
-
-    @property
-    def num_keys(self) -> int:
-        return 2 ** self.k
-
-
-@dataclass(frozen=True, eq=False)
 class Cipher:
-    """An invertible-per-key encryption table over a fixed message set.
+    """A cipher: 2^k keys, each an invertible encryption of the messages.
 
-    ``table[u, m]`` is the cryptogram for message m under key u; each row is
-    a permutation.  ``pmf`` is the message distribution in this cipher's
+    ``table[u, m]`` is the cryptogram for message m under key u, so the
+    table's rows are the keys and its columns the messages; each row is a
+    permutation.  ``pmf`` is the message distribution in this cipher's
     index space (for the group-XOR construction: sorted descending, padded
-    with zero-probability dummies).
+    with zero-probability dummies).  A table without 2^k rows, one column
+    per message of ``pmf`` and a bijection in every row is refused.
     """
 
-    spec: CipherSpec
     table: np.ndarray
     pmf: Pmf
 
     def __post_init__(self):
         tbl = np.array(self.table, dtype=int)
-        if tbl.shape != (self.spec.num_keys, self.spec.num_messages):
-            raise ValidationError("table must be (num_keys x num_messages)")
+        keys = len(tbl) if tbl.ndim == 2 else 0
+        if keys < 1 or keys & (keys - 1) or tbl.shape[1] != self.pmf.size:
+            raise ValidationError("table must be (2^k keys x the law's messages)")
         validate_tables(tbl)
-        if self.pmf.size != self.spec.num_messages:
-            raise ValidationError("message distribution must cover the message set")
         tbl.setflags(write=False)
         object.__setattr__(self, "table", tbl)
 
@@ -74,37 +57,25 @@ def validate_tables(tables: np.ndarray) -> None:
         raise ValidationError(f"{where}key {key} does not act as a bijection")
 
 
-def sorted_padded_pmf(p: Pmf, num_keys: int) -> Pmf:
-    """Probabilities sorted descending and zero-padded to a multiple of num_keys."""
-    ordered = p.probs[sort_desc(p)]
-    n_padded = -(-p.size // num_keys) * num_keys
-    out = np.zeros(n_padded)
-    out[: p.size] = ordered
-    return Pmf(out, tol=1e-9)
-
-
-def build_group_xor_cipher(p: Pmf, k: int, n: int = 1) -> Cipher:
+def build_group_xor_cipher(p: Pmf, k: int) -> Cipher:
     """Blockwise XOR cipher over messages re-indexed in decreasing probability.
 
-    Messages are padded with zero-probability dummies to a multiple of
-    M = 2^k, grouped into consecutive blocks of M, and the low k bits are
-    XORed with the key inside each block.  The M x padded-count table is
-    bounded by the materialize cap.
+    Messages are sorted descending and padded with zero-probability dummies
+    to a multiple of M = 2^k, grouped into consecutive blocks of M, and the
+    low k bits are XORed with the key inside each block.  The M x
+    padded-count table is bounded by the materialize cap.
     """
     if k < 0:
         raise ValidationError("key bits must be nonnegative")
     m = 2 ** min(k, DEFAULT_MATERIALIZE_CAP.bit_length())
-    if m * (-(-p.size // m) * m) > DEFAULT_MATERIALIZE_CAP:
+    n_msgs = -(-p.size // m) * m
+    if m * n_msgs > DEFAULT_MATERIALIZE_CAP:
         raise CapExceededError(f"a 2^{k}-key table over {p.size} messages exceeds the cap")
-    padded = sorted_padded_pmf(p, m)
-    n_msgs = padded.size
-    idx = np.arange(n_msgs)
-    groups = idx // m
-    within = idx % m
-    table = np.empty((m, n_msgs), dtype=int)
-    for u in range(m):
-        table[u] = groups * m + (within ^ u)
-    return Cipher(CipherSpec(n, k, n_msgs), table, padded)
+    padded = np.zeros(n_msgs)
+    padded[: p.size] = p.probs[sort_desc(p)]
+    # key u < M flips only the low k bits, so u ^ i stays in the block of i
+    table = np.arange(m)[:, None] ^ np.arange(n_msgs)
+    return Cipher(table, Pmf(padded, tol=1e-9))
 
 
 def _attack_weights(cols: np.ndarray, probs: np.ndarray):
@@ -126,19 +97,19 @@ def _attack_weights(cols: np.ndarray, probs: np.ndarray):
     return row, msg, weight, np.arange(row.size) - np.searchsorted(row, row) + 1
 
 
-def attack_moment(cipher: Cipher, p: Pmf, rho: float) -> float:
+def attack_moment(cipher: Cipher, rho: float) -> float:
     """E[(number of guesses)^rho] for the optimal posterior-order attack.
 
-    Exact sum over the joint law of message and cryptogram with the key
-    uniform over 2^k values.  Each cryptogram has at most 2^k preimages, so
-    the work and memory are O(N 2^k), not N^2.
+    Exact sum over the joint law of message, drawn from ``cipher.pmf``, and
+    cryptogram with the key uniform over the table's 2^k rows.  Each
+    cryptogram has at most 2^k preimages, so the work and memory are
+    O(N 2^k), not N^2.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
-    if p.size != cipher.spec.num_messages:
-        raise ValidationError("distribution must cover the cipher's message set")
-    m_keys = cipher.spec.num_keys
-    _, _, weight, rank = _attack_weights(np.argsort(cipher.table, axis=1, kind="stable").T, p.probs)
+    m_keys = len(cipher.table)
+    _, _, weight, rank = _attack_weights(np.argsort(cipher.table, axis=1, kind="stable").T,
+                                         cipher.pmf.probs)
     return math.fsum((weight / m_keys * rank ** rho).tolist())
 
 
@@ -216,7 +187,8 @@ def _power_sums(rho: float, upto: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BruteForceResult:
-    """The best attack moment over ciphers, a table that attains it, and
+    """The best attack moment over ciphers, a cipher that attains it (its
+    table with key 0 the identity, its law the searched one), and
     C(N! + M - 2, M - 1), the canonical tables (key 0 the identity, the
     other M - 1 keys a multiset of the N! permutations) the search covers."""
 
@@ -280,8 +252,8 @@ def _perfect_matchings(graph: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5,
-                            max_keys: int = 2) -> BruteForceResult:
+def brute_force_best_cipher(p: Pmf, k: int, rho: float,
+                            cap: int = DEFAULT_MATERIALIZE_CAP) -> BruteForceResult:
     """Exact maximum of the attack moment over permutation-table ciphers.
 
     The cryptogram alphabet is fixed to the message set, so a cipher is M
@@ -298,20 +270,17 @@ def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5
     its first maximal column in :func:`_multisets` order, and the witness
     walks back from the full state (M, ..., M) through these, then is
     relabelled so that key 0 is the identity; ``max_moment`` is the
-    witness's exact ``attack_moment``.  The states times the columns are
-    bounded by the materialize cap.
+    witness's exact ``attack_moment``.  The one limit is ``cap`` on the
+    states times the columns, (M + 1)^N C(N + M - 1, M); a larger search
+    raises :class:`CapExceededError` before any array is built.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
     n_msgs = p.size
-    if n_msgs > max_messages or k > max_keys:
-        raise CapExceededError(
-            f"brute force limited to {max_messages} messages and {max_keys} key bits"
-        )
     m_keys = 2 ** k
     base = m_keys + 1
     n_states, n_columns = base ** n_msgs, math.comb(n_msgs + m_keys - 1, m_keys)
-    if n_states * n_columns > DEFAULT_MATERIALIZE_CAP:
+    if n_states * n_columns > cap:
         raise CapExceededError(
             f"brute force over {n_states} states x {n_columns} columns exceeds the cap")
     columns, g = _column_moments(p.probs, m_keys, rho)
@@ -340,23 +309,22 @@ def brute_force_best_cipher(p: Pmf, k: int, rho: float, *, max_messages: int = 5
         state -= codes[choice[state]]
     table = _perfect_matchings(counts[chosen])
     table = np.argsort(table[0])[table]
-    witness = Cipher(CipherSpec(1, k, n_msgs), table, p)
+    witness = Cipher(table, p)
     tables = math.comb(math.factorial(n_msgs) + m_keys - 2, m_keys - 1)
-    return BruteForceResult(attack_moment(witness, p, rho), witness, tables)
+    return BruteForceResult(attack_moment(witness, rho), witness, tables)
 
 
 @dataclass(frozen=True, eq=False)
 class AchievedExponent:
-    """Normalized log attack moment of the group-XOR cipher, with its constants."""
+    """Normalized log attack moment of the group-XOR cipher, its key and
+    padded message counts, and H_N of the padded count."""
 
     exponent: float
     moment: float
-    n: int
     k: int
     num_keys: int
     num_messages: int
     harmonic: float
-    floor_constant: float
 
 
 def keys_for_rate(n: int, key_rate: float) -> int:
@@ -378,11 +346,11 @@ def guessing_exponent_achieved(law: Spectrum, n: int, rho: float,
     """Exponent achieved by the group-XOR cipher on the spectrum ``law`` of an n-letter law.
 
     The key has ``keys_for_rate(n, key_rate)`` bits.  A certified lower
-    bound on the best attainable finite-n exponent; the reported floor
-    constant 1/((2 H_N)^rho (2 + rho)) ties it to the saturated-cost
-    compression optimum, with H_N the harmonic number of the padded
-    message count.  A moment or constant beyond the float range raises
-    :class:`NumericError`, and so does a key of 1024 bits or more.
+    bound on the best attainable finite-n exponent; ``harmonic``, H_N of
+    the padded message count, ties it to the saturated-cost compression
+    optimum within ln((4 H_N)^rho (2 + rho)) / n.  A moment beyond the
+    float range raises :class:`NumericError`, and so does a key of 1024
+    bits or more.
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
@@ -390,18 +358,11 @@ def guessing_exponent_achieved(law: Spectrum, n: int, rho: float,
     m = 2 ** k
     n_padded = -(-law.size // m) * m
     value = group_xor_moment_closed(law, k, rho)
-    c = harmonic_number(n_padded)
-    try:
-        floor = 1.0 / ((2.0 * c) ** rho * (2.0 + rho))
-    except OverflowError:
-        raise NumericError(f"the floor constant (2 H_N)^rho overflows at rho={rho:g}") from None
     return AchievedExponent(
         exponent=math.log(value) / n,
         moment=value,
-        n=n,
         k=k,
         num_keys=m,
         num_messages=n_padded,
-        harmonic=c,
-        floor_constant=floor,
+        harmonic=harmonic_number(n_padded),
     )

@@ -324,11 +324,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             # the attack moment does not depend on message labels: the
             # strings in descending order stand for the n-letter law
             p_n = so.Pmf(np.repeat(law.values, law.counts), tol=so.PRODUCT_TOL)
-            result = ci.brute_force_best_cipher(
-                p_n, achieved.k, rho,
-                max_messages=cfg.brute_force_messages,
-                max_keys=cfg.brute_force_keys,
-            )
+            result = ci.brute_force_best_cipher(p_n, achieved.k, rho, cfg.materialize_cap)
             bf_exp = math.log(result.max_moment) / n
             lo, hi = sorted((achieved.exponent, bf_exp))
             out += [result.max_moment, bf_exp, lo, hi, hi - lo]

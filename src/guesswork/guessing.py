@@ -1,4 +1,4 @@
-"""Guessing orders, Kraft-feasible bit-length functions, and exact moments.
+"""Guessing orders, Kraft-feasible bit-length functions, and the saturated moment.
 
 A guessing order and a length function are two views of the same attack
 resource: sorting by ascending length gives an order whose rank never
@@ -162,16 +162,6 @@ def interleave(order_a: GuessOrder, list_b) -> GuessOrder:
                 break
             take_a = True
     return GuessOrder(rank)
-
-
-def moment(order: GuessOrder, p: Pmf, rho: float) -> float:
-    """E[rank^rho] under ``p``, summed in fixed index order."""
-    if order.size != p.size:
-        raise ValidationError("order and distribution must share one index set")
-    if rho <= 0.0:
-        raise ValidationError("moment exponent must be positive")
-    ranks = order.rank.astype(float)
-    return math.fsum((px * r ** rho for px, r in zip(p.probs.tolist(), ranks.tolist())))
 
 
 def log_saturated_moment(lf: LengthFunction, p: Pmf, rho: float, n: int, key_rate: float) -> float:

@@ -151,7 +151,7 @@ def check_group_xor_closed_form(seed: int = 0) -> CheckResult:
         rho = float(rng.uniform(0.2, 2.5))
         p = _random_pmf(rng, size)
         cipher = ci.build_group_xor_cipher(p, k)
-        exact = ci.attack_moment(cipher, cipher.pmf, rho)
+        exact = ci.attack_moment(cipher, rho)
         closed = ci.group_xor_moment_closed(so.spectrum(p), k, rho)
         worst = max(worst, abs(exact - closed))
     return CheckResult("group-xor-closed-form", worst <= 1e-12,
@@ -243,7 +243,7 @@ def check_attack_floor(seed: int = 0) -> CheckResult:
         key_rate = float(rng.uniform(0.05, 2.7))
         k = ci.keys_for_rate(n, key_rate)
         p = _random_pmf(rng, size)
-        cipher = ci.build_group_xor_cipher(p, k, n=n)
+        cipher = ci.build_group_xor_cipher(p, k)
         padded = cipher.pmf
         moment = ci.group_xor_moment_closed(so.spectrum(p), k, rho)
         desc = gu.GuessOrder(np.arange(1, padded.size + 1))

@@ -6,9 +6,9 @@ quantity: the dense n-letter law, string by string, whose spectrum
 :func:`guesswork.n_letter_spectrum` builds run by run; a tilt and a
 divergence for the twisted chain and the variational identity, the Rényi
 rate as P(theta)/theta, the top-set terms and the two-block split value
-read off :func:`guesswork.top_set`, the convex conjugate, the
-posterior attack with its moment under any guessing orders, and the best
-cipher by enumerating its canonical tables.
+read off :func:`guesswork.top_set`, the convex conjugate, the moment of
+a guessing order, the posterior attack with its moment under any guessing
+orders, and the best cipher by enumerating its canonical tables.
 """
 
 import itertools
@@ -20,7 +20,6 @@ from guesswork import (
     BruteForceResult,
     CapExceededError,
     Cipher,
-    CipherSpec,
     ExplicitSource,
     GuessOrder,
     Pmf,
@@ -227,19 +226,32 @@ def saturation_split_value(law, n: int, rho: float, key_rate: float) -> float:
     return log_campbell
 
 
+# -- guessing -----------------------------------------------------------
+
+
+def moment(order: GuessOrder, p: Pmf, rho: float) -> float:
+    """E[rank^rho] under ``p``, summed in fixed index order."""
+    if order.size != p.size:
+        raise ValidationError("order and distribution must share one index set")
+    if rho <= 0.0:
+        raise ValidationError("moment exponent must be positive")
+    ranks = order.rank.astype(float)
+    return math.fsum((px * r ** rho for px, r in zip(p.probs.tolist(), ranks.tolist())))
+
+
 # -- cipher -------------------------------------------------------------
 
 
-def optimal_attack(cipher, p: Pmf, y: int) -> GuessOrder:
+def optimal_attack(cipher, y: int) -> GuessOrder:
     """Guess in decreasing posterior order given cryptogram ``y``.
 
-    The posterior of message m is proportional to p(m) times the number of
-    keys sending m to y.  Ties break by ascending index, which also places
-    all zero-posterior messages last in ascending order.
+    The posterior of message m is proportional to p(m), from
+    ``cipher.pmf``, times the number of keys sending m to y.  Ties break
+    by ascending index, which also places all zero-posterior messages last
+    in ascending order.
     """
-    if p.size != cipher.spec.num_messages:
-        raise ValidationError("distribution must cover the cipher's message set")
-    if not 0 <= y < cipher.spec.num_messages:
+    p = cipher.pmf
+    if not 0 <= y < p.size:
         raise ValidationError("cryptogram index out of range")
     counts = (cipher.table == y).sum(axis=0)
     posterior = p.probs * counts
@@ -249,13 +261,13 @@ def optimal_attack(cipher, p: Pmf, y: int) -> GuessOrder:
     return GuessOrder(rank)
 
 
-def attack_moment_for_orders(cipher, p: Pmf, rho: float, orders) -> float:
+def attack_moment_for_orders(cipher, rho: float, orders) -> float:
     """Moment when the attacker uses a caller-supplied order per cryptogram.
 
     The one-table case of :func:`guesswork.cipher.attack_moments_for_ranks`.
     """
     ranks = np.array([order.rank for order in orders])
-    return float(attack_moments_for_ranks(cipher.table, p, rho, ranks))
+    return float(attack_moments_for_ranks(cipher.table, cipher.pmf, rho, ranks))
 
 
 def enumerated_best_cipher(p: Pmf, k: int, rho: float) -> tuple:
@@ -284,5 +296,5 @@ def enumerated_best_cipher(p: Pmf, k: int, rho: float) -> tuple:
     for terms in lookup[codes]:
         moments += terms
     first = int(np.argmax(moments >= moments.max() * (1.0 - 1e-12)))
-    witness = Cipher(CipherSpec(1, k, n_msgs), np.vstack([perms[0], perms[keys[first]]]), p)
-    return keys, moments, BruteForceResult(attack_moment(witness, p, rho), witness, len(keys))
+    witness = Cipher(np.vstack([perms[0], perms[keys[first]]]), p)
+    return keys, moments, BruteForceResult(attack_moment(witness, rho), witness, len(keys))

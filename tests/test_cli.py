@@ -583,8 +583,10 @@ FAILURES = [
     _case("verify", None, 2, "config error", extra=("--threads", "0"), id="verify-threads-0"),
     _case("verify", None, 2, "config error", extra=("--seed", "-1"), id="verify-seed-negative"),
     _case("simulate", _cfg(rho=[1e300]), 3, "numeric error", id="simulate-rho-1e300"),
-    # the moment and the floor constant fit a float; (4 H_N)^rho does not
+    # the moment fits a float; (4 H_N)^rho does not
     _case("simulate", _cfg(rho=[500.0], n=[1]), 3, "numeric error", id="simulate-gap-bound"),
+    # (2 H_N)^rho overflows too, and with it the gap bound
+    _case("simulate", _cfg(rho=[700.0], n=[1]), 3, "numeric error", id="simulate-rho-700"),
     # 1,443 key bits: a key count past the float range is refused before 2^k is formed
     _case("simulate", _cfg(R=[50.0], n=[20]), 3, "numeric error", id="simulate-2^1443-keys"),
     _case("simulate", _cfg(R=[1e308]), 3, "numeric error", id="simulate-nR-overflows"),
@@ -592,6 +594,10 @@ FAILURES = [
     # knapsack's 5^8 states x 330 columns exceed 2^24
     _case("simulate", _cfg(n=[3], R=[0.4], caps={"brute_force_messages": 8}), 4,
           "cap exceeded", id="simulate-brute-force-8-messages"),
+    # caps.materialize also bounds the search: 4 strings at k = 2 key bits are
+    # 5^4 states x 35 columns, 21,875 > 1,000
+    _case("simulate", _cfg(R=[0.6], caps={"materialize": 1000}), 4, "cap exceeded",
+          id="simulate-brute-force-materialize-cap"),
     # without init the stationary law is solved before the chain is checked
     _case("exponent", _cfg(), 2, "config error",
           model={"kind": "markov", "transition": [[math.nan, 1.0], [1.0, 0.0]]},

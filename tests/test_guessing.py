@@ -15,10 +15,10 @@ from guesswork import (
     interleave,
     kraft_sum,
     lengths_from_order,
-    moment,
     order_from_lengths,
     saturated_moment,
 )
+from oracles import moment
 
 LN2 = math.log(2.0)
 
