@@ -287,15 +287,18 @@ def brute_force_best_cipher(p: Pmf, k: int, rho: float,
     place = base ** np.arange(n_msgs)
     counts = (columns[:, :, None] == np.arange(n_msgs)).sum(axis=1)
     codes = counts @ place
-    digits = np.arange(n_states)[:, None] // place % base
-    level = digits.sum(axis=1)
+    # digit sum of every state, one digit at a time (the sum is symmetric in
+    # the digits, so their order does not matter)
+    level = np.array([0])
+    for _ in range(n_msgs):
+        level = (level[:, None] + np.arange(base)).ravel()
     best = np.zeros(n_states)
     choice = np.zeros(n_states, dtype=np.intp)
     for total in range(m_keys, n_msgs * m_keys + 1, m_keys):
         states = np.flatnonzero(level == total)
         fits = np.ones((states.size, n_columns), dtype=bool)
         for m in range(n_msgs):
-            fits &= digits[states, m, None] >= counts[:, m]
+            fits &= (states // place[m] % base)[:, None] >= counts[:, m]
         # a column that does not fit leaves a code in (-n_states, n_states),
         # an index that reads some state's value, masked out below
         score = best[states[:, None] - codes]

@@ -31,6 +31,7 @@ from .cipher import _multisets
 from .optimize import bracketed_roots
 from .sources import (
     DEFAULT_MATERIALIZE_CAP,
+    PRESSURE_CHUNK,
     IidSource,
     MarkovSource,
     Pmf,
@@ -306,24 +307,25 @@ def variational_identity_checks(probs, support, thetas, seeds,
     _IDENTITY_ROWS rows, each sum carried in extended precision.  The
     excess is the largest amount by which ``num_random`` random
     distributions on the row's support exceed the left side (analytically
-    never positive).  Every row's probes are drawn into one reused buffer,
-    so memory does not grow with the number of rows.
+    never positive).  Each row's probes are drawn from its own generator a
+    chunk of rows at a time into one fixed pair of buffers of
+    PRESSURE_CHUNK floats in all (or of one probe each, on a wider
+    support), so the probes' memory grows with neither the rows nor
+    ``num_random``.
     """
     probs, support = np.asarray(probs, dtype=float), np.asarray(support, dtype=bool)
     thetas = np.asarray(thetas, dtype=float)
     if not np.all(np.isfinite(thetas) & (thetas >= 0.0)):
         raise ValidationError("theta must be finite and nonnegative")
     gaps, excess = np.empty(len(probs)), np.empty(len(probs))
-    draws, logs = np.empty((2, num_random * probs.shape[1]))
+    buffers = np.empty((2, max(PRESSURE_CHUNK // 2, probs.shape[1])))
     for lo in range(0, len(probs), _IDENTITY_ROWS):
         rows = slice(lo, lo + _IDENTITY_ROWS)
         gaps[rows], lhs = _tilted_gaps(probs[rows], support[rows], thetas[rows])
         for i, side in enumerate(lhs.tolist(), lo):
-            sub = probs[i][support[i]]
-            g = draws[:num_random * sub.size].reshape(num_random, sub.size)
-            log_g = logs[:g.size].reshape(g.shape)
-            np.random.default_rng(seeds[i]).standard_exponential(out=g)
-            excess[i] = _probe_excess(sub, float(thetas[i]), side, g, log_g)
+            rng = np.random.default_rng(seeds[i])
+            excess[i] = _probe_excess(probs[i][support[i]], float(thetas[i]), side,
+                                      num_random, rng, buffers)
     return gaps, excess
 
 
@@ -350,28 +352,39 @@ def _exact_row_sums(terms: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1, dtype=np.longdouble).astype(float)
 
 
-def _probe_excess(sub: np.ndarray, theta: float, lhs: float, g: np.ndarray,
-                  log_g: np.ndarray) -> float:
+def _probe_excess(sub: np.ndarray, theta: float, lhs: float, num_random: int,
+                  rng: np.random.Generator, buffers: np.ndarray) -> float:
     """Largest of theta H(nu) - D(nu||p) - lhs over Dirichlet(1) probes nu on
     a support where p takes the values ``sub``.
 
-    The probes are the ones ``dirichlet`` draws from the row's seed: the
-    standard exponentials ``g``, one probe per row, normalized by
-    S = sum g.  So nu . ln p - (1+theta) sum nu ln nu is
+    The probes are the ones ``dirichlet`` draws from ``rng``: the standard
+    exponentials g, one probe per row, normalized by S = sum g.  So
+    nu . ln p - (1+theta) sum nu ln nu is
     (g . ln p - (1+theta)(sum g ln g - S ln S)) / S, with 0 ln 0 = 0, and
-    no normalized copy is formed.  ``log_g`` is a work buffer of g's shape.
+    no normalized copy is formed.  g and ln g take the two rows of
+    ``buffers`` a chunk of probes at a time, in draw order; the weights
+    [ln p, 1] and the support's zero-mass letters are found once.
     """
     positive = sub > 0.0
-    # g . ln p and S from one product; ln g in place, finite where g is 0
-    dot, total = (g @ np.stack([np.log(np.where(positive, sub, 1.0)), np.ones(sub.size)], 1)).T
-    np.maximum(g, 1e-300, out=log_g)
-    np.log(log_g, out=log_g)
-    probes = (dot - (1.0 + theta) * (np.einsum("ij,ij->i", g, log_g) - total * np.log(total))
-              ) / total
-    if not positive.all():
-        # a probe with mass where p has none has divergence +inf
-        probes[np.any(g[:, ~positive] > 0.0, axis=1)] = -math.inf
-    return float((probes - lhs).max())
+    zero = np.flatnonzero(~positive)
+    weights = np.ones((sub.size, 2))
+    weights[:, 0] = np.log(np.where(positive, sub, 1.0))
+    step = buffers.shape[1] // sub.size
+    worst = -math.inf
+    for lo in range(0, num_random, step):
+        g, log_g = buffers[:, :min(step, num_random - lo) * sub.size].reshape(2, -1, sub.size)
+        rng.standard_exponential(out=g)
+        # g . ln p and S from one product; ln g in place, finite where g is 0
+        dot, total = (g @ weights).T
+        np.maximum(g, 1e-300, out=log_g)
+        np.log(log_g, out=log_g)
+        probes = (dot - (1.0 + theta) * (np.einsum("ij,ij->i", g, log_g)
+                                         - total * np.log(total))) / total
+        if zero.size:
+            # a probe with mass where p has none has divergence +inf
+            probes[np.any(g[:, zero] > 0.0, axis=1)] = -math.inf
+        worst = np.maximum(worst, probes.max())  # keeps a nan
+    return float(worst - lhs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,8 +57,8 @@ class Pmf:
         if np.any(arr < 0.0):
             raise ValidationError("PMF entries must be nonnegative")
         # one fsum fed slice by slice: never a Python float per entry at once
-        _require_unit_sum((x for i in range(0, arr.size, PRESSURE_CHUNK)
-                           for x in arr[i:i + PRESSURE_CHUNK].tolist()), tol)
+        _require_unit_sum(itertools.chain.from_iterable(
+            arr[i:i + PRESSURE_CHUNK].tolist() for i in range(0, arr.size, PRESSURE_CHUNK)), tol)
         arr.setflags(write=False)
         self.probs = arr
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -648,16 +649,32 @@ class TestColumnAccumulation:
             "brute_force_best_cipher(Pmf([0.3, 0.25, 0.2, 0.15, 0.1]), 2, 1.0)")
         assert growth < 2 * 1024
 
+    def test_knapsack_holds_no_digit_table(self):
+        # 11 messages at k = 1 is 3^11 states x 66 columns, under the default
+        # cap: the per-level (states x columns) arrays peak near 42 MB, where
+        # a (states x messages) int64 digit table and its temporaries took
+        # the search to 57 MB
+        p = Pmf(np.random.default_rng(3).dirichlet(np.ones(11)), tol=1e-9)
+        tracemalloc.start()
+        try:
+            brute_force_best_cipher(p, 1, 1.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2 ** 20
+
     def test_tilted_identity_in_bounded_memory(self):
         # after the Renyi check, whose instances are of the same kind, the
         # 1,000 tilted-identity instances with 1,000 probes each raise the
-        # peak resident set by under 2.5 MB: rows go in blocks of 64 and
-        # the probes into one reused buffer
+        # peak resident set by under 1.25 MB (about 0.5 MB measured, 2 MB
+        # when the 1,000 rows and a row's 64,000 probe floats were held):
+        # instances are drawn and checked 64 at a time, and the probes go
+        # through a fixed pair of buffers of 2^15 floats each
         growth = child_peak_growth_kb(
             ["from guesswork.verify import check_renyi_variational, check_tilted_identity",
              "check_renyi_variational(0)"],
             "check_tilted_identity(0)")
-        assert growth < 2.5 * 1024
+        assert growth < 1.25 * 1024
 
 
 def child_peak_growth_kb(setup, measured):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from guesswork.sources import chain_source, power_form
 from guesswork.verify import (
     _random_pmf,
     _rng,
-    _tilted_instances,
+    _tilted_blocks,
     check_markov_dual,
     check_renyi_variational,
     check_tilted_identity,
@@ -1124,7 +1125,10 @@ class TestBatchedVariationalIdentity:
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     def test_matches_per_instance_loop(self, seed):
         want_gap, want_excess, lhs = per_instance_tilted_check(seed)
-        probs, mask, thetas, seeds = _tilted_instances(seed)
+        # the 1,000 rows joined from the check's blocks; a support of more
+        # than 32 letters takes its 1,000 probes in more than one chunk
+        probs, mask, thetas, seeds = (np.concatenate(part) for part in zip(*_tilted_blocks(seed)))
+        assert probs.shape == (1000, 64) and mask.sum(axis=1).max() > 32
         gap, excess = variational_identity_checks(probs, mask, thetas, seeds, 1000)
         assert abs(gap.max() - want_gap.max()) <= 1e-14
         assert abs(excess.max() - want_excess.max()) <= 1e-14
@@ -1133,6 +1137,19 @@ class TestBatchedVariationalIdentity:
         assert np.all(np.abs(excess - want_excess) <= 1e-14 * np.maximum(1.0, np.abs(lhs)))
         passed = want_gap.max() <= 1e-9 and want_excess.max() <= 1e-12
         assert check_tilted_identity(seed).passed == passed
+
+    def test_tilted_check_in_bounded_memory(self):
+        # one block of 64 instances and a probe buffer of 2^15 floats in each
+        # of g and ln g: 0.81 MB of traced peak, where holding the 1,000 rows
+        # and a row's 1,000 x 64 probes took 1.84 MB
+        check_tilted_identity(0)  # first-call allocations (generators, ufunc loops)
+        tracemalloc.start()
+        try:
+            check_tilted_identity(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * 1024
 
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     def test_renyi_check_matches_per_instance_loop(self, seed):
