@@ -10,6 +10,7 @@ block in probability order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +98,24 @@ def _attack_weights(cols: np.ndarray, probs: np.ndarray):
     return row, msg, weight, np.arange(row.size) - np.searchsorted(row, row) + 1
 
 
+def column_terms(cols: np.ndarray, probs: np.ndarray, rho: float, ranks=None) -> list:
+    """The attack moment's terms of each cryptogram column, one list per row of ``cols``.
+
+    Row y of ``cols`` lists the message each of the M keys sends to
+    cryptogram y.  Its terms are weight / M x rank^rho over its preimages of
+    positive weight, in attack order (:func:`_attack_weights`).  The rank
+    is the optimal attack's guess position, or ``ranks[y, m]`` when a rank
+    table is given.  A moment is the ``math.fsum`` of its columns' terms,
+    which is correctly rounded in any order.
+    """
+    row, msg, weight, rank = _attack_weights(cols, probs)
+    if ranks is not None:
+        rank = ranks[row, msg]
+    terms = (weight / cols.shape[1] * rank ** rho).tolist()
+    bounds = np.searchsorted(row, np.arange(len(cols) + 1)).tolist()
+    return [terms[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 def attack_moment(cipher: Cipher, rho: float) -> float:
     """E[(number of guesses)^rho] for the optimal posterior-order attack.
 
@@ -107,31 +126,8 @@ def attack_moment(cipher: Cipher, rho: float) -> float:
     """
     if rho <= 0.0:
         raise ValidationError("moment exponent must be positive")
-    m_keys = len(cipher.table)
-    _, _, weight, rank = _attack_weights(np.argsort(cipher.table, axis=1, kind="stable").T,
-                                         cipher.pmf.probs)
-    return math.fsum((weight / m_keys * rank ** rho).tolist())
-
-
-def attack_moments_for_ranks(tables: np.ndarray, p: Pmf, rho: float, ranks: np.ndarray):
-    """Attack moment of each table when the attacker's guess number for
-    message m given cryptogram y is ``ranks[..., y, m]``.
-
-    ``tables`` is one (keys x messages) table with (messages x messages)
-    ``ranks``, or a stack of T tables with T rank arrays; the result is a
-    float or a length-T array.  The terms are ``attack_moment``'s, weight
-    times rank^rho over each cryptogram's preimages of positive weight,
-    formed for the whole stack at once and summed per table by fsum.
-    """
-    stack = np.reshape(tables, (-1, *np.shape(tables)[-2:]))
-    n_tables, m_keys, n_msgs = stack.shape
-    cols = np.argsort(stack, axis=-1, kind="stable").transpose(0, 2, 1).reshape(-1, m_keys)
-    row, msg, weight, _ = _attack_weights(cols, p.probs)
-    rank = np.reshape(ranks, (-1, n_msgs))[row, msg]
-    terms = (weight / m_keys * rank ** rho).tolist()
-    ends = np.searchsorted(row, np.arange(n_tables + 1) * n_msgs).tolist()
-    moments = np.array([math.fsum(terms[a:b]) for a, b in zip(ends, ends[1:])])
-    return float(moments[0]) if np.ndim(tables) == 2 else moments
+    cols = np.argsort(cipher.table, axis=1, kind="stable").T
+    return math.fsum(itertools.chain.from_iterable(column_terms(cols, cipher.pmf.probs, rho)))
 
 
 def group_xor_moment_closed(spec: Spectrum, k: int, rho: float) -> float:
@@ -212,12 +208,9 @@ def _multisets(n: int, r: int) -> np.ndarray:
 
 def _column_moments(probs: np.ndarray, m_keys: int, rho: float) -> tuple:
     """(columns, g): every multiset of M messages, a row of :func:`_multisets`,
-    and ``attack_moment``'s terms of that cryptogram column summed by fsum."""
+    and the fsum of that cryptogram column's :func:`column_terms`."""
     columns = _multisets(probs.size, m_keys)
-    row, _, weight, rank = _attack_weights(columns, probs)
-    terms = (weight / m_keys * rank ** rho).tolist()
-    bounds = np.searchsorted(row, np.arange(len(columns) + 1)).tolist()
-    return columns, np.array([math.fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
+    return columns, np.array([math.fsum(terms) for terms in column_terms(columns, probs, rho)])
 
 
 def _perfect_matchings(graph: np.ndarray) -> np.ndarray:

@@ -37,10 +37,6 @@ EXIT_NUMERIC = 3
 EXIT_CAP = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class RunConfig:
     model_path: str = ""
@@ -57,33 +53,25 @@ class RunConfig:
 
 
 def _positive(values, what: str) -> list:
-    """``values`` as floats, each positive and finite."""
+    """``values`` as floats (:func:`sources.reals`), each positive and finite."""
     if not isinstance(values, list):
-        raise ConfigError(f"{what} must be a list")
-    out = [float(v) for v in values]
+        raise ValidationError(f"{what} must be a list")
+    out = so.reals(values, what)
     if not all(0.0 < v < math.inf for v in out):
-        raise ConfigError(f"{what} must be positive and finite")
+        raise ValidationError(f"{what} must be positive and finite")
     return out
-
-
-def _integer(value, what: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int):
-        raise ConfigError(f"{what} must be integers")
-    return value
 
 
 def _rate_grid(spec) -> list:
     if isinstance(spec, list):
         return _positive(spec, "key rates")
     if not isinstance(spec, dict):
-        raise ConfigError("R must be a list or a {min, max, step} object")
-    lo, hi, step = (float(spec[key]) for key in ("min", "max", "step"))
+        raise ValidationError("R must be a list or a {min, max, step} object")
+    lo, hi, step = so.reals([spec[key] for key in ("min", "max", "step")], "R grid bounds")
     if not all(math.isfinite(v) for v in (lo, hi, step)):
-        raise ConfigError("R grid bounds must be finite")
+        raise ValidationError("R grid bounds must be finite")
     if step <= 0.0:
-        raise ConfigError("R grid step must be positive")
+        raise ValidationError("R grid step must be positive")
     # checked before the list exists: a tiny step asks for any number of points
     span = (hi - lo) / step + 1e-9
     if span >= so.DEFAULT_MATERIALIZE_CAP:
@@ -99,62 +87,57 @@ def _from_doc(doc: dict, base: Path) -> RunConfig:
     cfg.rhos = _positive(doc.get("rho", []), "rho values")
     if "R" in doc:
         cfg.rates = _rate_grid(doc["R"])
-    cfg.ns = [_integer(n, "n values") for n in doc.get("n", [])]
+    cfg.ns = [so.integer(n, "each n") for n in doc.get("n", [])]
     if any(n < 1 for n in cfg.ns):
-        raise ConfigError("n values must be positive integers")
+        raise ValidationError("n values must be positive integers")
     cfg.out_format = doc.get("format", "csv")
+    if cfg.out_format not in ("csv", "json"):
+        raise ValidationError("format must be csv or json")
     cfg.out_path = doc.get("out", "")
+    if not isinstance(cfg.out_path, str):
+        raise ValidationError("out must be a path")
     caps = doc.get("caps", {})
-    cfg.materialize_cap = _integer(caps.get("materialize", cfg.materialize_cap), "caps")
-    cfg.brute_force_messages = _integer(
-        caps.get("brute_force_messages", cfg.brute_force_messages), "caps")
-    cfg.brute_force_keys = _integer(caps.get("brute_force_keys", cfg.brute_force_keys), "caps")
+    cfg.materialize_cap = so.integer(caps.get("materialize", cfg.materialize_cap), "each cap")
+    cfg.brute_force_messages = so.integer(
+        caps.get("brute_force_messages", cfg.brute_force_messages), "each cap")
+    cfg.brute_force_keys = so.integer(caps.get("brute_force_keys", cfg.brute_force_keys),
+                                      "each cap")
     if cfg.materialize_cap < 1 or cfg.brute_force_messages < 1 or cfg.brute_force_keys < 0:
-        raise ConfigError("caps must be positive")
-    cfg.threads = _integer(doc.get("threads", 1), "threads")
-    cfg.seed = _integer(doc.get("seed", 0), "seed")
+        raise ValidationError("caps must be positive")
+    cfg.threads = so.integer(doc.get("threads", 1), "threads")
+    if cfg.threads < 1:
+        raise ValidationError("thread count must be at least 1")
+    cfg.seed = so.integer(doc.get("seed", 0), "seed")
+    if cfg.seed < 0:
+        raise ValidationError("seed must be nonnegative")
     return cfg
 
 
-def load_config(path: str, overrides) -> RunConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file cannot be read: {exc}")
+def load_config(args) -> RunConfig:
+    """The run configuration of the parsed command line ``args``.
+
+    The ``--config`` document (:func:`sources.read_json`; an empty one for
+    ``verify`` without a config) has ``--format``, ``--out``, ``--threads``
+    and ``--seed`` written over its fields, so a field a flag replaces is
+    never read; then every field is checked once.  Any fault raises
+    :class:`ValidationError`.
+    """
+    if args.config:
+        doc, base = so.read_json(args.config, "config"), Path(args.config).parent
+    elif args.command == "verify":
+        doc, base = {}, Path()
+    else:
+        raise ValidationError("--config is required for this command")
     if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ValidationError("config must be a JSON object")
+    flags = {"format": args.format, "out": args.out, "threads": args.threads, "seed": args.seed}
+    doc.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        cfg = _from_doc(doc, Path(path).parent)
-    except ConfigError:
+        return _from_doc(doc, base)
+    except ValidationError:
         raise
     except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-        raise ConfigError(f"malformed config field: {type(exc).__name__}: {exc}")
-    return _apply_overrides(cfg, overrides)
-
-
-def _apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
-    """Apply --format, --out, --threads and --seed to ``cfg``, then validate it."""
-    if overrides.format:
-        cfg.out_format = overrides.format
-    if overrides.out:
-        cfg.out_path = overrides.out
-    if overrides.threads is not None:
-        cfg.threads = overrides.threads
-    if overrides.seed is not None:
-        cfg.seed = overrides.seed
-    if cfg.out_format not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
-    if not isinstance(cfg.out_path, str):
-        raise ConfigError("out must be a path")
-    if cfg.threads < 1:
-        raise ConfigError("thread count must be at least 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be nonnegative")
-    return cfg
+        raise ValidationError(f"malformed config field: {type(exc).__name__}: {exc}") from None
 
 
 def _fmt(x) -> str:
@@ -180,18 +163,18 @@ def _emit(text: str, out_path: str):
     try:
         Path(out_path).write_text(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write the output file: {exc}") from None
+        raise ValidationError(f"cannot write the output file: {exc}") from None
 
 
 def _require(cfg: RunConfig, *, model=False, rhos=False, rates=False, ns=False):
     if model and not cfg.model_path:
-        raise ConfigError("this command needs a 'model' entry in the config")
+        raise ValidationError("this command needs a 'model' entry in the config")
     if rhos and not cfg.rhos:
-        raise ConfigError("this command needs a nonempty 'rho' list")
+        raise ValidationError("this command needs a nonempty 'rho' list")
     if rates and not cfg.rates:
-        raise ConfigError("this command needs an 'R' grid")
+        raise ValidationError("this command needs an 'R' grid")
     if ns and not cfg.ns:
-        raise ConfigError("this command needs a nonempty 'n' list")
+        raise ValidationError("this command needs a nonempty 'n' list")
 
 
 def _out_paths(cfg: RunConfig, command: str) -> list:
@@ -200,7 +183,7 @@ def _out_paths(cfg: RunConfig, command: str) -> list:
     ``exponent`` writes one document per rho, and with several rho values
     each file name gets a ``_rho<value>`` suffix (12 significant digits).
     A path that names a directory or lies in a missing one, or is shared
-    by two rho values, raises :class:`ConfigError`, so ``main`` checks
+    by two rho values, raises :class:`ValidationError`, so ``main`` checks
     them all before any computation.
     """
     count = len(cfg.rhos) if command == "exponent" else 1
@@ -211,12 +194,12 @@ def _out_paths(cfg: RunConfig, command: str) -> list:
     if len(paths) > 1 and not base.is_dir():
         paths = [base.with_name(f"{base.stem}_rho{_fmt(rho)}{base.suffix}") for rho in cfg.rhos]
         if len(set(paths)) < len(paths):
-            raise ConfigError("two rho values would write the same output file")
+            raise ValidationError("two rho values would write the same output file")
     for path in [base, *paths]:
         if path.is_dir():
-            raise ConfigError(f"output path {path} is a directory")
+            raise ValidationError(f"output path {path} is a directory")
         if not path.parent.is_dir():
-            raise ConfigError(f"output directory {path.parent} does not exist")
+            raise ValidationError(f"output directory {path.parent} does not exist")
     return [str(path) for path in paths]
 
 
@@ -393,23 +376,18 @@ def main(argv=None) -> int:
     )
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON run configuration", default="")
-    parser.add_argument("--out", help="output path (default: stdout)", default="")
-    parser.add_argument("--format", choices=["csv", "json"], default="")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=["csv", "json"])
+    parser.add_argument("--threads", type=int,
                         help="accepted and checked (at least 1); has no effect")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
 
     try:
-        if args.config:
-            cfg = load_config(args.config, args)
-        elif args.command == "verify":
-            cfg = _apply_overrides(RunConfig(), args)
-        else:
-            raise ConfigError("--config is required for this command")
+        cfg = load_config(args)
         _out_paths(cfg, args.command)  # refuses a bad output path before any computation
         return COMMANDS[args.command](cfg)
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
     except CapExceededError as exc:

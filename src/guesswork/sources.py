@@ -599,16 +599,40 @@ def chain_source(transition) -> MarkovSource:
     return MarkovSource(Pmf(np.full(len(pi), 1.0 / len(pi))), pi)
 
 
-def _as_floats(values) -> list:
-    # model files may carry probabilities as decimal strings
+def read_json(path, what: str):
+    """The JSON document in the file ``path``, a ``what`` file (config or
+    model); a file that is missing, cannot be read as UTF-8 or is not JSON
+    raises :class:`ValidationError` naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"{what} file {path} cannot be read as JSON: {exc}") from None
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int: a JSON integer or an integral float (2 or 2.0),
+    never a bool, a fraction or a string (:class:`ValidationError`)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def reals(values, what: str = "probabilities") -> list:
+    """``values`` as floats: JSON numbers or decimal strings, never bools."""
+    if any(isinstance(v, bool) for v in values):
+        raise ValidationError(f"{what} must be numbers or decimal strings, not bools")
     return [float(v) for v in values]
 
 
 def model_from_dict(doc: dict) -> SourceModel:
     """Build a source model from its JSON document form.
 
-    A missing field, or a field of the wrong type or shape, raises
-    :class:`ValidationError`.
+    Probabilities are JSON numbers or decimal strings (:func:`reals`);
+    ``next_state`` entries and ``init_state`` follow :func:`integer`, and
+    ``stationary`` is a JSON boolean.  A missing field, or a field of the
+    wrong type or shape, raises :class:`ValidationError`.
     """
     try:
         kind = doc["kind"]
@@ -616,23 +640,26 @@ def model_from_dict(doc: dict) -> SourceModel:
         raise ValidationError("model document needs a 'kind' field")
     try:
         if kind == "iid":
-            return IidSource(Pmf(_as_floats(doc["probs"])))
+            return IidSource(Pmf(reals(doc["probs"])))
         if kind == "markov":
-            pi = np.array([_as_floats(row) for row in doc["transition"]])
+            pi = np.array([reals(row) for row in doc["transition"]])
+            declared = doc.get("stationary", False)
+            if not isinstance(declared, bool):
+                raise ValidationError(f"stationary must be true or false, not {declared!r}")
             if "init" in doc:
-                init = Pmf(_as_floats(doc["init"]))
-                return MarkovSource(init, pi, stationary=bool(doc.get("stationary", False)))
+                return MarkovSource(Pmf(reals(doc["init"])), pi, stationary=declared)
             return MarkovSource(stationary(pi), pi, stationary=True)
         if kind == "unifilar":
-            nxt = np.array(doc["next_state"], dtype=int)
-            emission = tuple(Pmf(_as_floats(row)) for row in doc["emission"])
+            nxt = np.array([[integer(s, "each next_state entry") for s in row]
+                            for row in doc["next_state"]])
+            emission = tuple(Pmf(reals(row)) for row in doc["emission"])
             if "init_states" in doc:
-                init = Pmf(_as_floats(doc["init_states"]))
+                init = Pmf(reals(doc["init_states"]))
             else:
-                init = _point_mass(nxt.shape[0], int(doc.get("init_state", 0)))
+                init = _point_mass(nxt.shape[0], integer(doc.get("init_state", 0), "init_state"))
             return UnifilarSource(init, nxt, emission)
         if kind == "explicit":
-            return ExplicitSource(tuple(Pmf(_as_floats(row)) for row in doc["pmfs"]))
+            return ExplicitSource(tuple(Pmf(reals(row)) for row in doc["pmfs"]))
     except ValidationError:
         raise
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
@@ -649,11 +676,5 @@ def _point_mass(size: int, index: int) -> Pmf:
 
 
 def load_model(path) -> SourceModel:
-    """Load a source model from a JSON file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"model file {path} is not valid JSON: {exc}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"model file cannot be read: {exc}")
-    return model_from_dict(doc)
+    """Load a source model from a JSON file (:func:`read_json`, :func:`model_from_dict`)."""
+    return model_from_dict(read_json(path, "model"))

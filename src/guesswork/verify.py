@@ -1,7 +1,7 @@
 """Registered cross-module identity and inequality checks.
 
-Each check draws its randomness from a child of one 64-bit seed, runs a
-batch of instances, and reports the worst observed slack against its
+Each check takes one 64-bit seed, draws any randomness from a child of
+it, runs a batch of instances, and reports the worst observed slack against its
 documented tolerance.  The CLI ``verify`` command and the acceptance test
 suite both run these functions, so a green verify run is the same
 evidence as a green acceptance suite.
@@ -104,12 +104,13 @@ def check_renyi_variational(seed: int = 0) -> CheckResult:
     return CheckResult("renyi-variational", worst <= 1e-9, f"max gap {worst:.3e} (tol 1e-9)")
 
 
-def check_decomposition() -> CheckResult:
+def check_decomposition(seed: int = 0) -> CheckResult:
     """Error/correct split equals the theta dual on a (rho, R) sweep.
 
     (0.45, 0.45, 0.1) has tied maxima, so its low rates take the tie
     floor's closed form; (0.4, 0.399, 0.201) puts the correct term's root
-    near theta = -1 (beta about 1,900).
+    near theta = -1 (beta about 1,900).  The instances are fixed: ``seed``
+    is not read.
     """
     worst, rhos = 0.0, np.array([[0.5], [1.0], [2.0]])
     for probs in ([0.8, 0.2], [0.6, 0.3, 0.1], [0.45, 0.45, 0.1], [0.4, 0.399, 0.201]):
@@ -119,8 +120,9 @@ def check_decomposition() -> CheckResult:
     return CheckResult("decomposition", worst <= 1e-9, f"max gap {worst:.3e} (tol 1e-09)")
 
 
-def check_three_regime() -> CheckResult:
-    """Linear, concave-interior, and flat regimes of the (0.8, 0.2) curve."""
+def check_three_regime(seed: int = 0) -> CheckResult:
+    """Linear, concave-interior, and flat regimes of the (0.8, 0.2) curve.
+    The instance is fixed: ``seed`` is not read."""
     p = so.Pmf([0.8, 0.2])
     model = so.IidSource(p)
     rho = 1.0
@@ -191,19 +193,23 @@ def _ceiling_violations(tables: np.ndarray, p: so.Pmf, rho: float, base_order: g
     """(violations, per-table moments) of the interleaved attack on a (T, M, N) stack.
 
     Cryptogram y's key search lists, key by key, the message each key
-    decrypts y to; the attacker interleaves it with ``base_order``.  Every
-    searched message ranked above its budget is one violation, and so is
-    every table whose moment exceeds ``ceiling``.
+    decrypts y to; the attacker interleaves it with ``base_order``.  Each
+    distinct key search (at most N^M of them) is ranked and scored
+    (:func:`cipher.column_terms`) once, and a table's moment is the fsum of
+    its columns' terms.  Every searched message ranked above its budget is
+    one violation, and so is every table whose moment exceeds ``ceiling``.
     """
     ci.validate_tables(tables)
     searches = np.argsort(tables, axis=-1, kind="stable").transpose(0, 2, 1).reshape(
         -1, tables.shape[1])
     distinct, which = np.unique(searches, axis=0, return_inverse=True)
-    merged = np.array([gu.interleave(base_order, s).rank for s in distinct.tolist()])
-    ranks = merged[which.reshape(-1)]
-    over = np.take_along_axis(ranks, searches, axis=1) > budget[searches] * (1.0 + 1e-12)
-    moments = ci.attack_moments_for_ranks(tables, p, rho, ranks.reshape(len(tables), p.size, -1))
-    return int(over.sum()) + int((moments > ceiling).sum()), moments
+    which = which.reshape(len(tables), -1)  # table t's column y is distinct search which[t, y]
+    ranks = np.array([gu.interleave(base_order, s).rank for s in distinct.tolist()])
+    over = np.take_along_axis(ranks, distinct, axis=1) > budget[distinct] * (1.0 + 1e-12)
+    terms = ci.column_terms(distinct, p.probs, rho, ranks)
+    moments = np.array([math.fsum(itertools.chain.from_iterable(map(terms.__getitem__, cols)))
+                        for cols in which.tolist()])
+    return int(over.sum(axis=1)[which].sum()) + int((moments > ceiling).sum()), moments
 
 
 def check_attack_ceiling(seed: int = 0) -> CheckResult:
@@ -214,9 +220,8 @@ def check_attack_ceiling(seed: int = 0) -> CheckResult:
     rank(x | y) <= 2 exp(min(L(x) ln2, nR)), and in expectation the moment
     is at most 2^rho times the saturated cost of the optimal integer
     lengths.  Each instance's tables are checked as one stack: one sort
-    yields every key search, ``gu.interleave`` runs once per distinct key
-    search (at most N^M of them), and one batched scoring call gives every
-    table's moment.
+    yields every key search, and each distinct key search (at most N^M of
+    them) is interleaved and scored once.
     """
     violations = 0
     cases = 0
@@ -316,8 +321,9 @@ def check_relaxed_integer_sandwich(seed: int = 0) -> CheckResult:
     )
 
 
-def check_finite_n_convergence() -> CheckResult:
-    """Finite-n relaxed optima approach the single-letter dual monotonically."""
+def check_finite_n_convergence(seed: int = 0) -> CheckResult:
+    """Finite-n relaxed optima approach the single-letter dual monotonically.
+    The instances are fixed: ``seed`` is not read."""
     model = so.IidSource(so.Pmf([0.8, 0.2]))
     rho = 1.0
     problems = []
@@ -435,11 +441,5 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 0) -> list:
-    """Run every registered check; randomized ones use children of ``seed``."""
-    results = []
-    for check in ALL_CHECKS:
-        if "seed" in check.__code__.co_varnames[: check.__code__.co_argcount]:
-            results.append(check(seed=seed))
-        else:
-            results.append(check())
-    return results
+    """Run every registered check with ``seed``; randomized ones use its children."""
+    return [check(seed=seed) for check in ALL_CHECKS]

@@ -28,7 +28,7 @@ from guesswork import (
     pressure,
     top_set,
 )
-from guesswork.cipher import _column_moments, _multisets, attack_moments_for_ranks
+from guesswork.cipher import _column_moments, _multisets, column_terms
 from guesswork.exponents import variational_identity_checks
 from guesswork.sources import (
     DEFAULT_MATERIALIZE_CAP,
@@ -262,12 +262,13 @@ def optimal_attack(cipher, y: int) -> GuessOrder:
 
 
 def attack_moment_for_orders(cipher, rho: float, orders) -> float:
-    """Moment when the attacker uses a caller-supplied order per cryptogram.
-
-    The one-table case of :func:`guesswork.cipher.attack_moments_for_ranks`.
-    """
+    """Moment when the attacker uses a caller-supplied order per cryptogram:
+    the fsum of the table's :func:`guesswork.cipher.column_terms` under the
+    orders' rank table."""
+    cols = np.argsort(cipher.table, axis=1, kind="stable").T
     ranks = np.array([order.rank for order in orders])
-    return float(attack_moments_for_ranks(cipher.table, cipher.pmf, rho, ranks))
+    return math.fsum(t for terms in column_terms(cols, cipher.pmf.probs, rho, ranks)
+                     for t in terms)
 
 
 def enumerated_best_cipher(p: Pmf, k: int, rho: float) -> tuple:

@@ -30,7 +30,7 @@ from guesswork import (
 from guesswork.cipher import (
     _attack_weights,
     _multisets,
-    attack_moments_for_ranks,
+    column_terms,
     validate_tables,
 )
 from guesswork.errors import NumericError, ValidationError
@@ -228,6 +228,7 @@ def oracle_moment_for_orders(cipher, rho, orders):
 
 class TestMomentsForRanks:
     def test_stack_equals_each_table_bit_for_bit(self):
+        # the columns of 20 tables scored in one call give each table's moment
         rng = np.random.default_rng(41)
         for size, k in ((3, 1), (4, 1), (5, 2), (8, 2)):
             p = Pmf(rng.dirichlet(np.ones(size)), tol=1e-9)
@@ -236,9 +237,13 @@ class TestMomentsForRanks:
                                for _ in range(20)])
             ranks = np.array([[rng.permutation(size) + 1 for _ in range(size)]
                               for _ in range(20)])
-            moments = attack_moments_for_ranks(tables, p, rho, ranks)
-            assert moments.shape == (20,)
-            for table, rank, value in zip(tables, ranks, moments.tolist()):
+            cols = np.argsort(tables, axis=-1, kind="stable").transpose(0, 2, 1)
+            terms = column_terms(cols.reshape(-1, 2 ** k), p.probs, rho,
+                                 ranks.reshape(-1, size))
+            assert len(terms) == 20 * size
+            moments = [math.fsum(t for col in terms[i:i + size] for t in col)
+                       for i in range(0, len(terms), size)]
+            for table, rank, value in zip(tables, ranks, moments):
                 cipher = Cipher(table, p)
                 orders = [GuessOrder(r) for r in rank]
                 assert value == oracle_moment_for_orders(cipher, rho, orders)
@@ -247,9 +252,19 @@ class TestMomentsForRanks:
     def test_optimal_ranks_give_attack_moment(self):
         p = pmf(0.3, 0.3, 0.2, 0.1, 0.1)
         cipher = build_group_xor_cipher(p, 2)
-        ranks = np.array([optimal_attack(cipher, y).rank for y in range(cipher.pmf.size)])
-        assert attack_moments_for_ranks(cipher.table, cipher.pmf, 1.3, ranks) == pytest.approx(
+        orders = [optimal_attack(cipher, y) for y in range(cipher.pmf.size)]
+        assert attack_moment_for_orders(cipher, 1.3, orders) == pytest.approx(
             attack_moment(cipher, 1.3), abs=1e-15)
+
+    def test_without_ranks_the_optimal_attack_bit_for_bit(self):
+        # column_terms without a rank table is attack_moment's, term for term
+        p = pmf(0.3, 0.3, 0.2, 0.1, 0.1)
+        cipher = build_group_xor_cipher(p, 2)
+        orders = [optimal_attack(cipher, y) for y in range(cipher.pmf.size)]
+        cols = np.argsort(cipher.table, axis=1, kind="stable").T
+        ranks = np.array([order.rank for order in orders])
+        assert (column_terms(cols, cipher.pmf.probs, 1.3)
+                == column_terms(cols, cipher.pmf.probs, 1.3, ranks))
 
 
 def oracle_attack_ceiling(seed, tighten=1.0):

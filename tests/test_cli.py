@@ -323,8 +323,17 @@ class TestVerifyCommand:
 
 
 class TestExitCodes:
-    def test_missing_config(self):
-        assert main(["exponent", "--config", "/nonexistent/config.json"]) == 2
+    def test_missing_config(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.json")
+        assert main(["exponent", "--config", path]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_flag_replaces_a_config_field_unread(self, tmp_path, iid_model):
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [0.3],
+                                      "seed": "x"})
+        assert main(["exponent", "--config", str(cfg)]) == 2
+        assert main(["exponent", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "curve.csv")]) == 0
 
     def test_invalid_model(self, tmp_path):
         write_model(tmp_path, {"kind": "iid", "probs": [0.5, 0.4]})
@@ -514,6 +523,8 @@ class TestFiniteRunner:
 # allocation, each with the exit code and stderr prefix it must give instead.
 DIRECTORY = object()
 IID = {"kind": "iid", "probs": [0.8, 0.2]}
+UNIFILAR = {"kind": "unifilar", "next_state": [[0, 1], [1, 0]],
+            "emission": [[0.6, 0.4], [0.25, 0.75]], "init_state": 0}
 NOT_UTF8 = b"\xff\xfe{}"
 
 
@@ -557,6 +568,27 @@ FAILURES = [
     # 2^40 + 1 points: refused before any list is built
     _case("exponent", _cfg(R={"min": 1.0, "max": 1.0 + 2.0 ** 40, "step": 1.0}), 4,
           "cap exceeded", id="grid-2^40-points"),
+    # one integer rule for config and model files: a JSON integer or an
+    # integral float, never a bool, a fraction or a string
+    _case("bounds", _cfg(n=[True]), 2, "config error", id="n-bool"),
+    _case("exponent", _cfg(threads=True), 2, "config error", id="threads-bool"),
+    _case("exponent", _cfg(seed=True), 2, "config error", id="seed-bool"),
+    _case("bounds", _cfg(caps={"materialize": True}), 2, "config error", id="caps-bool"),
+    _case("exponent", _cfg(rho=[True]), 2, "config error", id="rho-bool"),
+    _case("bounds", _cfg(), 2, "config error",
+          model={**UNIFILAR, "next_state": [[0, 1.5], [1, 0]]}, id="next-state-fractional"),
+    _case("bounds", _cfg(), 2, "config error",
+          model={**UNIFILAR, "next_state": [[0, "1"], [True, 0]]},
+          id="next-state-string-and-bool"),
+    _case("bounds", _cfg(), 2, "config error", model={**UNIFILAR, "init_state": 0.9},
+          id="init-state-fractional"),
+    _case("bounds", _cfg(), 2, "config error", model={**UNIFILAR, "init_state": "1"},
+          id="init-state-digit-string"),
+    _case("bounds", _cfg(), 2, "config error",
+          model={"kind": "markov", "transition": [[0.9, 0.1], [0.3, 0.7]],
+                 "init": [0.75, 0.25], "stationary": "false"}, id="stationary-string"),
+    _case("bounds", _cfg(), 2, "config error", model={"kind": "iid", "probs": [True, False]},
+          id="probs-bool"),
     _case("exponent", _cfg(), 2, "config error", model=NOT_UTF8, id="model-not-utf8"),
     _case("exponent", _cfg(), 2, "config error", model={"kind": "iid"},
           id="model-iid-without-probs"),
@@ -634,7 +666,8 @@ class TestFailureContract:
             argv += ["--config", str(tmp_path / "config.json")]
         # an exception escaping main fails the test here
         assert main(argv) == code
-        assert capsys.readouterr().err.startswith(prefix)
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1
         # and leaves no output behind
         assert {p.name for p in tmp_path.iterdir()} <= {"config.json", "model.json",
                                                         "taken_rho1.csv"}

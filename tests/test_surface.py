@@ -4,10 +4,12 @@ A function that no module of ``guesswork`` reads is a second path or a
 test oracle; oracles live in ``tests/oracles.py``.  The same holds for
 the public methods, properties and static methods of an exported class.
 The package runs no threads, so no module imports a thread or executor
-library.
+library.  Every exception class lives in ``errors.py``, so each exit code
+has one error type.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import guesswork
@@ -102,3 +104,24 @@ def test_no_module_imports_threads():
                 imported.add(node.module.split(".")[0])
     assert "numpy" in imported, "no import found: the scan is broken"
     assert imported & {"threading", "concurrent", "_thread"} == set()
+
+
+def test_every_exception_class_lives_in_errors():
+    # one error type per exit code: a class is an exception when one of its
+    # bases is a builtin exception or, transitively, a package exception
+    bases = {(stem, node.name): {getattr(base, "id", getattr(base, "attr", None))
+                                 for base in node.bases}
+             for stem, tree in _modules().items() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    errors = {name for name in dir(builtins)
+              if isinstance(getattr(builtins, name), type)
+              and issubclass(getattr(builtins, name), BaseException)}
+    found = set()
+    while True:
+        more = {key for key, names in bases.items() if names & errors} - found
+        if not more:
+            break
+        found |= more
+        errors |= {name for _, name in more}
+    assert ("errors", "ValidationError") in found, "no exception found: the scan is broken"
+    assert {stem for stem, _ in found} == {"errors"}
