@@ -98,21 +98,22 @@ def _twisted_chain(form, betas: np.ndarray) -> tuple:
 
     With u, v the Perron vectors of M, the twisted chain gives letter x in
     state s the law w(s, x)^beta v_next(s, x) / (M v)_s, each letter
-    counted by its scatter count; its stationary law is pi_s ~ u_s v_s.  H
-    and D are its conditional entropy and divergence from the source, and
+    counted ``form.counts[s, x]`` times; its stationary law is
+    pi_s ~ u_s v_s.  H and D are its conditional entropy and divergence
+    from the source, and
     ln CW = ln max_s (M v)_s / v_s + beta shift >= ln lambda for any v > 0
     (Collatz-Wielandt); ln lambda takes the shift back as :func:`pressure`
     does.  Sums run in a fixed order: no batch dependence.
     """
-    counts, nxt = form.scatter.sum(axis=2), form.scatter.argmax(axis=2)
     h, d, log_cw, log_lam = [], [], [], []
     for beta, shift, logs, w in form.powers(betas):
         m = form.matrix(w)
         lam, u, v = perron_vectors(m)
         u, v = np.abs(u), np.abs(v)
         mv = _dot(m, v[:, None, :])
-        log_q = beta[:, None, None] * logs + np.log(v[:, nxt]) - np.log(mv)[:, :, None]
-        mass = counts * np.exp(log_q)
+        log_q = (beta[:, None, None] * logs + np.log(v[:, form.next_state])
+                 - np.log(mv)[:, :, None])
+        mass = form.counts * np.exp(log_q)
         weight, total = u * v, _dot(u, v)
         h.append(-_dot(weight, _dot(mass, log_q)) / total)
         d.append(_dot(weight, _dot(mass, log_q - form.log_weights)) / total)

@@ -28,8 +28,10 @@ PMF_TOL = 1e-12
 PRODUCT_TOL = 1e-9
 # Residual tolerance for stationary distributions.
 STATIONARY_TOL = 1e-10
-# Largest temporary, in floats, of one chunk of a batched pressure evaluation
-# or of a Pmf's sum check.
+# Chunk size in floats of a Pmf's sum check and of the tilted identity's probes.
+# A pressure evaluation on S states and K letters takes PRESSURE_CHUNK // (S K S)
+# betas per chunk: the S K S rule now bounds only the batch size, and is kept so
+# that every batch, and with it every bit, stays the same.
 PRESSURE_CHUNK = 2 ** 16
 
 DEFAULT_MATERIALIZE_CAP = 2 ** 24
@@ -262,7 +264,8 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
     its listed law.  The n check, the cap (checked before any work) and the
     PRODUCT_TOL sum check, over the exact sum of value x count, raise what
     building the dense law raises.  A string count above 2^52 is refused
-    whatever the cap: run counts past it are not exact floats.
+    whatever the cap: run counts past it are not exact floats.  So is an n
+    above the cap or 2^52, which bounds a one-letter walk.
     """
     if n < 1:
         raise ValidationError("n must be a positive integer")
@@ -274,11 +277,13 @@ def n_letter_spectrum(model: SourceModel, n: int, cap: int = DEFAULT_MATERIALIZE
             raise CapExceededError(f"{law.size} strings exceed the cap of {cap}")
         return spectrum(law)
     k = model.alphabet_size
-    if k ** n > cap:
-        raise CapExceededError(f"{k}^{n} strings exceed the cap of {cap}")
-    if k ** n > _MAX_COUNT:
-        raise CapExceededError(f"{k}^{n} strings exceed 2^52, past which run counts "
-                               "are not exact floats")
+    what = f"{k}^{n} strings" if k > 1 else f"{n} letters"
+    # k^n >= 2^(n (bits(k) - 1)), so k^n is formed only with under 2 bits(limit)
+    # bits; for k >= 2, n <= k^n, and for k = 1, n > limit bounds the walk
+    for limit, name in ((cap, f"the cap of {cap}"),
+                        (_MAX_COUNT, "2^52, past which run counts are not exact floats")):
+        if n > limit or n * (k.bit_length() - 1) >= limit.bit_length() or k ** n > limit:
+            raise CapExceededError(f"{what} exceed {name}")
     starts = _start_runs(model, n)
     values, states, steps, _ = starts[0]
     if len(starts) > 1:
@@ -379,16 +384,27 @@ def _exact_products(values: np.ndarray, counts: np.ndarray) -> list:
     return [part for v in (high, low) for c in scaled for part in (v * c).tolist()]
 
 
-def is_irreducible(transition: np.ndarray) -> bool:
-    """True when the directed graph of positive transitions is strongly connected."""
-    adj = np.asarray(transition) > 0.0
-    reach = np.eye(adj.shape[0], dtype=bool)
-    for _ in range(adj.shape[0]):
-        new = reach | (reach @ adj)
-        if np.array_equal(new, reach):
-            break
-        reach = new
-    return bool(reach.all())
+def is_irreducible(next_state: np.ndarray, counted: np.ndarray) -> bool:
+    """True when the graph of edges s -> ``next_state[s, x]`` over the
+    ``counted`` letters is strongly connected: state 0 reaches every state
+    and every state reaches state 0, by one depth-first search each way,
+    linear in the edges (Tarjan 1972)."""
+    heads, letters = np.nonzero(counted)
+    edges = heads.tolist(), next_state[heads, letters].tolist()
+    return all(_reaches_all(*ends, next_state.shape[0]) for ends in (edges, edges[::-1]))
+
+
+def _reaches_all(heads: list, tails: list, size: int) -> bool:
+    """True when state 0 reaches all ``size`` states along the edges heads[i] -> tails[i]."""
+    out = [[] for _ in range(size)]
+    for s, t in zip(heads, tails):
+        out[s].append(t)
+    seen, stack = {0}, [0]
+    while stack:
+        new = set(out[stack.pop()]) - seen
+        seen |= new
+        stack.extend(new)
+    return len(seen) == size
 
 
 def stationary(transition) -> Pmf:
@@ -401,7 +417,8 @@ def stationary(transition) -> Pmf:
     pi = np.asarray(transition, dtype=float)
     if pi.ndim != 2 or pi.shape[0] != pi.shape[1]:
         raise ValidationError("transition matrix must be square")
-    if not (np.all(np.isfinite(pi)) and is_irreducible(pi)):
+    table = np.broadcast_to(np.arange(len(pi)), pi.shape)  # letter x moves to state x
+    if not (np.all(np.isfinite(pi)) and is_irreducible(table, pi > 0.0)):
         raise ValidationError("transition matrix is not finite or is reducible")
     u = perron_vectors(pi[None])[1][0]
     q = u / u.sum()
@@ -416,30 +433,33 @@ def stationary(transition) -> Pmf:
 class PowerForm:
     """Entries of the tilted state-power matrix of a source or a finite law.
 
-    M(beta)[s, t] sums weight(s, x)^beta over the letters x, each counted
-    ``scatter[s, x, t]`` times when x moves state s to t.  An iid source is
-    the one-state case and a Markov chain has state = last symbol; a
-    finite n-letter law is one state whose letters are its distinct
-    probabilities, counted by multiplicity.  Zero weights carry no count.
+    Letter x emitted in state s has log weight ``log_weights[s, x]``, moves
+    the source to state ``next_state[s, x]`` and is counted ``counts[s, x]``
+    times: M(beta)[s, t] sums counts(s, x) weight(s, x)^beta over the
+    letters x that move s to t.  An iid source is the one-state case and a
+    Markov chain has state = last symbol; a finite n-letter law is one
+    state whose letters are its distinct probabilities, counted by
+    multiplicity.  Zero weights are stored as log 1 and counted 0.
 
-    A multi-state form whose state chain (over letters of positive weight)
-    is reducible is refused when it is built: its Perron root is not the
+    A multi-state form whose state chain (over the counted letters) is
+    reducible is refused when it is built: its Perron root is not the
     one its start states see.
     """
 
     log_weights: np.ndarray  # (states, letters)
-    scatter: np.ndarray  # (states, letters, states)
+    next_state: np.ndarray  # (states, letters)
+    counts: np.ndarray  # (states, letters), as floats
 
     def __post_init__(self):
-        if self.num_states > 1 and not is_irreducible(self.scatter.sum(axis=1)):
+        if self.num_states > 1 and not is_irreducible(self.next_state, self.counts > 0.0):
             raise ValidationError("the state chain is reducible")
 
     @property
     def num_states(self) -> int:
-        return int(self.scatter.shape[0])
+        return int(self.log_weights.shape[0])
 
     def powers(self, betas: np.ndarray):
-        """Yield (beta, shift, logs, e^(beta logs)) per chunk of at most PRESSURE_CHUNK floats.
+        """Yield (beta, shift, logs, e^(beta logs)) per chunk of PRESSURE_CHUNK // (S K S) betas.
 
         logs = ln weight - shift.  The shift is 0 for beta <= 1 and, for
         beta > 1, the peak log weight of a counted letter (zero weights are
@@ -455,14 +475,27 @@ class PowerForm:
             beta = betas[i:i + step]
             shift, logs = 0.0, self.log_weights
             if (beta > 1.0).any():
-                counted = self.scatter.sum(axis=2) > 0.0
+                counted = self.counts > 0.0
                 shift = np.where(beta > 1.0, self.log_weights[counted].max(), 0.0)
                 logs = np.where(counted, self.log_weights - shift[:, None, None], 0.0)
             yield beta, shift, logs, np.exp(beta[:, None, None] * logs)
 
     def matrix(self, entries: np.ndarray) -> np.ndarray:
-        """Gather per-letter entries (batch, states, letters) into state-to-state matrices."""
-        return np.einsum("bsx,sxt->bst", entries, self.scatter)
+        """Gather per-letter entries (batch, states, letters) into state-to-state matrices.
+
+        Both branches keep the bits of the dense einsum over a (states,
+        letters, states) scatter of the counts.  One state: its reduction
+        over letters runs the same way without the unit last axis.  Several
+        states: the dense sum adds each letter's product (counts are 0 or 1)
+        into (b, s, t) from 0 in letter order, as ``bincount`` over the flat
+        indices b S^2 + s S + next_state[s, x] does.
+        """
+        b, s = entries.shape[:2]
+        if s == 1:
+            return np.einsum("bsx,sx->bs", entries, self.counts)[:, :, None]
+        flat = (np.arange(b * s) * s).reshape(b, s, 1) + self.next_state
+        return np.bincount(flat.ravel(), (entries * self.counts).ravel(),
+                           minlength=b * s * s).reshape(b, s, s)
 
 
 def _letters(model) -> tuple:
@@ -499,9 +532,8 @@ def power_form(model) -> PowerForm:
     else:
         weights, nxt = _letters(model)
     positive = weights > 0.0
-    counts = np.where(positive, counts, 0)
-    scatter = (nxt[:, :, None] == np.arange(weights.shape[0])) * counts[:, :, None]
-    return PowerForm(np.log(np.where(positive, weights, 1.0)), scatter.astype(float))
+    return PowerForm(np.log(np.where(positive, weights, 1.0)), nxt,
+                     np.where(positive, counts, 0).astype(float))
 
 
 def pressure(model, thetas) -> np.ndarray:

@@ -8,7 +8,9 @@ divergence for the twisted chain and the variational identity, the Rényi
 rate as P(theta)/theta, the top-set terms and the two-block split value
 read off :func:`guesswork.top_set`, the convex conjugate, the moment of
 a guessing order, the posterior attack with its moment under any guessing
-orders, and the best cipher by enumerating its canonical tables.
+orders, the best cipher by enumerating its canonical tables, and the
+power form's state-to-state matrix and irreducibility check by their
+dense (states x letters x states) and (states x states) forms.
 """
 
 import itertools
@@ -49,9 +51,9 @@ def materialize(model, n: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> Pmf:
     Strings are indexed lexicographically.  Each probability is a
     left-to-right product over the letter table, summed over the starts
     in state order, one start at a time; explicit sources are looked up.
-    Raises :class:`CapExceededError` when the string count would exceed
-    ``cap`` (default 2^24 entries), with the message the spectrum builder
-    raises.
+    Raises :class:`CapExceededError` when the string count or n would
+    exceed ``cap`` (default 2^24 entries), with the message the spectrum
+    builder raises.
     """
     if n < 1:
         raise ValidationError("n must be a positive integer")
@@ -63,8 +65,9 @@ def materialize(model, n: int, cap: int = DEFAULT_MATERIALIZE_CAP) -> Pmf:
             raise CapExceededError(f"{out.size} strings exceed the cap of {cap}")
         return out
     k = model.alphabet_size
-    if k ** n > cap:
-        raise CapExceededError(f"{k}^{n} strings exceed the cap of {cap}")
+    if k ** n > cap or n > cap:
+        what = f"{k}^{n} strings" if k > 1 else f"{n} letters"
+        raise CapExceededError(f"{what} exceed the cap of {cap}")
     return Pmf(_dense_law(model, n), tol=PRODUCT_TOL)
 
 
@@ -78,6 +81,28 @@ def _dense_law(model, n: int) -> np.ndarray:
         values *= scale
         total = values if total is None else np.add(total, values, out=total)
     return total
+
+
+def dense_matrix(form, entries: np.ndarray) -> np.ndarray:
+    """The state-to-state matrices of :meth:`guesswork.sources.PowerForm.matrix`
+    by the dense (states, letters, states) scatter: scatter[s, x, t] counts
+    letter x of state s when it moves s to t."""
+    scatter = (form.next_state[:, :, None] == np.arange(form.num_states)) * form.counts[:, :, None]
+    return np.einsum("bsx,sxt->bst", entries, scatter.astype(float))
+
+
+def irreducible_by_squaring(next_state, counted) -> bool:
+    """:func:`guesswork.sources.is_irreducible` by squaring the S x S
+    adjacency of the counted letters' edges until the reach sets stop growing."""
+    adj = np.zeros((next_state.shape[0],) * 2, dtype=bool)
+    adj[np.nonzero(counted)[0], np.asarray(next_state)[counted]] = True
+    reach = np.eye(adj.shape[0], dtype=bool)
+    for _ in range(adj.shape[0]):
+        new = reach | (reach @ adj)
+        if np.array_equal(new, reach):
+            break
+        reach = new
+    return bool(reach.all())
 
 
 def divergence(q: Pmf, p: Pmf) -> float:

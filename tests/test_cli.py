@@ -672,6 +672,32 @@ class TestFailureContract:
         assert {p.name for p in tmp_path.iterdir()} <= {"config.json", "model.json",
                                                         "taken_rho1.csv"}
 
+    @pytest.mark.parametrize("command, model", [
+        ("bounds", IID), ("simulate", IID), ("sweep", IID),
+        ("bounds", {"kind": "iid", "probs": [1.0]}),
+    ], ids=["bounds", "simulate", "sweep", "one-letter"])
+    def test_huge_n_exits_4_at_once(self, tmp_path, command, model):
+        # n = 1e20 is an integer: 2^n strings, or a one-letter walk of n
+        # letters, are refused from n and bit lengths before either is formed
+        write_model(tmp_path, model)
+        cfg = write_config(tmp_path, {"model": "model.json", "rho": [1.0], "R": [0.3],
+                                      "n": [1e20]})
+        code = "\n".join([
+            "import resource, sys",
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))",
+            "from guesswork.cli import main",
+            f"sys.exit(main([{command!r}, '--config', {str(cfg)!r}]))",
+        ])
+        package_root = str(Path(guesswork.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("cap exceeded: ") and proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("command", ["exponent", "bounds", "sweep"])
     def test_extreme_rho_still_computes(self, tmp_path, iid_model, command):
         cfg = write_config(tmp_path, {"model": "model.json", "rho": [1e300], "R": [0.3],

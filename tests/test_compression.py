@@ -282,10 +282,14 @@ class TestLowerUpperBounds:
             key_rate = float(rng.uniform(0.05, 1.5))
             law = spectrum(random_pmf(rng, size, float(rng.uniform(0.3, 3.0))))
             lower = lower_bound_finite(law, n, rho, key_rate)
-            mid = relaxed_optimum(law, n, rho, key_rate).value
+            relaxed = relaxed_optimum(law, n, rho, key_rate)
+            mid = relaxed.value
             upper = upper_bound_finite(law, n, rho, key_rate)
             assert lower.value - lower.slack <= mid + 1e-12
             assert mid <= upper + 1e-12
+            # the stated slacks, exactly: a scaled one passes the inequalities
+            assert relaxed.slack == rho * LN2 / n
+            assert lower.slack == rho * (LN2 + math.log(1.0 + math.log(size))) / n
 
     def test_cross_check_binary_n8(self):
         model = IidSource(pmf(0.8, 0.2))

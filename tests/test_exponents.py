@@ -293,9 +293,9 @@ class TestLockStepDual:
         calls = []
         real = sources.is_irreducible
 
-        def counting(transition):
-            calls.append(transition)
-            return real(transition)
+        def counting(next_state, counted):
+            calls.append(next_state)
+            return real(next_state, counted)
 
         monkeypatch.setattr(sources, "is_irreducible", counting)
         rates = np.linspace(0.05, 1.15, 23)

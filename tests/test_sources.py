@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,16 @@ from guesswork import (
     spectrum,
     stationary,
 )
-from guesswork.sources import chain_source
-from oracles import divergence, markov_renyi_rate, materialize, renyi_entropy_rate, tilt
+from guesswork.sources import chain_source, is_irreducible, power_form
+from oracles import (
+    dense_matrix,
+    divergence,
+    irreducible_by_squaring,
+    markov_renyi_rate,
+    materialize,
+    renyi_entropy_rate,
+    tilt,
+)
 
 LN2 = math.log(2.0)
 
@@ -556,6 +565,95 @@ class TestPressure:
         assert abs(batched[0]) <= 1e-12
         single = np.array([float(pressure(law, t)) for t in thetas[::97].tolist()])
         assert np.abs(batched[::97] - single).max() <= 1e-13
+
+
+class TestPowerForm:
+    """The next-state table's matrices against the dense (states x letters x
+    states) scatter einsum, bit for bit, and its strong-connectivity search
+    against squaring the state adjacency."""
+
+    def _assert_dense(self, model, seed):
+        # the two entry stacks the package gathers, e^(beta logs) and
+        # e^(beta logs) x logs, chunk by chunk over betas on both sides of 1
+        form = power_form(model)
+        betas = np.random.default_rng(seed).uniform(0.05, 4.0, size=40)
+        for _, _, logs, w in form.powers(betas):
+            for entries in (w, w * logs):
+                assert np.array_equal(form.matrix(entries), dense_matrix(form, entries))
+
+    def test_iid_matches_the_dense_scatter(self):
+        rng = np.random.default_rng(61)
+        for k in (3, 4, 5, 6, 7) * 4:
+            probs = rng.dirichlet(np.ones(k)) * (rng.uniform(size=k) > 0.2)
+            probs[0] += 1.0 - probs.sum()
+            self._assert_dense(IidSource(Pmf(probs, tol=1e-9)), int(rng.integers(2 ** 31)))
+
+    def test_markov_matches_the_dense_scatter(self):
+        rng = np.random.default_rng(67)
+        for size in (2, 3, 5, 8, 13, 21, 34, 60):
+            # a sparse chain: the cyclic step and a few random transitions
+            pi = rng.dirichlet(np.ones(size), size=size) * (rng.uniform(size=(size, size)) > 0.7)
+            pi[np.arange(size), (np.arange(size) + 1) % size] += 0.1
+            self._assert_dense(chain_source(pi / pi.sum(axis=1, keepdims=True)), size)
+
+    def test_unifilar_matches_the_dense_scatter(self):
+        # letters share next states, and some letters have zero weight
+        rng = np.random.default_rng(71)
+        for _ in range(60):
+            size, k = int(rng.integers(2, 7)), int(rng.integers(2, 9))
+            nxt = rng.integers(0, size, size=(size, k))
+            nxt[:, 0] = (np.arange(size) + 1) % size
+            emission = rng.dirichlet(np.ones(k), size=size) * (rng.uniform(size=(size, k)) > 0.3)
+            emission[:, 0] += 0.05
+            model = UnifilarSource(pmf(*([1.0] + [0.0] * (size - 1))), nxt, tuple(
+                Pmf(row / row.sum(), tol=1e-9) for row in emission))
+            self._assert_dense(model, int(rng.integers(2 ** 31)))
+
+    def test_finite_laws_match_the_dense_scatter(self):
+        rng = np.random.default_rng(73)
+        flip = np.array([[0, 1], [1, 0]])
+        for model, n in ((IidSource(pmf(0.5, 0.3, 0.2)), 6), (IidSource(pmf(0.8, 0.2)), 14),
+                         (chain_source(rng.dirichlet(np.ones(3), size=3)), 7),
+                         (UnifilarSource(pmf(0.5, 0.5), flip, (pmf(0.6, 0.4), pmf(0.25, 0.75))),
+                          12)):
+            self._assert_dense(n_letter_spectrum(model, n), n)
+
+    def test_reachability_matches_squaring(self):
+        rng = np.random.default_rng(79)
+        tables = [
+            # a one-way chain 0 -> 1 -> 2 -> 3, and the same chain closed
+            (np.array([[1], [2], [3], [3]]), np.ones((4, 1), dtype=bool)),
+            (np.array([[1], [2], [3], [0]]), np.ones((4, 1), dtype=bool)),
+            # state 2 only loops on itself
+            (np.array([[1, 2], [0, 2], [2, 2]]), np.ones((3, 2), dtype=bool)),
+            # the edge back to 0 is masked by a zero weight
+            (np.array([[1, 0], [0, 1]]), np.array([[True, False], [False, True]])),
+            (np.array([[0]]), np.ones((1, 1), dtype=bool)),
+        ]
+        for _ in range(400):
+            size, k = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            tables.append((rng.integers(0, size, size=(size, k)),
+                           rng.uniform(size=(size, k)) > rng.uniform(0.0, 0.6)))
+        verdicts = [is_irreducible(nxt, counted) for nxt, counted in tables]
+        assert verdicts == [irreducible_by_squaring(nxt, counted) for nxt, counted in tables]
+        assert verdicts[:5] == [False, True, False, False, True]
+        assert 50 < sum(verdicts) < 350
+
+    def test_large_chain_form_in_bounded_memory(self):
+        # a 200-state chain that stays or steps to the next state (mod 200),
+        # each with probability 1/2; its dense scatter is 200^3 floats, 61 MB
+        pi = 0.5 * (np.eye(200) + np.roll(np.eye(200), 1, axis=1))
+        model = chain_source(pi)
+        tracemalloc.start()
+        try:
+            form = power_form(model)
+            _, _, _, w = next(form.powers(np.array([0.5])))
+            m = form.matrix(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert np.array_equal(m[0], np.sqrt(model.transition))
 
 
 class TestPressureNearMinusOne:

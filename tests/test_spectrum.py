@@ -311,11 +311,13 @@ class TestNLetterSpectrum:
         model = BUILDER_MODELS[name]
         n = _lengths(model)[-1]
         size = model.alphabet_size ** n if name != "explicit" else model.pmfs[n - 1].size
-        assert n_letter_spectrum(model, n, cap=size).size == size
+        # n letters bound a one-letter walk of one string
+        cap = max(size, n) if name != "explicit" else size
+        assert n_letter_spectrum(model, n, cap=cap).size == size
         with pytest.raises(CapExceededError) as dense:
-            materialize(model, n, cap=size - 1)
+            materialize(model, n, cap=cap - 1)
         with pytest.raises(CapExceededError) as built:
-            n_letter_spectrum(model, n, cap=size - 1)
+            n_letter_spectrum(model, n, cap=cap - 1)
         assert str(built.value) == str(dense.value)
 
     def test_cap_before_any_work(self, monkeypatch):
@@ -363,7 +365,7 @@ class TestNLetterSpectrum:
                 materialize(model, n).probs.tolist())
 
     def test_one_letter_alphabet_is_one_run(self, monkeypatch):
-        # K^n = 1 at every n, so no cap bounds a letter walk: none is taken
+        # K^n = 1 at every n: no letter is appended, and the cap bounds n itself
         def no_walk(*args):
             raise AssertionError("a letter was appended to a one-letter walk")
 
@@ -373,16 +375,18 @@ class TestNLetterSpectrum:
                   UnifilarSource(Pmf([1.0, 0.0]), np.array([[1], [0]]),
                                  (Pmf([w]), Pmf([1.0 - 2.0 ** -44])))]
         monkeypatch.setattr(sources, "_append_letter", no_walk)
-        spec = n_letter_spectrum(certain, 10 ** 5, cap=16)
+        spec = n_letter_spectrum(certain, 10 ** 5, cap=10 ** 5)
         assert spec.values.tolist() == [1.0] and spec.counts.tolist() == [1]
         assert spec.counts.dtype == np.int64
+        with pytest.raises(CapExceededError, match="^100001 letters exceed the cap of 100000$"):
+            n_letter_spectrum(certain, 10 ** 5 + 1, cap=10 ** 5)
         # the product is the letter walk's, bit for bit, and so is the dense law
         for model in models:
             for n in (1, 2, 7, 10 ** 4):
-                built = n_letter_spectrum(model, n, cap=16)
+                built = n_letter_spectrum(model, n, cap=10 ** 4)
                 assert built.values.tolist() == [one_letter_walk(model, n)]
                 assert built.counts.tolist() == [1]
-                assert materialize(model, n, cap=16).probs.tolist() == built.values.tolist()
+                assert materialize(model, n, cap=10 ** 4).probs.tolist() == built.values.tolist()
 
     def test_one_letter_mixed_start_is_one_run(self, monkeypatch):
         # two start states of positive weight: each start's one string comes
@@ -394,7 +398,7 @@ class TestNLetterSpectrum:
                                (Pmf([1.0 - 3 * 2.0 ** -50]), Pmf([1.0 - 5 * 2.0 ** -51])))
         monkeypatch.setattr(sources, "_append_letter", no_walk)
         for n in (1, 2, 7, 10 ** 5):
-            spec = n_letter_spectrum(model, n, cap=16)
+            spec = n_letter_spectrum(model, n, cap=10 ** 5)
             assert spec.values.tolist() == [one_letter_walk(model, n)]
             assert spec.counts.tolist() == [1]
 
